@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BudgetError, InputError
 from .laurent import BiLaurent, min_deg_a
@@ -62,8 +63,13 @@ DEFAULT_CROSSING_BUDGET = 16
 DELTA_NUMERATOR = BiLaurent({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 
+@lru_cache(maxsize=256)
 def delta_power(k):
-    """delta^k for k >= -1 (delta^-1 never appears alone in results)."""
+    """delta^k for k >= -1 (delta^-1 never appears alone in results).
+
+    Cached: skein leaves ask for the same few powers over and over, and
+    BiLaurent values are immutable, so one shared value per k is safe.
+    """
     if k < 0:
         raise ValueError("negative delta powers are not used")
     return DELTA_NUMERATOR ** k * BiLaurent.z(-k)

@@ -402,6 +402,14 @@ def unit_equivalent(p, q, allow_inversion=False):
 
 
 # -- division and gcd ------------------------------------------------------
+#
+# Both routines work on dense integer coefficient lists (low -> high) and
+# never leave Z.  Exact division is long division that gives up at the first
+# leading coefficient the divisor's lead does not divide, which over Z is
+# exactly when the quotient over Q is not integral.  The gcd runs a primitive
+# pseudo-remainder sequence (each remainder scaled to stay integral, then
+# divided by its content); by Gauss's lemma its last nonzero term times the
+# gcd of the two inputs' contents is the gcd in Z[t].
 
 def _dense(p):
     """Return (min_exp, coefficient list low->high) for a nonzero p."""
@@ -419,45 +427,53 @@ def div_exact(p, q):
         raise ZeroDivisionError("division by the zero polynomial")
     if not p:
         return IntLaurent()
-    plo, pc = _dense(p)
+    plo, rem = _dense(p)
     qlo, qc = _dense(q)
-    if len(pc) < len(qc):
+    if len(rem) < len(qc):
         return None
-    rem = [Fraction(c) for c in pc]
-    lead = Fraction(qc[-1])
-    quot = [Fraction(0)] * (len(pc) - len(qc) + 1)
+    top = len(qc) - 1
+    lead = qc[-1]
+    quot = [0] * (len(rem) - top)
     for k in range(len(quot) - 1, -1, -1):
-        f = rem[k + len(qc) - 1] / lead
+        c = rem[k + top]
+        if not c:
+            continue
+        f, r = divmod(c, lead)
+        if r:
+            return None
         quot[k] = f
-        if f:
-            for i, c in enumerate(qc):
-                rem[k + i] -= f * c
-    if any(rem):
+        for i, d in enumerate(qc):
+            rem[k + i] -= f * d
+    if any(rem[:top]):
         return None
-    if any(f.denominator != 1 for f in quot):
-        return None
-    return _from_dense(plo - qlo, [int(f) for f in quot])
+    return _from_dense(plo - qlo, quot)
 
 
 def _content(coeffs):
     g = 0
     for c in coeffs:
-        g = _int_gcd(g, abs(c))
+        g = _int_gcd(g, c)
     return g
 
 
-def _frac_rem(a, b):
-    """Remainder of a by b over Q; dense Fraction lists, b nonzero."""
+def _primitive(coeffs):
+    g = _content(coeffs)
+    return [c // g for c in coeffs]
+
+
+def _pseudo_rem(a, b):
+    """A nonzero integer multiple of the remainder of a by b over Q."""
     rem = a[:]
     lead = b[-1]
     while len(rem) >= len(b):
-        f = rem[-1] / lead
-        for i in range(len(b)):
-            rem[len(rem) - len(b) + i] -= f * b[i]
+        g = _int_gcd(rem[-1], lead)
+        scale, f = lead // g, rem[-1] // g
+        shift = len(rem) - len(b)
+        rem = [c * scale for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
         while rem and not rem[-1]:
             rem.pop()
-        if not rem:
-            break
     return rem
 
 
@@ -476,18 +492,10 @@ def laurent_gcd(p, q):
     _, pc = _dense(p)
     _, qc = _dense(q)
     content = _int_gcd(_content(pc), _content(qc))
-    a = [Fraction(c) for c in pc]
-    b = [Fraction(c) for c in qc]
+    a, b = _primitive(pc), _primitive(qc)
     while b:
-        a, b = b, _frac_rem(a, b)
-    # clear denominators and take the primitive part
-    denom = 1
-    for f in a:
-        denom = denom * f.denominator // _int_gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in a]
-    prim = _content(ints)
-    ints = [c // prim for c in ints]
-    return normalize_unit(IntLaurent({i: c * content for i, c in enumerate(ints) if c}))
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return normalize_unit(_from_dense(0, [c * content for c in a]))
 
 
 # -- BiLaurent helpers ------------------------------------------------------

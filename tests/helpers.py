@@ -3,18 +3,21 @@
 Independent reconstructions used as oracles: a front-word to PD-code
 converter, Wirtinger presentations of PD codes (so Alexander polynomials
 of diagrams can be computed through the group pipeline), a pretzel/torus
-PD generator, Tietze transformations, and a plain exponential skein
-evaluator with no memoization and no simplification.
+PD generator, Tietze transformations, a plain exponential skein
+evaluator with no memoization and no simplification, the gcd of every
+(n-1)-minor of an Alexander matrix, and exact Laurent division over Q.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 from diskfill.errors import InputError
 from diskfill.front import FrontWord, orient
-from diskfill.fox import alexander_polynomial
+from diskfill.fox import alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, free_reduce
 from diskfill.kauffman import LinkDiagram, delta_power, trace_diagram
-from diskfill.laurent import BiLaurent
+from diskfill.laurent import BiLaurent, IntLaurent, laurent_gcd, normalize_unit
 
 
 # -- front word -> PD code ------------------------------------------------------
@@ -119,6 +122,48 @@ def pd_alexander(diagram):
     trimmed = Presentation(pres.gens, pres.relators[:-1])
     weights = (1,) * trimmed.rank
     return alexander_polynomial(trimmed, weights)
+
+
+# -- Alexander oracles ------------------------------------------------------------
+
+def all_minors_gcd(matrix):
+    """Gcd of every (n-1)-minor of an AlexanderMatrix, canonical unit form.
+
+    The definition with no pruning: every row subset against every column
+    subset, each minor through ``laurent_det``.
+    """
+    n = matrix.ncols
+    k = n - 1
+    if k == 0:
+        return IntLaurent.constant(1)
+    acc = IntLaurent()
+    for rows in itertools.combinations(range(matrix.nrows), k):
+        for cols in itertools.combinations(range(n), k):
+            minor = laurent_det([[matrix.entries[i][j] for j in cols] for i in rows])
+            if minor:
+                acc = laurent_gcd(acc, minor) if acc else minor
+    return normalize_unit(acc) if acc else IntLaurent()
+
+
+def fraction_div_exact(p, q):
+    """p / q in Z[t, t^-1] by long division over Q, else None (q nonzero)."""
+    if not p:
+        return IntLaurent()
+    plo, phi = p.min_exp(), p.max_exp()
+    qlo, qhi = q.min_exp(), q.max_exp()
+    rem = [Fraction(p.coefficient(e)) for e in range(plo, phi + 1)]
+    qc = [q.coefficient(e) for e in range(qlo, qhi + 1)]
+    if len(rem) < len(qc):
+        return None
+    quot = [Fraction(0)] * (len(rem) - len(qc) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        f = rem[k + len(qc) - 1] / qc[-1]
+        quot[k] = f
+        for i, c in enumerate(qc):
+            rem[k + i] -= f * c
+    if any(rem) or any(f.denominator != 1 for f in quot):
+        return None
+    return IntLaurent({plo - qlo + i: int(f) for i, f in enumerate(quot)})
 
 
 # -- pretzel and torus diagrams ---------------------------------------------------
@@ -244,8 +289,6 @@ def stabilized_weights(pres, weights, word):
 # -- randomized inputs ---------------------------------------------------------------
 
 def random_laurent(rng, span=4, size=4, coeff=6):
-    from diskfill.laurent import IntLaurent
-
     return IntLaurent(
         {rng.randint(-span, span): rng.randint(-coeff, coeff) for _ in range(size)}
     )

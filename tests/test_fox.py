@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from diskfill import fox
 from diskfill.errors import InputError
 from diskfill.fox import (
     abelianize_ring,
@@ -16,16 +17,19 @@ from diskfill.fox import (
     ring_scale,
 )
 from diskfill.groups import Presentation, free_reduce, parse_presentation
-from diskfill.laurent import IntLaurent, normalize_unit, substitute_inverse, unit_equivalent
+from diskfill.laurent import IntLaurent, div_exact, normalize_unit, substitute_inverse, unit_equivalent
 
 from helpers import (
+    all_minors_gcd,
     conjugate_relator,
     invert_relator,
     permute_relators,
+    pretzel_pd,
     random_laurent,
     random_word,
     stabilize,
     stabilized_weights,
+    wirtinger_presentation,
 )
 from test_groups import BS12, W12_TEXT, W22_TEXT
 
@@ -182,6 +186,12 @@ class TestLaurentDet:
             )
             assert sympy.simplify(mine_sym - sym) == 0
 
+    def test_inexact_bareiss_division_raises(self, monkeypatch):
+        monkeypatch.setattr(fox, "div_exact", lambda p, q: None)
+        t = IntLaurent.t()
+        with pytest.raises(ArithmeticError):
+            laurent_det([[t, t], [t, t + 1]])
+
 
 class TestAlexanderPolynomial:
     def test_w22(self):
@@ -247,3 +257,84 @@ class TestAlexanderPolynomial:
         minus = alexander_polynomial(pres, tuple(-w for w in BETA))
         assert unit_equivalent(plus, minus, allow_inversion=True)
         assert unit_equivalent(plus, substitute_inverse(minus))
+
+
+def torus_presentation(p, q):
+    """<a, b | a^p b^-q> with weights (q, p), which kill the relator."""
+    return Presentation(("a", "b"), ((1,) * p + (-2,) * q,)), (q, p)
+
+
+def counting_det(monkeypatch):
+    calls = []
+
+    def det(rows):
+        calls.append(len(rows))
+        return laurent_det(rows)
+
+    monkeypatch.setattr(fox, "laurent_det", det)
+    return calls
+
+
+class TestOneMinorPerRowSubset:
+    """The pruned minor loop against the gcd of every (n-1)-minor."""
+
+    def check(self, pres, weights):
+        got = alexander_polynomial(pres, weights)
+        assert got == all_minors_gcd(alexander_matrix(pres, weights)), str(got)
+        return got
+
+    @pytest.mark.parametrize("twists", [(1, 1, 1), (-3, 1, 1), (3, -1, 3), (2, 3, -1), (2, 2)])
+    def test_pretzel_wirtinger(self, twists):
+        pres = wirtinger_presentation(pretzel_pd(list(twists)))
+        weights = (1,) * pres.rank
+        trimmed = Presentation(pres.gens, pres.relators[:-1])
+        assert self.check(trimmed, weights) == self.check(pres, weights)
+
+    def test_only_unit_is_minus_one(self):
+        # trefoil group a^2 = b^3 plus c = a^-1 b: weights (3, 2, -1)
+        pres, weights = torus_presentation(2, 3)
+        word = (-1, 2)
+        pres, weights = stabilize(pres, word, name="c"), stabilized_weights(pres, weights, word)
+        assert weights == (3, 2, -1)
+        assert self.check(pres, weights) == L("t^2 - t + 1")
+
+    def test_zero_weight_column(self):
+        pres = parse_presentation(W22_TEXT).presentation
+        word = (1, 2)
+        pres, weights = stabilize(pres, word), stabilized_weights(pres, ALPHA, word)
+        assert weights[-1] == 0
+        assert self.check(pres, weights) == L("4*t^2 - 4*t + 1")
+        assert self.check(BS12, (0, 1)) == L("-2*t + 1")
+
+    def test_conjugated_redundant_relator(self, monkeypatch):
+        # a conjugate of r1 abelianizes to a multiple of r1's row, so on the
+        # row subset {r1, its conjugate} the unit-column minor vanishes
+        pres = parse_presentation(W22_TEXT).presentation
+        pres = Presentation(pres.gens, pres.relators + (pres.relators[0],))
+        pres = conjugate_relator(pres, 2, (2, 3, 2))
+        matrix = alexander_matrix(pres, ALPHA)
+        assert laurent_det([[matrix.entries[i][j] for j in (1, 2)] for i in (0, 2)]) == IntLaurent()
+        calls = counting_det(monkeypatch)
+        assert self.check(pres, ALPHA) == L("4*t^2 - 4*t + 1")
+        assert calls == [2, 2, 2]
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (2, 5), (3, 5)])
+    def test_torus_groups_take_the_fallback(self, p, q, monkeypatch):
+        pres, weights = torus_presentation(p, q)
+        calls = counting_det(monkeypatch)
+        got = alexander_polynomial(pres, weights)
+        assert len(calls) == 2  # both 1x1 minors of the one row
+        t = IntLaurent.t()
+        expected = div_exact((t ** (p * q) - 1) * (t - 1), (t ** p - 1) * (t ** q - 1))
+        assert got == normalize_unit(expected)
+        assert got == all_minors_gcd(alexander_matrix(pres, weights))
+
+    def test_one_determinant_per_row_subset(self, monkeypatch):
+        pres = wirtinger_presentation(pretzel_pd([3, -1, 3]))
+        weights = (1,) * pres.rank
+        calls = counting_det(monkeypatch)
+        alexander_polynomial(Presentation(pres.gens, pres.relators[:-1]), weights)
+        assert calls == [pres.rank - 1]
+        del calls[:]
+        alexander_polynomial(pres, weights)
+        assert calls == [pres.rank - 1] * pres.rank

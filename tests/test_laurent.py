@@ -15,7 +15,7 @@ from diskfill.laurent import (
     unit_equivalent,
 )
 
-from helpers import random_bilaurent, random_laurent
+from helpers import fraction_div_exact, random_bilaurent, random_laurent
 
 
 def L(s):
@@ -190,14 +190,8 @@ class TestGcd:
         import sympy
 
         t = sympy.Symbol("t")
-        rng = random.Random(13)
-        done = 0
-        while done < 60:
-            p, q = random_laurent(rng, span=3, size=3), random_laurent(rng, span=3, size=3)
-            if not p or not q:
-                continue
-            done += 1
-            mine = laurent_gcd(p, q)
+
+        def sympy_gcd(p, q):
             sp = sympy.gcd(
                 sympy.Poly(
                     sum(c * t ** (e - p.min_exp()) for e, c in p.terms.items()), t
@@ -206,9 +200,84 @@ class TestGcd:
                     sum(c * t ** (e - q.min_exp()) for e, c in q.terms.items()), t
                 ),
             )
-            coeffs = {m[0]: int(c) for m, c in sp.terms()}
-            theirs = IntLaurent(coeffs)
+            return IntLaurent({m[0]: int(c) for m, c in sp.terms()})
+
+        # cases where the integer content of the gcd matters
+        content_cases = [
+            (L("6*t + 6"), L("4*t + 4"), L("2*t + 2")),
+            (L("6*t^2 - 6"), L("-9*t - 9"), L("3*t + 3")),
+            (L("4*t^2 + 8*t + 4"), L("6*t^-1 + 6"), L("2*t + 2")),
+            (L("10"), L("4*t^3 - 6"), L("2")),
+            (L("12*t - 6"), L("-8*t + 4"), L("4*t - 2")),
+        ]
+        for p, q, expected in content_cases:
+            mine = laurent_gcd(p, q)
+            assert mine == normalize_unit(expected), (str(p), str(q), str(mine))
+            assert unit_equivalent(mine, sympy_gcd(p, q))
+        rng = random.Random(13)
+        done = 0
+        while done < 60:
+            p, q = random_laurent(rng, span=3, size=3), random_laurent(rng, span=3, size=3)
+            if not p or not q:
+                continue
+            done += 1
+            mine = laurent_gcd(p, q)
+            theirs = sympy_gcd(p, q)
             assert unit_equivalent(mine, theirs), (str(mine), str(theirs))
+        # shared factors with nontrivial content, so the primitive
+        # pseudo-remainder sequence runs several steps
+        rng = random.Random(15)
+        done = 0
+        while done < 40:
+            d, a, b = (random_laurent(rng, span=2, size=3) for _ in range(3))
+            if not d or not a or not b:
+                continue
+            done += 1
+            p, q = d * a * rng.randint(1, 6), d * b * rng.randint(1, 6)
+            mine = laurent_gcd(p, q)
+            theirs = sympy_gcd(p, q)
+            assert unit_equivalent(mine, theirs), (str(mine), str(theirs))
+
+
+class TestDivExact:
+    def test_matches_fraction_long_division(self):
+        rng = random.Random(16)
+        checked = {"exact": 0, "perturbed": 0}
+        while min(checked.values()) < 80:
+            p = random_laurent(rng, span=3, size=4)
+            q = random_laurent(rng, span=3, size=3)
+            if not q:
+                continue
+            prod = p * q
+            perturbed = prod + random_laurent(rng, span=4, size=1, coeff=3)
+            for kind, num in (("exact", prod), ("perturbed", perturbed)):
+                got = div_exact(num, q)
+                assert got == fraction_div_exact(num, q), (str(num), str(q))
+                checked[kind] += 1
+            assert div_exact(prod, q) == p
+
+    def test_non_integral_rational_quotient(self):
+        cases = [
+            (L("t + 1"), L("2*t + 1")),
+            (L("2*t + 1") * L("t + 1"), L("4*t + 2")),
+            (L("3*t^2 + 3"), L("2*t^2 + 2")),
+            (L("t^3 - 1"), L("2*t - 2")),
+            (L("6*t^-1 + 3"), L("4*t + 2")),
+        ]
+        for p, q in cases:
+            assert fraction_div_exact(p, q) is None, (str(p), str(q))
+            assert div_exact(p, q) is None, (str(p), str(q))
+
+    def test_non_monic_exact(self):
+        p, q = L("2*t + 1") * L("-3*t^2 + t - 5"), L("-3*t^2 + t - 5")
+        assert div_exact(p, q) == L("2*t + 1")
+        assert div_exact(p.shifted(-4), q.shifted(2)) == L("2*t + 1").shifted(-6)
+
+    def test_zero_and_short(self):
+        assert div_exact(IntLaurent(), L("3*t + 1")) == IntLaurent()
+        assert div_exact(L("3"), L("t + 1")) is None
+        with pytest.raises(ZeroDivisionError):
+            div_exact(L("t"), IntLaurent())
 
 
 class TestSubstitutionsAndBiLaurent:
