@@ -29,7 +29,6 @@ from .front import (
     parse_front,
     render_certificate,
     render_front,
-    validate,
 )
 from .fox import alexander_matrix, alexander_polynomial
 from .groups import (
@@ -154,7 +153,6 @@ def cmd_compare(args):
 def cmd_tb(args):
     out = _Out(args.machine)
     front = parse_front(_read(args.front))
-    validate(front)
     invariants = classical_invariants(orient(front))
     out.field("components", len(invariants))
     for i, (tb, rot) in enumerate(invariants, start=1):
@@ -202,7 +200,7 @@ def cmd_connect(args):
     cert_path.write_text(render_certificate(cert, header="composed filling certificate"))
     out.field("front", front_path)
     out.field("certificate", cert_path)
-    out.field("tb", classical_invariants(orient(total))[0][0])
+    out.field("tb", report.tb)
     out.field("euler", report.euler)
     out.field("result", "ACCEPT")
     return 0

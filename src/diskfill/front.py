@@ -12,6 +12,11 @@ over/under is not stored: in a front the strand of more negative slope
 (the one moving from position k down to k+1) is in front, and all signs
 below use that convention.
 
+``validate`` checks these rules in the one tracing pass over the word.
+The same walk links strands into components and orients them for
+``components`` and ``orient``, so a caller that needs either gets
+validation from it.
+
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
 
@@ -109,38 +114,9 @@ def render_front(front, header=None):
 
 
 def validate(front):
-    """Check all front invariants; errors carry the first offending index."""
-    count = 0
-    lefts = rights = 0
-    for i, (kind, p) in enumerate(front.events):
-        if kind == "L":
-            if not 1 <= p <= count + 1:
-                raise InputError(
-                    f"event {i}: left cusp at {p} outside 1..{count + 1}"
-                )
-            count += 2
-            lefts += 1
-        elif kind == "R":
-            if not 1 <= p <= count - 1:
-                raise InputError(
-                    f"event {i}: right cusp needs strands {p},{p + 1} but only {count} exist"
-                )
-            count -= 2
-            rights += 1
-        elif kind == "X":
-            if not 1 <= p <= count - 1:
-                raise InputError(
-                    f"event {i}: crossing needs strands {p},{p + 1} but only {count} exist"
-                )
-        else:
-            raise InputError(f"event {i}: unknown kind {kind!r}")
-    if count != 0:
-        raise InputError(f"event {len(front.events)}: final strand count {count}, expected 0")
-    if lefts != rights:
-        raise InputError(
-            f"event {len(front.events)}: {lefts} left cusps vs {rights} right cusps"
-        )
-    _trace(front)  # closes every strand by construction; asserts consistency
+    """Check all front invariants in the one tracing pass; errors carry the
+    first offending index."""
+    _trace(front)
     return True
 
 
@@ -176,7 +152,8 @@ class _Trace:
         rx, px = self.find(x)
         ry, py = self.find(y)
         if rx == ry:
-            assert (px ^ py) == rel, "front traversal direction conflict"
+            if (px ^ py) != rel:
+                raise RuntimeError("front traversal direction conflict")
             return
         # keep the smaller root so component order follows creation order
         if ry < rx:
@@ -186,55 +163,52 @@ class _Trace:
 
 
 def _trace(front):
+    """The one walk over a front: checks every event, links strands into
+    components and orients them.  Raises InputError at the first bad event."""
     tr = _Trace()
     tr.parent = []
     tr.parity = []
     tr.event_strands = []
     active = []
-
-    def new_strand():
-        sid = len(tr.parent)
-        tr.parent.append(sid)
-        tr.parity.append(0)
-        return sid
-
     for i, (kind, p) in enumerate(front.events):
+        count = len(active)
         if kind == "L":
-            if not 1 <= p <= len(active) + 1:
-                raise InputError(f"event {i}: left cusp position {p} out of range")
-            u, v = new_strand(), new_strand()
+            if not 1 <= p <= count + 1:
+                raise InputError(f"event {i}: left cusp at {p} outside 1..{count + 1}")
+            u, v = len(tr.parent), len(tr.parent) + 1
+            tr.parent += [u, v]
+            tr.parity += [0, 0]
             tr.union(u, v, 1)  # cusp branches run in opposite directions
             active[p - 1:p - 1] = [u, v]
-            tr.event_strands.append((u, v))
-        elif kind == "R":
-            if not 1 <= p <= len(active) - 1:
-                raise InputError(f"event {i}: right cusp position {p} out of range")
+        elif kind in ("R", "X"):
+            if not 1 <= p <= count - 1:
+                what = "right cusp" if kind == "R" else "crossing"
+                raise InputError(
+                    f"event {i}: {what} needs strands {p},{p + 1} but only {count} exist"
+                )
             u, v = active[p - 1], active[p]
-            tr.union(u, v, 1)
-            del active[p - 1:p + 1]
-            tr.event_strands.append((u, v))
-        elif kind == "X":
-            if not 1 <= p <= len(active) - 1:
-                raise InputError(f"event {i}: crossing position {p} out of range")
-            u, v = active[p - 1], active[p]
-            active[p - 1], active[p] = v, u
-            tr.event_strands.append((u, v))
+            if kind == "R":
+                tr.union(u, v, 1)
+                del active[p - 1:p + 1]
+            else:
+                active[p - 1], active[p] = v, u
         else:
             raise InputError(f"event {i}: unknown kind {kind!r}")
+        tr.event_strands.append((u, v))
     if active:
-        raise InputError(f"event {len(front.events)}: {len(active)} strands left open")
+        raise InputError(
+            f"event {len(front.events)}: final strand count {len(active)}, expected 0"
+        )
 
     tr.n = len(tr.parent)
     roots = []
-    root_index = {}
     direction = [0] * tr.n
     for s in range(tr.n):
         r, par = tr.find(s)
-        if r not in root_index:
-            root_index[r] = len(roots)
-            roots.append(r)
-        # first-created upper strand of the component is its root
-        # (ids grow in creation order and the upper branch is created first)
+        # union keeps the smaller root, so each component's root is its
+        # first-created strand, an upper cusp branch, met here before the rest
+        if r == s:
+            roots.append(s)
         direction[s] = 1 if par == 0 else -1
     tr.direction = direction
     tr.roots = roots
@@ -296,7 +270,8 @@ def classical_invariants(oriented):
                 up[comp[u]] += 1
     out = []
     for c in range(ncomp):
-        assert (down[c] - up[c]) % 2 == 0
+        if (down[c] - up[c]) % 2:
+            raise RuntimeError(f"component {c + 1}: odd cusp imbalance {down[c] - up[c]}")
         out.append((writhe[c] - right_cusps[c], (down[c] - up[c]) // 2))
     return out
 
@@ -351,8 +326,18 @@ def _instantiate(pattern, p):
     return tuple((kind, p + off - 1) for kind, off in pattern)
 
 
+def _window(events, index, width):
+    """The ``width`` events from ``index``; raises unless all of them exist."""
+    if not 0 <= index <= len(events) - width:
+        raise InputError(
+            f"move index {index} out of range: expected a {width}-event window "
+            f"inside 0..{len(events)}, found {index}..{index + width}"
+        )
+    return events[index:index + width]
+
+
 def _match(events, index, pattern):
-    got = events[index:index + len(pattern)]
+    got = _window(events, index, len(pattern))
     if got != pattern:
         raise InputError(
             f"pattern mismatch at index {index}: expected {list(pattern)}, found {list(got)}"
@@ -361,10 +346,7 @@ def _match(events, index, pattern):
 
 def _slide(events, index):
     """Commute the events at index and index+1 when their supports are disjoint."""
-    if index < 0 or index + 1 >= len(events):
-        raise InputError(f"slide index {index} out of range")
-    a_kind, a = events[index]
-    b_kind, b = events[index + 1]
+    (a_kind, a), (b_kind, b) = _window(events, index, 2)
     # strand-count change caused by B, used to re-aim A when B moves above it
     db = 2 if b_kind == "L" else -2 if b_kind == "R" else 0
     overlap = InputError(
@@ -407,16 +389,20 @@ def _slide(events, index):
 
 
 def apply_move(front, move):
-    """Apply one isotopy move; the result is validated before returning."""
+    """Apply one isotopy move; the result is validated before returning.
+
+    The move's pattern must lie inside the word: a negative index, or one
+    whose pattern would run past the end, is rejected before any slicing.
+    """
     events = list(front.events)
     kind = move.kind
     if kind == "slide":
-        events[move.index:move.index + 2] = _slide(tuple(events), move.index)
+        events[move.index:move.index + 2] = _slide(front.events, move.index)
     elif kind == "r3":
         p = move.pos
         lhs = (("X", p), ("X", p + 1), ("X", p))
         rhs = (("X", p + 1), ("X", p), ("X", p + 1))
-        got = tuple(events[move.index:move.index + 3])
+        got = _window(front.events, move.index, 3)
         if got == lhs:
             events[move.index:move.index + 3] = rhs
         elif got == rhs:
@@ -434,7 +420,7 @@ def apply_move(front, move):
             lhs, rhs = rhs, lhs
         lhs = _instantiate(lhs, move.pos)
         rhs = _instantiate(rhs, move.pos)
-        _match(tuple(events), move.index, lhs)
+        _match(front.events, move.index, lhs)
         events[move.index:move.index + len(lhs)] = list(rhs)
     out = FrontWord(tuple(events))
     validate(out)
@@ -489,10 +475,10 @@ def pinch(front, index, k, oriented_mode=True):
     before = oriented.n_components
     events[index:index] = [("R", k), ("L", k)]
     out = FrontWord(tuple(events))
-    validate(out)
-    if oriented_mode:
-        # an oriented saddle always splits or merges
-        assert abs(components(out) - before) == 1
+    after = components(out)  # the one trace of out, which also validates it
+    # an oriented saddle always splits or merges
+    if oriented_mode and abs(after - before) != 1:
+        raise RuntimeError(f"oriented saddle took {before} components to {after}")
     return out
 
 
@@ -571,7 +557,7 @@ def parse_certificate(text):
         try:
             if parts[0] == "EXPECT" and len(parts) == 3:
                 declared = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "MOVE" and parts[1] == "slide" and len(parts) == 3:
+            elif parts[0] == "MOVE" and len(parts) == 3 and parts[1] == "slide":
                 steps.append(Move("slide", int(parts[2]), 0))
             elif parts[0] == "MOVE" and len(parts) == 4:
                 if parts[1] not in MOVE_KINDS:
@@ -612,10 +598,10 @@ def check_certificate(front, cert):
     surface Euler characteristic (deaths - pinches), the genus when that
     is defined, and the tb = -euler cross-check.
     """
-    validate(front)
-    if components(front) != 1:
+    oriented = orient(front)
+    if oriented.n_components != 1:
         raise InputError("certificates are checked for knots (one component)")
-    tb = thurston_bennequin(front)
+    tb = thurston_bennequin(oriented)
     word = front
     pinches = deaths = 0
     for i, step in enumerate(cert.steps):
@@ -665,7 +651,6 @@ def connected_sum(f1, f2):
     strands run through f2's word.
     """
     for f in (f1, f2):
-        validate(f)
         if components(f) != 1:
             raise InputError("connected sums need single-component fronts")
     events = f1.events[:-1] + f2.events[1:]

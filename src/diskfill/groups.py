@@ -365,8 +365,10 @@ def z_surjection(pres):
     if first < 0:
         weights = tuple(-w for w in weights)
     # columns of a unimodular matrix are primitive, so the map is onto
-    assert math.gcd(*(abs(w) for w in weights)) == 1
-    assert validate_abelianization(pres, weights)
+    if math.gcd(*(abs(w) for w in weights)) != 1:
+        raise ArithmeticError(f"Smith normal form gave a non-primitive map {weights}")
+    if not validate_abelianization(pres, weights):
+        raise ArithmeticError(f"Smith normal form gave a map {weights} that misses a relator")
     return weights
 
 

@@ -65,7 +65,7 @@ DELTA_NUMERATOR = BiLaurent({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
 
 @lru_cache(maxsize=256)
 def delta_power(k):
-    """delta^k for k >= -1 (delta^-1 never appears alone in results).
+    """delta^k for k >= 0.
 
     Cached: skein leaves ask for the same few powers over and over, and
     BiLaurent values are immutable, so one shared value per k is safe.
@@ -534,7 +534,8 @@ def kauffman_F(diagram, budget=DEFAULT_CROSSING_BUDGET):
     w = writhe(diagram)
     value = BiLaurent.a(w) * lam
     if component_count(diagram) == 1 and value:
-        assert value.min_z_exp() >= 0, "knot polynomial must have z-exponents >= 0"
+        if value.min_z_exp() < 0:
+            raise ArithmeticError("knot polynomial must have z-exponents >= 0")
     return value
 
 

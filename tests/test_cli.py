@@ -106,6 +106,13 @@ class TestFrontCommands:
         assert code == 4
         assert "step 0" in err
 
+    def test_check_filling_bare_move_exit_code(self, capsys, tmp_path):
+        bad = tmp_path / "bare.cert"
+        bad.write_text("MOVE\n")
+        code, _, err = run(capsys, "check-filling", "9_46.front", str(bad))
+        assert code == 2
+        assert "unrecognized step 'MOVE'" in err
+
     def test_connect_roundtrip(self, capsys, tmp_path):
         front_out = tmp_path / "sum.front"
         cert_out = tmp_path / "sum.cert"

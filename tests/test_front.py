@@ -2,13 +2,17 @@ import random
 
 import pytest
 
+from diskfill import data_path
+from diskfill import front as front_module
 from diskfill.errors import CertificateError, InputError
 from diskfill.front import (
     Death,
     FillingCertificate,
     FrontWord,
     Move,
+    OrientedFront,
     Pinch,
+    _Trace,
     apply_move,
     check_certificate,
     classical_invariants,
@@ -52,6 +56,20 @@ class TestValidation:
         with pytest.raises(InputError, match="event 1"):
             validate(FrontWord((("L", 1), ("X", 2), ("R", 1))))
 
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ((("L", 2),), "event 0: left cusp at 2 outside 1..1"),
+            ((("L", 1), ("R", 2)), "event 1: right cusp needs strands 2,3 but only 2 exist"),
+            ((("L", 1), ("X", 1), ("X", 0), ("R", 1)), "event 2: crossing needs strands 0,1"),
+            ((("L", 1), ("L", 1), ("R", 1)), "event 3: final strand count 2, expected 0"),
+            ((("L", 1), ("Y", 1), ("R", 1)), "event 1: unknown kind 'Y'"),
+        ],
+    )
+    def test_each_rule_names_its_event(self, events, message):
+        with pytest.raises(InputError, match=message):
+            validate(FrontWord(events))
+
     def test_parse_render_roundtrip(self):
         text = render_front(TREFOIL, header="a trefoil")
         assert parse_front(text).events == TREFOIL.events
@@ -77,6 +95,19 @@ class TestComponentsAndInvariants:
         assert components(TREFOIL) == 1
         assert thurston_bennequin(TREFOIL) == 1
         assert rotation(TREFOIL) == 0
+
+    def test_direction_conflict_raises(self):
+        tr = _Trace()
+        tr.parent, tr.parity = [0, 1], [0, 0]
+        tr.union(0, 1, 1)
+        with pytest.raises(RuntimeError, match="direction conflict"):
+            tr.union(0, 1, 0)
+
+    def test_odd_cusp_imbalance_raises(self):
+        # no front has one cusp, so build the oriented data by hand
+        lone_cusp = OrientedFront(FrontWord((("L", 1),)), (1, -1), (0, 0), ((0, 1),))
+        with pytest.raises(RuntimeError, match="odd cusp imbalance"):
+            classical_invariants(lone_cusp)
 
     def test_multi_component_knot_invariants_rejected(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
@@ -173,6 +204,11 @@ class TestPinchAndDeath:
                 done = True
         assert done
 
+    def test_saddle_that_keeps_components_raises(self, monkeypatch):
+        monkeypatch.setattr(front_module, "components", lambda word: 1)
+        with pytest.raises(RuntimeError, match="oriented saddle took 1 components to 1"):
+            pinch(UNKNOT, 1, 1)
+
     def test_death(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
         assert death(two, 1).events == (("L", 1), ("R", 1))
@@ -218,6 +254,63 @@ class TestCertificates:
     def test_parse_rejects_unknown_kind(self):
         with pytest.raises(InputError):
             parse_certificate("MOVE warp 0 1\n")
+
+    def test_parse_rejects_bare_move(self):
+        with pytest.raises(InputError, match="line 2: unrecognized step 'MOVE'"):
+            parse_certificate("DEATH 1\nMOVE\n")
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_move_index_outside_word_rejected(self, index):
+        # at index -1 the swallowtail used to land at position len-1, and
+        # past the end it was appended; both now fail at step 0
+        cert = FillingCertificate((Move("r1a+", index, 1), Move("r1a-", 1, 1), Death(1)))
+        with pytest.raises(CertificateError, match=f"step 0 .*move index {index} out of range") as exc:
+            check_certificate(UNKNOT, cert)
+        assert exc.value.step == 0
+
+    @pytest.mark.parametrize(
+        "move", [Move("slide", -1, 0), Move("slide", 1, 0), Move("r3", -1, 1), Move("r2a-", -1, 1)]
+    )
+    def test_every_move_kind_checks_its_window(self, move):
+        with pytest.raises(InputError, match="out of range"):
+            apply_move(UNKNOT, move)
+
+
+def count_traces(monkeypatch, front, cert):
+    """Number of front traces made while replaying ``cert`` on ``front``."""
+    real = front_module._trace
+    calls = []
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(front_module, "_trace", counting)
+    check_certificate(front, cert)
+    monkeypatch.setattr(front_module, "_trace", real)
+    return len(calls)
+
+
+class TestOneTracePerWord:
+    """A replay traces the start front once and each step's words at most twice:
+    a move traces its result, a pinch or death its input and its result."""
+
+    def bound(self, cert):
+        moves = sum(isinstance(step, Move) for step in cert.steps)
+        return moves + 2 * (len(cert.steps) - moves) + 1
+
+    def test_bundled_disk_certificates(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        for name in ("d1.cert", "d2.cert"):
+            cert = parse_certificate(data_path(name).read_text())
+            assert count_traces(monkeypatch, f946, cert) <= self.bound(cert)
+
+    def test_composed_l2_certificate(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(n).read_text()) for n in ("d1.cert", "d2.cert"))
+        cert = compose_certificates(f946, d2, d1)
+        total = connected_sum(f946, f946)
+        assert count_traces(monkeypatch, total, cert) <= self.bound(cert)
 
 
 class TestConnectedSum:

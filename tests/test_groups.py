@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from diskfill import groups
 from diskfill.errors import BudgetError, InputError
 from diskfill.groups import (
     Presentation,
@@ -219,6 +220,22 @@ class TestAbelianizationMaps:
             z_surjection(Presentation(("x",), ((1, 1),)))  # free rank 0
         with pytest.raises(InputError):
             z_surjection(Presentation(("x", "y"), ()))  # free rank 2
+
+    def test_z_surjection_checks_raise(self, monkeypatch):
+        # a unimodular change of basis never gives these maps, so fake one
+        real = groups.smith_normal_form
+
+        def scaled(m):
+            d, u, v = real(m)
+            return d, u, [[2 * x for x in row] for row in v]
+
+        monkeypatch.setattr(groups, "smith_normal_form", scaled)
+        with pytest.raises(ArithmeticError, match="non-primitive"):
+            z_surjection(w22().presentation)
+        monkeypatch.setattr(groups, "smith_normal_form", real)
+        monkeypatch.setattr(groups, "validate_abelianization", lambda pres, w: False)
+        with pytest.raises(ArithmeticError, match="misses a relator"):
+            z_surjection(w22().presentation)
 
 
 class TestFiniteQuotients:

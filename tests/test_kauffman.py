@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from diskfill import data_path
+from diskfill import data_path, kauffman
 from diskfill.errors import BudgetError, InputError
 from diskfill.kauffman import (
     DELTA_NUMERATOR,
@@ -157,6 +157,11 @@ class TestNormalizedF:
         for name in ("trefoil_rh.pd", "trefoil_lh.pd", "9_46.pd"):
             F = kauffman_F(parse_pd(data_path(name).read_text()))
             assert min(ez for (_, ez) in F.terms) >= 0
+
+    def test_negative_z_exponent_for_a_knot_raises(self, monkeypatch):
+        monkeypatch.setattr(kauffman, "regular_isotopy_polynomial", lambda d, budget: BiLaurent.z(-1))
+        with pytest.raises(ArithmeticError, match="z-exponents >= 0"):
+            kauffman_F(UNKNOT)
 
     def test_invariance_under_reidemeister_moves(self):
         # engine-level moves: switch+smooth identities already pin the
