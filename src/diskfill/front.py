@@ -510,9 +510,9 @@ def death(front, component_index):
             f"component {component_index} is not the standard unknot "
             f"[L {p1}, R {p2}]"
         )
-    out = FrontWord(events[:i] + events[i + 2:])
-    validate(out)
-    return out
+    # orient traced the input, and deleting the standard pair restores the
+    # active strand list that the pair changed, so the result is valid
+    return FrontWord(events[:i] + events[i + 2:])
 
 
 # -- certificates ----------------------------------------------------------------
@@ -653,10 +653,8 @@ def connected_sum(f1, f2):
     for f in (f1, f2):
         if components(f) != 1:
             raise InputError("connected sums need single-component fronts")
-    events = f1.events[:-1] + f2.events[1:]
-    out = FrontWord(events)
-    validate(out)
-    return out
+    # both inputs were just traced as knot fronts, so the splice is valid
+    return FrontWord(f1.events[:-1] + f2.events[1:])
 
 
 def compose_certificates(f1, c1, c2):

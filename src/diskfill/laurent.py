@@ -1,11 +1,15 @@
 """Exact integer Laurent polynomials in one variable (t) and two (a, z).
 
-``IntLaurent`` models Z[t, t^-1] and carries Alexander polynomials and
-abelianized Fox derivatives.  ``BiLaurent`` models Z[a^±1, z^±1] for
-skein computations; a finished knot polynomial has only z-exponents >= 0
-but intermediate skein values may not.
+One sparse implementation carries both rings; two named types over it keep
+them apart.  ``IntLaurent`` models Z[t, t^-1] and carries Alexander
+polynomials and abelianized Fox derivatives; its terms are keyed by int
+exponents.  ``BiLaurent`` models Z[a^±1, z^±1] for skein computations;
+its terms are keyed by ``(ea, ez)`` exponent pairs.  A finished knot
+polynomial has only z-exponents >= 0 but intermediate skein values may
+not.  Ints coerce into either type; mixing the two types in arithmetic
+raises ``TypeError``, and a value of one never equals a value of the other.
 
-Terms are stored sparsely as exponent -> coefficient maps with no zero
+Terms are stored sparsely as key -> coefficient maps with no zero
 entries, so two values are equal exactly when their term maps agree.
 Coefficients are Python ints: arithmetic is exact and arbitrary
 precision, so overflow cannot occur.  Values are immutable and hashable;
@@ -19,6 +23,7 @@ the same grammar with arbitrary whitespace and optional ``*``.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
@@ -45,8 +50,13 @@ def _clean(items):
     return {exp: coeff for exp, coeff in terms.items() if coeff}
 
 
-class IntLaurent:
-    """An integer Laurent polynomial in the variable t."""
+class _Laurent:
+    """The sparse term map and ring operations shared by both named types.
+
+    A subclass names its variables (``_VARIABLES``), the key of its
+    constant term (``_ONE``) and how two keys add under multiplication
+    (``_add_keys``).  Values of different subclasses never mix.
+    """
 
     __slots__ = ("_terms",)
 
@@ -56,22 +66,117 @@ class IntLaurent:
         self._terms = _clean(terms)
 
     @classmethod
-    def constant(cls, c):
-        return cls({0: c})
+    def _make(cls, terms):
+        """Wrap a term map that already has no zero coefficients."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return self.constant(other)
+        return other if isinstance(other, type(self)) else None
 
     @classmethod
-    def t(cls, power=1):
-        return cls({power: 1})
+    def constant(cls, c):
+        return cls({cls._ONE: c})
 
     @property
     def terms(self):
         return dict(self._terms)
 
-    def coefficient(self, exp):
-        return self._terms.get(exp, 0)
+    def coefficient(self, key):
+        return self._terms.get(key, 0)
 
     def __bool__(self):
         return bool(self._terms)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(frozenset(self._terms.items()))
+
+    def __neg__(self):
+        return self._make({key: -c for key, c in self._terms.items()})
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            c += terms.get(key, 0)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+        return self._make(terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        add_keys = self._add_keys
+        acc = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = add_keys(k1, k2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+        return self._make({key: c for key, c in acc.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        result = self.constant(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __str__(self):
+        return _render(self._terms.items(), self._VARIABLES)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    @classmethod
+    def parse(cls, text):
+        return cls(_parse_terms(text, cls._VARIABLES))
+
+
+class IntLaurent(_Laurent):
+    """An integer Laurent polynomial in the variable t, keyed by int exponents."""
+
+    __slots__ = ()
+    _VARIABLES = ("t",)
+    _ONE = 0
+    _add_keys = staticmethod(operator.add)
+    # bound here, not inherited: perfbench/tracing.py wraps each type's own __mul__
+    __mul__ = __rmul__ = _Laurent.__mul__
+
+    @classmethod
+    def t(cls, power=1):
+        return cls({power: 1})
 
     def min_exp(self):
         if not self._terms:
@@ -85,94 +190,23 @@ class IntLaurent:
 
     def shifted(self, k):
         """Multiply by t^k."""
-        return IntLaurent({e + k: c for e, c in self._terms.items()})
+        return self._make({e + k: c for e, c in self._terms.items()})
 
     def evaluate(self, x):
         """Evaluate at a nonzero rational point (exactly)."""
         x = Fraction(x)
         return sum((c * x ** e for e, c in self._terms.items()), Fraction(0))
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntLaurent.constant(other)
-        if not isinstance(other, IntLaurent):
-            return NotImplemented
-        return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+class BiLaurent(_Laurent):
+    """An integer Laurent polynomial in a and z, keyed by (ea, ez) pairs."""
 
-    def __neg__(self):
-        return IntLaurent({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntLaurent.constant(other)
-        if not isinstance(other, IntLaurent):
-            return NotImplemented
-        return IntLaurent(list(self._terms.items()) + list(other._terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntLaurent.constant(other)
-        if not isinstance(other, IntLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = IntLaurent.constant(other)
-        if not isinstance(other, IntLaurent):
-            return NotImplemented
-        items = []
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                items.append((e1 + e2, c1 * c2))
-        return IntLaurent(items)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = IntLaurent.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self):
-        return _render(self._terms.items(), _one_var_key, _one_var_factors)
-
-    def __repr__(self):
-        return f"IntLaurent({self})"
-
-    @classmethod
-    def parse(cls, text):
-        return cls(_parse_terms(text, ("t",), _one_var_unkey))
-
-
-class BiLaurent:
-    """An integer Laurent polynomial in the variables a and z."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            terms = terms.items()
-        self._terms = _clean(terms)
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(0, 0): c})
+    __slots__ = ()
+    _VARIABLES = ("a", "z")
+    _ONE = (0, 0)
+    _add_keys = staticmethod(lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
+    # bound here, not inherited: perfbench/tracing.py wraps each type's own __mul__
+    __mul__ = __rmul__ = _Laurent.__mul__
 
     @classmethod
     def a(cls, power=1):
@@ -182,130 +216,27 @@ class BiLaurent:
     def z(cls, power=1):
         return cls({(0, power): 1})
 
-    @property
-    def terms(self):
-        return dict(self._terms)
-
-    def coefficient(self, key):
-        return self._terms.get(key, 0)
-
-    def __bool__(self):
-        return bool(self._terms)
-
     def min_z_exp(self):
         if not self._terms:
             raise ValueError("the zero polynomial has no z-degree")
         return min(ez for (_, ez) in self._terms)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = BiLaurent.constant(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self):
-        return BiLaurent({k: -c for k, c in self._terms.items()})
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = BiLaurent.constant(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return BiLaurent(list(self._terms.items()) + list(other._terms.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = BiLaurent.constant(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = BiLaurent.constant(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        items = []
-        for (a1, z1), c1 in self._terms.items():
-            for (a2, z2), c2 in other._terms.items():
-                items.append(((a1 + a2, z1 + z2), c1 * c2))
-        return BiLaurent(items)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = BiLaurent.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __str__(self):
-        return _render(self._terms.items(), _two_var_key, _two_var_factors)
-
-    def __repr__(self):
-        return f"BiLaurent({self})"
-
-    @classmethod
-    def parse(cls, text):
-        return cls(_parse_terms(text, ("a", "z"), _two_var_unkey))
-
 
 # -- rendering and parsing ------------------------------------------------
+#
+# A one-variable key is the bare exponent; a key in several variables is the
+# tuple of their exponents, in the order of ``variables``.
 
-def _one_var_key(exp):
-    return (exp,)
-
-
-def _one_var_unkey(exps):
-    return exps[0]
-
-
-def _one_var_factors(exp):
-    return [("t", exp)] if exp else []
-
-
-def _two_var_key(key):
-    return key
-
-
-def _two_var_unkey(exps):
-    return exps
-
-
-def _two_var_factors(key):
-    ea, ez = key
-    out = []
-    if ea:
-        out.append(("a", ea))
-    if ez:
-        out.append(("z", ez))
-    return out
-
-
-def _render(items, sort_key, factors_of):
-    items = sorted(items, key=lambda item: sort_key(item[0]), reverse=True)
+def _render(items, variables):
+    items = sorted(items, key=lambda item: item[0], reverse=True)
     if not items:
         return "0"
     pieces = []
     for key, coeff in items:
-        factors = []
-        for var, exp in factors_of(key):
-            factors.append(var if exp == 1 else f"{var}^{exp}")
+        exps = key if len(variables) > 1 else (key,)
+        factors = [
+            var if exp == 1 else f"{var}^{exp}" for var, exp in zip(variables, exps) if exp
+        ]
         mag = abs(coeff)
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
@@ -320,8 +251,8 @@ def _render(items, sort_key, factors_of):
 _TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<var>[A-Za-z])(?:\^(?P<exp>-?\d+))?|(?P<mul>\*))")
 
 
-def _parse_terms(text, variables, unkey):
-    """Parse a polynomial string into a term map keyed by exponent tuples."""
+def _parse_terms(text, variables):
+    """Parse a polynomial string into (key, coefficient) items."""
     text = text.strip()
     pos, n = 0, len(text)
     items = []
@@ -330,7 +261,8 @@ def _parse_terms(text, variables, unkey):
     def flush():
         nonlocal sign, coeff, exps, in_term
         if in_term:
-            items.append((unkey(tuple(exps)), sign * (1 if coeff is None else coeff)))
+            key = tuple(exps) if len(variables) > 1 else exps[0]
+            items.append((key, sign * (1 if coeff is None else coeff)))
         sign, coeff, exps, in_term = 1, None, None, False
 
     while pos < n:

@@ -276,8 +276,8 @@ class TestCertificates:
             apply_move(UNKNOT, move)
 
 
-def count_traces(monkeypatch, front, cert):
-    """Number of front traces made while replaying ``cert`` on ``front``."""
+def traces_made(monkeypatch, fn, *args):
+    """Number of front traces made while calling ``fn(*args)``."""
     real = front_module._trace
     calls = []
 
@@ -286,18 +286,26 @@ def count_traces(monkeypatch, front, cert):
         return real(word)
 
     monkeypatch.setattr(front_module, "_trace", counting)
-    check_certificate(front, cert)
+    fn(*args)
     monkeypatch.setattr(front_module, "_trace", real)
     return len(calls)
 
 
+def count_traces(monkeypatch, front, cert):
+    """Number of front traces made while replaying ``cert`` on ``front``."""
+    return traces_made(monkeypatch, check_certificate, front, cert)
+
+
 class TestOneTracePerWord:
     """A replay traces the start front once and each step's words at most twice:
-    a move traces its result, a pinch or death its input and its result."""
+    a move traces its result, a pinch its input and its result, a death its
+    input only."""
 
     def bound(self, cert):
         moves = sum(isinstance(step, Move) for step in cert.steps)
-        return moves + 2 * (len(cert.steps) - moves) + 1
+        pinches = sum(isinstance(step, Pinch) for step in cert.steps)
+        deaths = sum(isinstance(step, Death) for step in cert.steps)
+        return moves + 2 * pinches + deaths + 1
 
     def test_bundled_disk_certificates(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
@@ -334,6 +342,10 @@ class TestConnectedSum:
                     thurston_bennequin(total)
                     == thurston_bennequin(f1) + thurston_bennequin(f2) + 1
                 )
+
+    def test_traces_each_input_once(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        assert traces_made(monkeypatch, connected_sum, f946, f946) == 2
 
     def test_multi_component_rejected(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))

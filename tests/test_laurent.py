@@ -45,6 +45,10 @@ class TestArithmetic:
         assert IntLaurent() == IntLaurent({3: 0})
         assert not IntLaurent()
         assert L("t") != L("t^-1")
+        # equal values built different ways hash alike
+        assert hash(IntLaurent({1: 2, 0: 0})) == hash(L("2*t"))
+        assert hash(L("t + 1") - L("1")) == hash(IntLaurent.t())
+        assert hash(B("a*z - a*z + z")) == hash(BiLaurent({(0, 1): 1, (2, 2): 0}))
 
     def test_parse_render_roundtrip(self):
         for s in ("0", "1", "-2*t + 1", "4*t^2 - 4*t + 1", "2 - t^-1", "t^3 - t^-3"):
@@ -73,6 +77,48 @@ class TestArithmetic:
             p, q, r = (random_bilaurent(rng) for _ in range(3))
             assert (p + q) * r == p * r + q * r
             assert (p * q) * r == p * (q * r)
+
+
+class TestTwoNamedTypes:
+    def test_types_never_mix(self):
+        p, f = L("2*t - 1"), B("a + z")
+        assert p != f and f != p
+        assert L("1") != B("1")
+        for op in (
+            lambda x, y: x + y,
+            lambda x, y: x - y,
+            lambda x, y: x * y,
+        ):
+            with pytest.raises(TypeError):
+                op(p, f)
+            with pytest.raises(TypeError):
+                op(f, p)
+
+    def test_int_coercion_both_sides(self):
+        cases = ((L("2*t - 1"), IntLaurent.constant(1)), (B("a - z"), BiLaurent.constant(1)))
+        for p, one in cases:
+            assert 3 - p == -p + 3 * one
+            assert p - 3 == p + (-3) * one
+            assert 2 * p == p * 2 == p + p
+            assert 1 + p == p + 1
+            assert p - p == 0 and 0 == p - p
+            assert type(2 * p) is type(p)
+        assert L("5") == 5 and B("-2") == -2
+
+    def test_repr_keeps_class_name(self):
+        assert repr(L("2*t - 1")) == "IntLaurent(2*t - 1)"
+        assert repr(B("a + a^-2*z")) == "BiLaurent(a + a^-2*z)"
+        assert repr(IntLaurent()) == "IntLaurent(0)"
+
+    def test_bilaurent_power(self):
+        f = B("a + z")
+        assert f ** 0 == 1
+        assert f ** 1 == f
+        assert f ** 2 == B("a^2 + 2*a*z + z^2")
+        assert f ** 3 == f * f * f
+        assert BiLaurent.a(-1) ** 4 == BiLaurent.a(-4)
+        with pytest.raises(ValueError):
+            f ** -1
 
 
 class TestNormalizeUnit:

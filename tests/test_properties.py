@@ -1,0 +1,100 @@
+"""Property tests: text formats round-trip and the Laurent rings distribute.
+
+The examples are derandomized and capped so the module runs in a few
+seconds and gives the same result on every run.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from diskfill.front import (  # noqa: E402
+    MOVE_KINDS,
+    Death,
+    FillingCertificate,
+    FrontWord,
+    Move,
+    Pinch,
+    parse_certificate,
+    parse_front,
+    render_certificate,
+    render_front,
+    validate,
+)
+from diskfill.laurent import BiLaurent, IntLaurent  # noqa: E402
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+coeffs = st.integers(-9, 9)  # small, so the renderer's ±1 cases come up often
+exps = st.integers(-5, 5)
+int_laurents = st.dictionaries(exps, coeffs, max_size=6).map(IntLaurent)
+bi_laurents = st.dictionaries(st.tuples(exps, exps), coeffs, max_size=6).map(BiLaurent)
+same_type_triples = st.one_of(
+    st.tuples(int_laurents, int_laurents, int_laurents),
+    st.tuples(bi_laurents, bi_laurents, bi_laurents),
+)
+
+
+class TestLaurent:
+    @PROPERTY
+    @given(int_laurents)
+    def test_int_laurent_text_roundtrip(self, p):
+        assert IntLaurent.parse(str(p)) == p
+
+    @PROPERTY
+    @given(bi_laurents)
+    def test_bi_laurent_text_roundtrip(self, f):
+        assert BiLaurent.parse(str(f)) == f
+
+    @PROPERTY
+    @given(same_type_triples)
+    def test_products_distribute_over_sums(self, triple):
+        p, q, r = triple
+        assert p * (q + r) == p * q + p * r
+        assert (q - r) * p == q * p - r * p
+
+
+@st.composite
+def fronts(draw, max_events=24):
+    """A valid front: random cusps and crossings, closed by right cusps."""
+    events, count = [], 0
+    for _ in range(draw(st.integers(0, max_events))):
+        kind = draw(st.sampled_from(("L", "R", "X") if count >= 2 else ("L",)))
+        if kind == "L":
+            events.append(("L", draw(st.integers(1, count + 1))))
+            count += 2
+        else:
+            events.append((kind, draw(st.integers(1, count - 1))))
+            count -= 2 if kind == "R" else 0
+    events += [("R", 1)] * (count // 2)
+    return FrontWord(tuple(events))
+
+
+headers = st.none() | st.text(st.characters(whitelist_categories=("L", "N", "Zs")), max_size=30)
+naturals = st.integers(0, 500)
+steps = st.one_of(
+    st.builds(Move, st.sampled_from([k for k in MOVE_KINDS if k != "slide"]), naturals, naturals),
+    st.builds(Move, st.just("slide"), naturals, st.just(0)),
+    st.builds(Pinch, naturals, naturals),
+    st.builds(Death, naturals),
+)
+certificates = st.builds(
+    FillingCertificate,
+    st.lists(steps, max_size=20).map(tuple),
+    st.none() | st.tuples(naturals, naturals),
+)
+
+
+class TestFormats:
+    @PROPERTY
+    @given(fronts(), headers)
+    def test_front_roundtrip(self, front, header):
+        assert validate(front)
+        assert parse_front(render_front(front, header=header)) == front
+
+    @PROPERTY
+    @given(certificates, headers)
+    def test_certificate_roundtrip(self, cert, header):
+        assert parse_certificate(render_certificate(cert, header=header)) == cert
