@@ -14,6 +14,7 @@ w22.pres`` works from anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,8 +23,7 @@ from .errors import BudgetError, CertificateError, DiskfillError, InputError
 from .front import (
     check_certificate,
     classical_invariants,
-    compose_certificates,
-    connected_sum,
+    connect,
     orient,
     parse_certificate,
     parse_front,
@@ -188,11 +188,7 @@ def cmd_connect(args):
         raise UsageError("need exactly one certificate per front (--certs)")
     fronts = [parse_front(_read(p)) for p in args.fronts]
     certs = [parse_certificate(_read(p)) for p in args.certs]
-    total = fronts[0]
-    cert = certs[0]
-    for f, c in zip(fronts[1:], certs[1:]):
-        cert = compose_certificates(total, cert, c)
-        total = connected_sum(total, f)
+    total, cert = connect(fronts, certs)
     report = check_certificate(total, cert)
     front_path = Path(args.out_front)
     cert_path = Path(args.out_cert)
@@ -306,6 +302,7 @@ def cmd_snf(args):
 
 # -- wiring ---------------------------------------------------------------------
 
+@functools.cache  # argparse parsers keep no state between parse_args calls
 def _build_parser():
     parser = _Parser(prog="diskfill", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

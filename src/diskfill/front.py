@@ -13,9 +13,20 @@ over/under is not stored: in a front the strand of more negative slope
 below use that convention.
 
 ``validate`` checks these rules in the one tracing pass over the word.
-The same walk links strands into components and orients them for
-``components`` and ``orient``, so a caller that needs either gets
-validation from it.
+The same walk pairs the strands at their cusps for ``components`` and
+``orient``, so a caller that needs either gets validation from it.  Each
+strand meets one left and one right cusp, so a component is a cycle of
+strands that alternates the two kinds of cusp.
+
+Validity depends only on each event's position, checked against the
+strand count just before it.  So a rewrite of the window at ``index`` of
+a valid word leaves a valid word when each new event fits the running
+count from the count at ``index``, and the new events change the count
+by the same net amount as the ones they replace: every later event then
+sees the count it saw before.  Every isotopy move keeps the net amount
+by construction, so ``apply_move`` checks only its window, and a replay
+traces only its start word, each pinch's input and result, and each
+death's input.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -69,6 +80,7 @@ __all__ = [
     "check_certificate",
     "connected_sum",
     "compose_certificates",
+    "connect",
 ]
 
 _EVENT_KINDS = ("L", "R", "X")
@@ -82,6 +94,14 @@ class FrontWord:
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple((k, int(p)) for k, p in self.events))
+
+    @classmethod
+    def _of(cls, events):
+        """A word from an events tuple that is already normalized, as every
+        rewrite of a FrontWord's events is; skips ``__post_init__``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "events", events)
+        return word
 
     def __len__(self):
         return len(self.events)
@@ -130,94 +150,99 @@ def strand_profile(front):
     return out
 
 
-class _Trace:
-    """Strand bookkeeping: components, directions, per-event strand ids."""
-
-    __slots__ = ("n", "parent", "parity", "event_strands", "direction", "roots")
-
-    def find(self, x):
-        # returns (root, parity of x relative to root)
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        par = 0
-        for y in reversed(path):
-            par ^= self.parity[y]
-            self.parent[y] = x
-            self.parity[y] = par
-        return x, self.parity[path[0]] if path else 0
-
-    def union(self, x, y, rel):
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            if (px ^ py) != rel:
-                raise RuntimeError("front traversal direction conflict")
-            return
-        # keep the smaller root so component order follows creation order
-        if ry < rx:
-            rx, ry, px, py = ry, rx, py, px
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
+def _misplaced(i, kind, p, count):
+    """The error for event ``i`` when it does not fit on ``count`` strands."""
+    if kind == "L":
+        return InputError(f"event {i}: left cusp at {p} outside 1..{count + 1}")
+    if kind in ("R", "X"):
+        what = "right cusp" if kind == "R" else "crossing"
+        return InputError(f"event {i}: {what} needs strands {p},{p + 1} but only {count} exist")
+    return InputError(f"event {i}: unknown kind {kind!r}")
 
 
 def _trace(front):
-    """The one walk over a front: checks every event, links strands into
-    components and orients them.  Raises InputError at the first bad event."""
-    tr = _Trace()
-    tr.parent = []
-    tr.parity = []
-    tr.event_strands = []
+    """The one walk over a front: checks every event, records the strands
+    each event acts on, and pairs strands at right cusps; ``_cusp_cycles``
+    then finds and orients the components.  Raises InputError at the
+    first bad event."""
+    event_strands = []
+    mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
     for i, (kind, p) in enumerate(front.events):
         count = len(active)
         if kind == "L":
             if not 1 <= p <= count + 1:
-                raise InputError(f"event {i}: left cusp at {p} outside 1..{count + 1}")
-            u, v = len(tr.parent), len(tr.parent) + 1
-            tr.parent += [u, v]
-            tr.parity += [0, 0]
-            tr.union(u, v, 1)  # cusp branches run in opposite directions
-            active[p - 1:p - 1] = [u, v]
-        elif kind in ("R", "X"):
+                raise _misplaced(i, kind, p, count)
+            u = len(mate)
+            v = u + 1
+            mate += (-1, -1)
+            active[p - 1:p - 1] = (u, v)
+        elif kind == "R" or kind == "X":
             if not 1 <= p <= count - 1:
-                what = "right cusp" if kind == "R" else "crossing"
-                raise InputError(
-                    f"event {i}: {what} needs strands {p},{p + 1} but only {count} exist"
-                )
+                raise _misplaced(i, kind, p, count)
             u, v = active[p - 1], active[p]
             if kind == "R":
-                tr.union(u, v, 1)
+                mate[u] = v
+                mate[v] = u
                 del active[p - 1:p + 1]
             else:
-                active[p - 1], active[p] = v, u
+                active[p - 1] = v
+                active[p] = u
         else:
-            raise InputError(f"event {i}: unknown kind {kind!r}")
-        tr.event_strands.append((u, v))
+            raise _misplaced(i, kind, p, len(active))
+        event_strands.append((u, v))
     if active:
         raise InputError(
             f"event {len(front.events)}: final strand count {len(active)}, expected 0"
         )
+    directions, component_of = _cusp_cycles(mate)
+    return OrientedFront(front, directions, component_of, tuple(event_strands))
 
-    tr.n = len(tr.parent)
-    roots = []
-    direction = [0] * tr.n
-    for s in range(tr.n):
-        r, par = tr.find(s)
-        # union keeps the smaller root, so each component's root is its
-        # first-created strand, an upper cusp branch, met here before the rest
-        if r == s:
-            roots.append(s)
-        direction[s] = 1 if par == 0 else -1
-    tr.direction = direction
-    tr.roots = roots
-    return tr
+
+def _cusp_cycles(mate):
+    """Directions and component indices of strands from their cusp pairings.
+
+    Strands 2j and 2j+1 are the upper and lower branch of the j-th left
+    cusp, and ``mate[s]`` is the strand that s meets at its right cusp.
+    Every strand meets one cusp of each kind, so a component is a cycle
+    that alternates left and right cusps, and the direction flips at each
+    cusp.  Walking each cycle from its first-created strand, an upper
+    branch, gives the canonical orientation and numbers components in
+    creation order.  A strand met twice means the pairing is not a union
+    of such cycles, which no traced front produces.
+    """
+    n = len(mate)
+    direction = [0] * n
+    component_of = [-1] * n
+    ncomp = 0
+    for root in range(0, n, 2):
+        if component_of[root] >= 0:
+            continue
+        s = root
+        while True:
+            component_of[s] = ncomp
+            direction[s] = 1  # rightward, like the root
+            t = mate[s]
+            if component_of[t] >= 0:
+                raise _unclosed(root, t)
+            component_of[t] = ncomp
+            direction[t] = -1
+            s = t ^ 1  # across the left cusp of t, rightward again
+            if s == root:
+                break
+            if component_of[s] >= 0:
+                raise _unclosed(root, s)
+        ncomp += 1
+    return tuple(direction), tuple(component_of)
+
+
+def _unclosed(root, s):
+    return RuntimeError(f"cusp cycle from strand {root} does not close: strand {s} is met twice")
 
 
 def components(front):
     """Number of link components, by strand tracing."""
-    return len(_trace(front).roots)
+    return _trace(front).n_components
 
 
 @dataclass(frozen=True)
@@ -235,10 +260,8 @@ class OrientedFront:
 
 
 def orient(front):
-    tr = _trace(front)
-    root_index = {r: i for i, r in enumerate(tr.roots)}
-    comp = tuple(root_index[tr.find(s)[0]] for s in range(tr.n))
-    return OrientedFront(front, tuple(tr.direction), comp, tuple(tr.event_strands))
+    """The front with its canonical orientation, from one trace."""
+    return _trace(front)
 
 
 def classical_invariants(oriented):
@@ -389,27 +412,30 @@ def _slide(events, index):
 
 
 def apply_move(front, move):
-    """Apply one isotopy move; the result is validated before returning.
+    """Apply one isotopy move to a valid front.
 
     The move's pattern must lie inside the word: a negative index, or one
     whose pattern would run past the end, is rejected before any slicing.
+    Only the rewritten window is checked (see the module docstring); a
+    rejection reads as a full ``validate`` of the rewritten word would.
     """
-    events = list(front.events)
+    events = front.events
     kind = move.kind
+    index = move.index
     if kind == "slide":
-        events[move.index:move.index + 2] = _slide(front.events, move.index)
+        width, new = 2, _slide(events, index)
     elif kind == "r3":
         p = move.pos
         lhs = (("X", p), ("X", p + 1), ("X", p))
         rhs = (("X", p + 1), ("X", p), ("X", p + 1))
-        got = _window(front.events, move.index, 3)
+        got = _window(events, index, 3)
         if got == lhs:
-            events[move.index:move.index + 3] = rhs
+            width, new = 3, rhs
         elif got == rhs:
-            events[move.index:move.index + 3] = lhs
+            width, new = 3, lhs
         else:
             raise InputError(
-                f"pattern mismatch at index {move.index}: expected a braid triple at {p}, found {list(got)}"
+                f"pattern mismatch at index {index}: expected a braid triple at {p}, found {list(got)}"
             )
     else:
         base, direction = kind[:-1], kind[-1]
@@ -419,12 +445,32 @@ def apply_move(front, move):
         if direction == "-":
             lhs, rhs = rhs, lhs
         lhs = _instantiate(lhs, move.pos)
-        rhs = _instantiate(rhs, move.pos)
-        _match(front.events, move.index, lhs)
-        events[move.index:move.index + len(lhs)] = list(rhs)
-    out = FrontWord(tuple(events))
-    validate(out)
-    return out
+        _match(events, index, lhs)
+        width, new = len(lhs), _instantiate(rhs, move.pos)
+    return FrontWord._of(_rewrite(events, index, width, tuple(new)))
+
+
+def _rewrite(events, index, width, new):
+    """``events`` with the ``width`` events from ``index`` replaced by ``new``.
+
+    ``events`` is a valid word, so the result is valid when each new event
+    fits the running strand count and the window keeps its net change of
+    the strand count; the events after it then see the counts they saw
+    before.
+    """
+    kinds = [kind for kind, _ in events[:index]]
+    start = count = 2 * (kinds.count("L") - kinds.count("R"))
+    for i, (kind, p) in enumerate(new, start=index):
+        if not 1 <= p <= (count + 1 if kind == "L" else count - 1):
+            raise _misplaced(i, kind, p, count)
+        count += 2 if kind == "L" else -2 if kind == "R" else 0
+    replaced = [kind for kind, _ in events[index:index + width]]
+    net = 2 * (replaced.count("L") - replaced.count("R"))
+    if count - start != net:
+        raise RuntimeError(
+            f"rewrite at {index} changes the strand count by {count - start}, not {net}"
+        )
+    return events[:index] + new + events[index + width:]
 
 
 # -- filling moves -------------------------------------------------------------
@@ -457,7 +503,7 @@ def pinch(front, index, k, oriented_mode=True):
         oriented = front
     else:
         oriented = orient(front)
-    events = list(oriented.front.events)
+    events = oriented.front.events
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
     active = _active_strands(oriented, index)
@@ -473,8 +519,7 @@ def pinch(front, index, k, oriented_mode=True):
                 "an oriented saddle needs anti-parallel strands"
             )
     before = oriented.n_components
-    events[index:index] = [("R", k), ("L", k)]
-    out = FrontWord(tuple(events))
+    out = FrontWord._of(events[:index] + (("R", k), ("L", k)) + events[index:])
     after = components(out)  # the one trace of out, which also validates it
     # an oriented saddle always splits or merges
     if oriented_mode and abs(after - before) != 1:
@@ -512,7 +557,7 @@ def death(front, component_index):
         )
     # orient traced the input, and deleting the standard pair restores the
     # active strand list that the pair changed, so the result is valid
-    return FrontWord(events[:i] + events[i + 2:])
+    return FrontWord._of(events[:i] + events[i + 2:])
 
 
 # -- certificates ----------------------------------------------------------------
@@ -642,6 +687,19 @@ def check_certificate(front, cert):
 
 # -- connected sums ---------------------------------------------------------------
 
+def _knot_front(front):
+    """``front`` itself, once one trace has found it to be a knot front."""
+    if components(front) != 1:
+        raise InputError("connected sums need single-component fronts")
+    return front
+
+
+def _splice(f1, f2):
+    # a valid knot front starts with L 1 and ends with R 1 on its last two
+    # strands, so the splice of two knot fronts is a valid knot front
+    return FrontWord._of(f1.events[:-1] + f2.events[1:])
+
+
 def connected_sum(f1, f2):
     """Splice f2 into f1 at f1's closing right cusp.
 
@@ -650,11 +708,21 @@ def connected_sum(f1, f2):
     removes f1's final cusp and f2's initial cusp and lets f1's two open
     strands run through f2's word.
     """
-    for f in (f1, f2):
-        if components(f) != 1:
-            raise InputError("connected sums need single-component fronts")
-    # both inputs were just traced as knot fronts, so the splice is valid
-    return FrontWord(f1.events[:-1] + f2.events[1:])
+    return _splice(_knot_front(f1), _knot_front(f2))
+
+
+def connect(fronts, certs):
+    """The connected sum of two or more knot fronts, left to right, with
+    the certificate composed from one certificate per front.
+
+    Each front is traced once.  The splices and ``compose_certificates``
+    then need only word lengths, so the growing sum is not traced again.
+    """
+    total, cert = _knot_front(fronts[0]), certs[0]
+    for f, c in zip(fronts[1:], certs[1:]):
+        cert = compose_certificates(total, cert, c)
+        total = _splice(total, _knot_front(f))
+    return total, cert
 
 
 def compose_certificates(f1, c1, c2):
@@ -662,9 +730,9 @@ def compose_certificates(f1, c1, c2):
 
     Pinching the splice neck first recreates the two original knots side
     by side (the saddle of the boundary connected sum), after which c1
-    runs entirely inside the first word and c2 inside the second.
+    runs entirely inside the first word and c2 inside the second.  Only
+    the length of f1 is used; replaying the result checks the rest.
     """
-    validate(f1)
     neck = Pinch(len(f1.events) - 1, 1)
     steps = (neck,) + tuple(c1.steps) + tuple(c2.steps)
     declared = None

@@ -98,6 +98,10 @@ class _Laurent:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant equals its int, so it must hash like it
+        constant = self._terms.get(self._ONE, 0)
+        if len(self._terms) == (1 if constant else 0):
+            return hash(constant)
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self):

@@ -5,7 +5,9 @@ converter, Wirtinger presentations of PD codes (so Alexander polynomials
 of diagrams can be computed through the group pipeline), a pretzel/torus
 PD generator, Tietze transformations, a plain exponential skein
 evaluator with no memoization and no simplification, the gcd of every
-(n-1)-minor of an Alexander matrix, and exact Laurent division over Q.
+(n-1)-minor of an Alexander matrix, exact Laurent division over Q, the
+parity union-find that once oriented fronts, and isotopy moves that
+rewrite the word and then validate all of it.
 """
 
 import itertools
@@ -13,7 +15,16 @@ import random
 from fractions import Fraction
 
 from diskfill.errors import InputError
-from diskfill.front import FrontWord, orient
+from diskfill.front import (
+    MOVE_TABLE,
+    FrontWord,
+    _instantiate,
+    _match,
+    _slide,
+    _window,
+    orient,
+    validate,
+)
 from diskfill.fox import alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, free_reduce
 from diskfill.kauffman import LinkDiagram, delta_power, trace_diagram
@@ -343,3 +354,117 @@ def random_move(rng, front, max_events=48):
         except InputError:
             continue
     raise AssertionError("no applicable move found")
+
+
+# -- fronts: orientation by parity union-find, moves by full validation ---------
+
+class _ParityUnionFind:
+    """Strands joined with the parity of their relative direction."""
+
+    def __init__(self):
+        self.parent = []
+        self.parity = []
+
+    def add(self):
+        self.parent.append(len(self.parent))
+        self.parity.append(0)
+        return len(self.parent) - 1
+
+    def find(self, x):
+        # returns (root, parity of x relative to root)
+        path = []
+        while self.parent[x] != x:
+            path.append(x)
+            x = self.parent[x]
+        par = 0
+        for y in reversed(path):
+            par ^= self.parity[y]
+            self.parent[y] = x
+            self.parity[y] = par
+        return x, self.parity[path[0]] if path else 0
+
+    def union(self, x, y, rel):
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            if (px ^ py) != rel:
+                raise RuntimeError("front traversal direction conflict")
+            return
+        # keep the smaller root so component order follows creation order
+        if ry < rx:
+            rx, ry, px, py = ry, rx, py, px
+        self.parent[ry] = rx
+        self.parity[ry] = px ^ py ^ rel
+
+
+def parity_orient(front):
+    """(directions, component_of, event_strands) of a valid front, as
+    ``orient`` gives them, by joining the two branches of every cusp with
+    opposite parity."""
+    uf = _ParityUnionFind()
+    event_strands = []
+    active = []
+    for kind, p in front.events:
+        if kind == "L":
+            u, v = uf.add(), uf.add()
+            uf.union(u, v, 1)
+            active[p - 1:p - 1] = [u, v]
+        else:
+            u, v = active[p - 1], active[p]
+            if kind == "R":
+                uf.union(u, v, 1)
+                del active[p - 1:p + 1]
+            else:
+                active[p - 1], active[p] = v, u
+        event_strands.append((u, v))
+    roots = {}
+    directions, component_of = [], []
+    for s in range(len(uf.parent)):
+        r, par = uf.find(s)
+        # the smallest strand of a component is its root, met first here
+        component_of.append(roots.setdefault(r, len(roots)))
+        directions.append(1 if par == 0 else -1)
+    return tuple(directions), tuple(component_of), tuple(event_strands)
+
+
+def rewrite_then_validate(front, move):
+    """One isotopy move: rewrite the word, then validate all of it."""
+    events = list(front.events)
+    kind = move.kind
+    if kind == "slide":
+        events[move.index:move.index + 2] = _slide(front.events, move.index)
+    elif kind == "r3":
+        p = move.pos
+        lhs = (("X", p), ("X", p + 1), ("X", p))
+        rhs = (("X", p + 1), ("X", p), ("X", p + 1))
+        got = _window(front.events, move.index, 3)
+        if got == lhs:
+            events[move.index:move.index + 3] = rhs
+        elif got == rhs:
+            events[move.index:move.index + 3] = lhs
+        else:
+            raise InputError(
+                f"pattern mismatch at index {move.index}: expected a braid triple at {p}, found {list(got)}"
+            )
+    else:
+        base, direction = kind[:-1], kind[-1]
+        if base not in MOVE_TABLE or direction not in "+-":
+            raise InputError(f"unknown move kind {kind!r}")
+        lhs, rhs = MOVE_TABLE[base]
+        if direction == "-":
+            lhs, rhs = rhs, lhs
+        lhs = _instantiate(lhs, move.pos)
+        rhs = _instantiate(rhs, move.pos)
+        _match(front.events, move.index, lhs)
+        events[move.index:move.index + len(lhs)] = list(rhs)
+    out = FrontWord(tuple(events))
+    validate(out)
+    return out
+
+
+def move_outcome(apply, front, move):
+    """The result of ``apply(front, move)``, or the type and text of what it raised."""
+    try:
+        return apply(front, move).events
+    except (InputError, RuntimeError) as exc:
+        return type(exc), str(exc)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from diskfill import data_path
+from diskfill import cli, data_path
 from diskfill.cli import main
 from diskfill.front import parse_certificate, parse_front
 from diskfill.kauffman import parse_pd
@@ -219,6 +219,22 @@ class TestBundledData:
                 parse_pd(text)
             elif name.endswith(".cert"):
                 parse_certificate(text)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real_init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert run(capsys, "tb", "unknot.front")[0] == 0
+        first = len(built)
+        assert run(capsys, "tb", "unknot.front", "--machine")[0] == 0
+        assert run(capsys, "tb")[0] == 1  # a usage error leaves the parser usable
+        assert run(capsys, "tb", "unknot.front")[0] == 0
+        assert len(built) == first
 
     def test_machine_output_stable(self, capsys):
         runs = []

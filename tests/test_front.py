@@ -12,12 +12,13 @@ from diskfill.front import (
     Move,
     OrientedFront,
     Pinch,
-    _Trace,
+    _cusp_cycles,
     apply_move,
     check_certificate,
     classical_invariants,
     components,
     compose_certificates,
+    connect,
     connected_sum,
     death,
     orient,
@@ -32,7 +33,7 @@ from diskfill.front import (
     validate,
 )
 
-from helpers import random_move
+from helpers import move_outcome, random_move, rewrite_then_validate
 
 UNKNOT = FrontWord((("L", 1), ("R", 1)))
 TREFOIL = FrontWord(
@@ -97,11 +98,10 @@ class TestComponentsAndInvariants:
         assert rotation(TREFOIL) == 0
 
     def test_direction_conflict_raises(self):
-        tr = _Trace()
-        tr.parent, tr.parity = [0, 1], [0, 0]
-        tr.union(0, 1, 1)
-        with pytest.raises(RuntimeError, match="direction conflict"):
-            tr.union(0, 1, 0)
+        # no front pairs strands like this: 0 meets 2 at a right cusp, but
+        # 2 meets 1, so the cycle from 0 runs 0, 2, 3, 0 and meets 0 again
+        with pytest.raises(RuntimeError, match="cycle from strand 0 does not close: strand 0"):
+            _cusp_cycles([2, 3, 1, 0])
 
     def test_odd_cusp_imbalance_raises(self):
         # no front has one cusp, so build the oriented data by hand
@@ -297,28 +297,61 @@ def count_traces(monkeypatch, front, cert):
 
 
 class TestOneTracePerWord:
-    """A replay traces the start front once and each step's words at most twice:
-    a move traces its result, a pinch its input and its result, a death its
-    input only."""
+    """A replay traces the start front once, each pinch's input and result,
+    and each death's input; a move checks only the window it rewrites."""
 
     def bound(self, cert):
-        moves = sum(isinstance(step, Move) for step in cert.steps)
         pinches = sum(isinstance(step, Pinch) for step in cert.steps)
         deaths = sum(isinstance(step, Death) for step in cert.steps)
-        return moves + 2 * pinches + deaths + 1
+        return 2 * pinches + deaths + 1
 
     def test_bundled_disk_certificates(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         for name in ("d1.cert", "d2.cert"):
             cert = parse_certificate(data_path(name).read_text())
-            assert count_traces(monkeypatch, f946, cert) <= self.bound(cert)
+            assert count_traces(monkeypatch, f946, cert) == self.bound(cert)
 
     def test_composed_l2_certificate(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         d1, d2 = (parse_certificate(data_path(n).read_text()) for n in ("d1.cert", "d2.cert"))
         cert = compose_certificates(f946, d2, d1)
         total = connected_sum(f946, f946)
-        assert count_traces(monkeypatch, total, cert) <= self.bound(cert)
+        assert count_traces(monkeypatch, total, cert) == self.bound(cert)
+
+    def test_composed_l8_certificate(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(n).read_text()) for n in ("d1.cert", "d2.cert"))
+        total, cert = connect([f946] * 8, [d1, d2] * 4)
+        assert count_traces(monkeypatch, total, cert) == self.bound(cert)
+
+
+class TestMovesCheckTheirWindow:
+    """apply_move against the old rewrite-then-validate on every front a
+    random walk visits, with indices and positions beyond the word."""
+
+    def test_matches_rewrite_then_validate(self):
+        rng = random.Random(44)
+        outcomes = {"accepted": 0, "event": 0, "out of range": 0, "mismatch": 0}
+        front = TREFOIL
+        for _ in range(300):
+            _, front = random_move(rng, front)
+            top = max(strand_profile(front)) + 2
+            for _ in range(12):
+                kind = rng.choice(front_module.MOVE_KINDS)
+                move = Move(kind, rng.randint(-1, len(front) + 1), rng.randint(-1, top))
+                got = move_outcome(apply_move, front, move)
+                assert got == move_outcome(rewrite_then_validate, front, move), move
+                text = got[1] if isinstance(got[0], type) else "accepted"
+                for key in outcomes:
+                    outcomes[key] += key in text
+        # every kind of outcome, including a new event outside the strands
+        assert all(outcomes.values()), outcomes
+
+    def test_net_strand_change_is_checked(self, monkeypatch):
+        # a table entry that loses a right cusp no longer ends at 0 strands
+        monkeypatch.setitem(front_module.MOVE_TABLE, "r2a", ((("R", +1),), (("X", +2),)))
+        with pytest.raises(RuntimeError, match="changes the strand count by 0"):
+            apply_move(TREFOIL, Move("r2a+", 5, 1))
 
 
 class TestConnectedSum:
@@ -346,6 +379,12 @@ class TestConnectedSum:
     def test_traces_each_input_once(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         assert traces_made(monkeypatch, connected_sum, f946, f946) == 2
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_connect_traces_each_input_once(self, monkeypatch, n):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1 = parse_certificate(data_path("d1.cert").read_text())
+        assert traces_made(monkeypatch, connect, [f946] * n, [d1] * n) == n
 
     def test_multi_component_rejected(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))

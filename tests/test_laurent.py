@@ -49,6 +49,11 @@ class TestArithmetic:
         assert hash(IntLaurent({1: 2, 0: 0})) == hash(L("2*t"))
         assert hash(L("t + 1") - L("1")) == hash(IntLaurent.t())
         assert hash(B("a*z - a*z + z")) == hash(BiLaurent({(0, 1): 1, (2, 2): 0}))
+        # a constant equals its int, so a set holds one of the two
+        for kind in (IntLaurent, BiLaurent):
+            for c in (0, 3, -1):
+                assert len({kind.constant(c), c}) == 1
+            assert len({kind(), 0}) == 1
 
     def test_parse_render_roundtrip(self):
         for s in ("0", "1", "-2*t + 1", "4*t^2 - 4*t + 1", "2 - t^-1", "t^3 - t^-3"):

@@ -1,4 +1,5 @@
-"""Property tests: text formats round-trip and the Laurent rings distribute.
+"""Property tests: text formats round-trip, the Laurent rings distribute,
+and fronts orient and move as the full-trace oracles in ``helpers`` say.
 
 The examples are derandomized and capped so the module runs in a few
 seconds and gives the same result on every run.
@@ -17,13 +18,18 @@ from diskfill.front import (  # noqa: E402
     FrontWord,
     Move,
     Pinch,
+    apply_move,
+    orient,
     parse_certificate,
     parse_front,
     render_certificate,
     render_front,
+    strand_profile,
     validate,
 )
 from diskfill.laurent import BiLaurent, IntLaurent  # noqa: E402
+
+from helpers import move_outcome, parity_orient, rewrite_then_validate  # noqa: E402
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -98,3 +104,37 @@ class TestFormats:
     @given(certificates, headers)
     def test_certificate_roundtrip(self, cert, header):
         assert parse_certificate(render_certificate(cert, header=header)) == cert
+
+
+@st.composite
+def moves_on_fronts(draw):
+    """A valid front and a move whose index and position may leave it.
+
+    The position is often read off the event at the index, so that table
+    patterns match and the window check decides."""
+    front = draw(fronts())
+    kind = draw(st.sampled_from(MOVE_KINDS))
+    index = draw(st.integers(-2, len(front) + 2))
+    top = max(strand_profile(front), default=0)
+    if 0 <= index < len(front) and draw(st.booleans()):
+        pos = front.events[index][1] + draw(st.integers(-2, 1))
+    else:
+        pos = draw(st.integers(-1, top + 2))
+    return front, Move(kind, index, pos if kind != "slide" else 0)
+
+
+class TestFronts:
+    @PROPERTY
+    @given(fronts(max_events=40))
+    def test_orient_matches_parity_union_find(self, front):
+        oriented = orient(front)
+        got = (oriented.directions, oriented.component_of, oriented.event_strands)
+        assert got == parity_orient(front)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(moves_on_fronts())
+    def test_apply_move_matches_rewrite_then_validate(self, front_and_move):
+        front, move = front_and_move
+        assert move_outcome(apply_move, front, move) == move_outcome(
+            rewrite_then_validate, front, move
+        )
