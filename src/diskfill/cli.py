@@ -32,6 +32,7 @@ from .front import (
 )
 from .fox import alexander_matrix, alexander_polynomial
 from .groups import (
+    DEFAULT_HOM_BUDGET,
     check_finite_hom,
     exponent_matrix,
     h1,
@@ -44,7 +45,7 @@ from .groups import (
     validate_abelianization,
     z_surjection,
 )
-from .kauffman import kauffman_F, parse_pd, tb_upper_bound
+from .kauffman import DEFAULT_CROSSING_BUDGET, kauffman_F, parse_pd, tb_upper_bound
 from .laurent import min_deg_a, unit_equivalent
 
 EXIT_USAGE = 1
@@ -345,16 +346,16 @@ def _build_parser():
 
     p = add("kauffman", cmd_kauffman, help="Kauffman polynomial of a PD diagram")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, default=16, metavar="N")
+    p.add_argument("--budget-crossings", type=int, default=DEFAULT_CROSSING_BUDGET, metavar="N")
 
     p = add("tb-bound", cmd_tb_bound, help="Kauffman upper bound for tb")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, default=16, metavar="N")
+    p.add_argument("--budget-crossings", type=int, default=DEFAULT_CROSSING_BUDGET, metavar="N")
 
     p = add("homs", cmd_homs, help="count homomorphisms into a symmetric group")
     p.add_argument("presentation")
     p.add_argument("symbols", type=int)
-    p.add_argument("--budget-homs", type=int, default=1_000_000, metavar="N")
+    p.add_argument("--budget-homs", type=int, default=DEFAULT_HOM_BUDGET, metavar="N")
     p.add_argument("--witness", help="file with one 'gen (cycles)' line per generator")
 
     p = add("snf", cmd_snf, help="Smith normal form of the exponent matrix")

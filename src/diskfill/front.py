@@ -24,9 +24,11 @@ a valid word leaves a valid word when each new event fits the running
 count from the count at ``index``, and the new events change the count
 by the same net amount as the ones they replace: every later event then
 sees the count it saw before.  Every isotopy move keeps the net amount
-by construction, so ``apply_move`` checks only its window, and a replay
-traces only its start word, each pinch's input and result, and each
-death's input.
+by construction, so ``apply_move`` checks only its window; a pinch's
+R k, L k on at least k+1 strands keeps it too.  So a replay traces its
+start word, each pinch's input, and a death's input unless the death is
+of component 1, which is born at event 0 and so is the standard unknot
+exactly when the word starts with L 1, R 1.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -160,15 +162,19 @@ def _misplaced(i, kind, p, count):
     return InputError(f"event {i}: unknown kind {kind!r}")
 
 
-def _trace(front):
+def _trace(front, column=-1):
     """The one walk over a front: checks every event, records the strands
     each event acts on, and pairs strands at right cusps; ``_cusp_cycles``
     then finds and orients the components.  Raises InputError at the
-    first bad event."""
+    first bad event.  Also returns the strands, top to bottom, just before
+    event ``column``, where ``pinch`` puts its saddle."""
     event_strands = []
     mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
+    at_column = []
     for i, (kind, p) in enumerate(front.events):
+        if i == column:
+            at_column = active[:]
         count = len(active)
         if kind == "L":
             if not 1 <= p <= count + 1:
@@ -196,7 +202,7 @@ def _trace(front):
             f"event {len(front.events)}: final strand count {len(active)}, expected 0"
         )
     directions, component_of = _cusp_cycles(mate)
-    return OrientedFront(front, directions, component_of, tuple(event_strands))
+    return OrientedFront(front, directions, component_of, tuple(event_strands)), at_column
 
 
 def _cusp_cycles(mate):
@@ -242,7 +248,7 @@ def _unclosed(root, s):
 
 def components(front):
     """Number of link components, by strand tracing."""
-    return _trace(front).n_components
+    return _trace(front)[0].n_components
 
 
 @dataclass(frozen=True)
@@ -261,7 +267,7 @@ class OrientedFront:
 
 def orient(front):
     """The front with its canonical orientation, from one trace."""
-    return _trace(front)
+    return _trace(front)[0]
 
 
 def classical_invariants(oriented):
@@ -475,23 +481,6 @@ def _rewrite(events, index, width, new):
 
 # -- filling moves -------------------------------------------------------------
 
-def _active_strands(oriented, index):
-    """Active strand ids (top to bottom) just before event ``index``."""
-    active = []
-    sid = 0
-    for i, (kind, p) in enumerate(oriented.front.events):
-        if i >= index:
-            break
-        if kind == "L":
-            active[p - 1:p - 1] = [sid, sid + 1]
-            sid += 2
-        elif kind == "R":
-            del active[p - 1:p + 1]
-        else:
-            active[p - 1], active[p] = active[p], active[p - 1]
-    return active
-
-
 def pinch(front, index, k, oriented_mode=True):
     """Insert an oriented saddle: a right cusp then a left cusp at position k.
 
@@ -499,39 +488,36 @@ def pinch(front, index, k, oriented_mode=True):
     in oriented mode strands of one component must be anti-parallel
     (strands of different components can always be oriented to be).
     """
-    if isinstance(front, OrientedFront):
-        oriented = front
-    else:
-        oriented = orient(front)
-    events = oriented.front.events
+    oriented, active = _trace(front, index)
+    events = front.events
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
-    active = _active_strands(oriented, index)
     if k < 1 or k + 1 > len(active):
         raise InputError(
             f"pinch needs strands {k},{k + 1} at column {index}, only {len(active)} present"
         )
     u, v = active[k - 1], active[k]
-    if oriented_mode and oriented.component_of[u] == oriented.component_of[v]:
-        if oriented.directions[u] == oriented.directions[v]:
-            raise InputError(
-                f"pinch at column {index} position {k}: strands are parallel; "
-                "an oriented saddle needs anti-parallel strands"
-            )
-    before = oriented.n_components
-    out = FrontWord._of(events[:index] + (("R", k), ("L", k)) + events[index:])
-    after = components(out)  # the one trace of out, which also validates it
-    # an oriented saddle always splits or merges
-    if oriented_mode and abs(after - before) != 1:
-        raise RuntimeError(f"oriented saddle took {before} components to {after}")
-    return out
+    comp, dirs = oriented.component_of, oriented.directions
+    if oriented_mode and comp[u] == comp[v] and dirs[u] == dirs[v]:
+        raise InputError(
+            f"pinch at column {index} position {k}: strands are parallel; "
+            "an oriented saddle needs anti-parallel strands"
+        )
+    # R k then L k on at least k+1 strands leave the strand count as it
+    # was, so the result is valid without a trace
+    return FrontWord._of(events[:index] + (("R", k), ("L", k)) + events[index:])
 
 
 def death(front, component_index):
     """Remove a component that is literally the two-event word [L k, R k].
 
-    ``component_index`` is 1-based in order of component creation.
+    ``component_index`` is 1-based in order of component creation, and
+    ``front`` must be valid.  Component 1, born at event 0, is the standard
+    unknot exactly when the word starts with L 1, R 1: that needs no trace.
     """
+    events = front.events
+    if component_index == 1 and events[:2] == (("L", 1), ("R", 1)):
+        return FrontWord._of(events[2:])
     oriented = orient(front)
     ncomp = oriented.n_components
     if not 1 <= component_index <= ncomp:
@@ -542,19 +528,13 @@ def death(front, component_index):
         for i, strands in enumerate(oriented.event_strands)
         if oriented.component_of[strands[0]] == target
     ]
-    events = oriented.front.events
+    # a component's only two events, if adjacent, are an L k and its R k
     if len(indices) != 2 or indices[1] != indices[0] + 1:
         raise InputError(
             f"component {component_index} is not a standard unknot: "
             f"its events sit at {indices}"
         )
     i = indices[0]
-    (k1, p1), (k2, p2) = events[i], events[i + 1]
-    if k1 != "L" or k2 != "R" or p1 != p2:
-        raise InputError(
-            f"component {component_index} is not the standard unknot "
-            f"[L {p1}, R {p2}]"
-        )
     # orient traced the input, and deleting the standard pair restores the
     # active strand list that the pair changed, so the result is valid
     return FrontWord._of(events[:i] + events[i + 2:])

@@ -50,6 +50,9 @@ __all__ = [
     "iter_homs",
 ]
 
+DEFAULT_HOM_BUDGET = 1_000_000  # assignments iter_homs may enumerate
+MAX_EXPONENT = 1000  # x^k is stored as |k| letters, so larger powers are refused
+
 
 # -- words -------------------------------------------------------------------
 
@@ -87,6 +90,8 @@ def parse_word(text, gens):
         name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
         if name not in gens:
             raise InputError(f"unknown generator {name!r}")
+        if abs(exp) > MAX_EXPONENT:
+            raise InputError(f"exponent in {tok!r} outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
         k = gens.index(name) + 1
         letters.extend([k if exp > 0 else -k] * abs(exp))
     return free_reduce(letters)
@@ -436,7 +441,7 @@ def is_image_abelian(images):
     return True
 
 
-def iter_homs(pres, n, budget=1_000_000):
+def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
     """Yield all assignments into the symmetric group on n symbols.
 
     The full assignment space has size (n!)^rank and is refused up front
@@ -455,6 +460,6 @@ def iter_homs(pres, n, budget=1_000_000):
             yield images
 
 
-def count_homs(pres, n, budget=1_000_000):
+def count_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
     """Exact number of homomorphisms into the symmetric group on n symbols."""
     return sum(1 for _ in iter_homs(pres, n, budget))

@@ -131,7 +131,31 @@ def parse_pd(text):
             if len(labels) != 1:
                 raise InputError(f"line {lineno}: loop marker needs 1 label")
             loops += 1
-    return LinkDiagram(tuple(crossings), loops)
+    diagram = LinkDiagram(tuple(crossings), loops)
+    _check_planar(diagram.crossings)
+    return diagram
+
+
+def _check_planar(crossings):
+    """Raise InputError unless each crossing-connected piece is planar:
+    V - E + F = 2 with E = 2V, faces traced by turning to the next slot
+    counterclockwise.  No piece exceeds 2, so sums over pieces decide.  The
+    skein recursion's switches and smoothings keep a diagram planar."""
+    turn = {}  # each dart (crossing, slot) -> the next dart around its face
+    for (ca, sa), (cb, sb) in _incidences(crossings).values():
+        turn[ca, sa], turn[cb, sb] = (cb, (sb + 1) % 4), (ca, (sa + 1) % 4)
+    faces = 0
+    while turn:
+        faces += 1
+        dart = next(iter(turn))
+        while dart in turn:
+            dart = turn.pop(dart)
+    euler, pieces = faces - len(crossings), len(_connected_pieces(crossings))
+    if euler != 2 * pieces:
+        raise InputError(
+            f"PD code is not planar: V - E + F = {euler} over {pieces} "
+            f"connected piece(s), expected {2 * pieces}"
+        )
 
 
 def render_pd(diagram, header=None):

@@ -6,8 +6,9 @@ of diagrams can be computed through the group pipeline), a pretzel/torus
 PD generator, Tietze transformations, a plain exponential skein
 evaluator with no memoization and no simplification, the gcd of every
 (n-1)-minor of an Alexander matrix, exact Laurent division over Q, the
-parity union-find that once oriented fronts, and isotopy moves that
-rewrite the word and then validate all of it.
+parity union-find that once oriented fronts, isotopy moves that
+rewrite the word and then validate all of it, and a death that traces
+its input every time.
 """
 
 import itertools
@@ -468,3 +469,32 @@ def move_outcome(apply, front, move):
         return apply(front, move).events
     except (InputError, RuntimeError) as exc:
         return type(exc), str(exc)
+
+
+def traced_death(front, component_index):
+    """``front.death`` as it was before component 1 skipped the trace:
+    find the component's events by orienting the whole front."""
+    oriented = orient(front)
+    ncomp = oriented.n_components
+    if not 1 <= component_index <= ncomp:
+        raise InputError(f"component {component_index} out of range 1..{ncomp}")
+    target = component_index - 1
+    indices = [
+        i
+        for i, strands in enumerate(oriented.event_strands)
+        if oriented.component_of[strands[0]] == target
+    ]
+    events = front.events
+    if len(indices) != 2 or indices[1] != indices[0] + 1:
+        raise InputError(
+            f"component {component_index} is not a standard unknot: "
+            f"its events sit at {indices}"
+        )
+    i = indices[0]
+    (k1, p1), (k2, p2) = events[i], events[i + 1]
+    if k1 != "L" or k2 != "R" or p1 != p2:
+        raise InputError(
+            f"component {component_index} is not the standard unknot "
+            f"[L {p1}, R {p2}]"
+        )
+    return FrontWord(events[:i] + events[i + 2:])

@@ -84,6 +84,16 @@ class TestWords:
         with pytest.raises(InputError):
             parse_word("y", gens)
 
+    def test_exponent_bound(self):
+        # each power is stored letter by letter, so x^1000000 would make
+        # every hom check and Fox derivative walk a million letters
+        gens = ("x1", "x2")
+        assert parse_word("x2^-1000", gens) == (-2,) * 1000
+        with pytest.raises(InputError, match=r"exponent in 'x1\^1001' outside -1000..1000"):
+            parse_word("x1^1001", gens)
+        with pytest.raises(InputError, match="outside"):
+            parse_word("x2 x1^-1000000", gens)
+
 
 class TestPresentations:
     def test_parse_file_format(self):

@@ -86,6 +86,46 @@ class TestParsing:
         assert again.crossings == TREFOIL_LH.crossings
 
 
+class TestPlanarity:
+    def test_crossing_on_a_torus_rejected(self):
+        # edge 1 and edge 2 each join opposite slots of the one crossing
+        with pytest.raises(InputError, match=r"not planar: V - E \+ F = 0 over 1 connected"):
+            parse_pd("X(1,2,1,2)")
+
+    def test_split_diagram_checks_each_piece(self):
+        planar = "X(1,1,2,2)\nO(5)\n"
+        assert parse_pd(planar + "X(3,4,4,3)").n == 2
+        with pytest.raises(InputError, match=r"= 2 over 2 connected piece\(s\), expected 4"):
+            parse_pd(planar + "X(3,4,3,4)")
+
+    def test_bundled_and_pretzel_codes_parse(self):
+        for name in ("9_46.pd", "trefoil_lh.pd", "trefoil_rh.pd", "unknot.pd"):
+            parse_pd(data_path(name).read_text())
+        for twists in ([1, 1, 1], [2, 2], [3, -2], [-3, -3, 3], [2, -1, 2], [3, 3, 3, 3]):
+            d = pretzel_pd(twists)
+            assert parse_pd(render_pd(d)).crossings == d.crossings
+
+    def test_accepted_random_codes_match_naive_oracle(self):
+        # about three in four random codes are non-planar, and on those the
+        # engine and the naive oracle disagree; every planar one must agree
+        rng = random.Random(3)
+        accepted = rejected = 0
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            labels = [e for e in range(1, 2 * n + 1) for _ in (0, 1)]
+            rng.shuffle(labels)
+            text = "".join("X({},{},{},{})\n".format(*labels[4 * i:4 * i + 4]) for i in range(n))
+            try:
+                d = parse_pd(text)
+            except InputError as exc:
+                assert "not planar" in str(exc)
+                rejected += 1
+                continue
+            accepted += 1
+            assert kauffman_F(d) == naive_F(d), text
+        assert accepted > 50 and rejected > 150
+
+
 class TestRegularIsotopy:
     def test_unknot(self):
         assert regular_isotopy_polynomial(UNKNOT) == BiLaurent.constant(1)

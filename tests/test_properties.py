@@ -19,6 +19,8 @@ from diskfill.front import (  # noqa: E402
     Move,
     Pinch,
     apply_move,
+    components,
+    death,
     orient,
     parse_certificate,
     parse_front,
@@ -29,7 +31,12 @@ from diskfill.front import (  # noqa: E402
 )
 from diskfill.laurent import BiLaurent, IntLaurent  # noqa: E402
 
-from helpers import move_outcome, parity_orient, rewrite_then_validate  # noqa: E402
+from helpers import (  # noqa: E402
+    move_outcome,
+    parity_orient,
+    rewrite_then_validate,
+    traced_death,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -123,6 +130,20 @@ def moves_on_fronts(draw):
     return front, Move(kind, index, pos if kind != "slide" else 0)
 
 
+@st.composite
+def deaths_on_fronts(draw):
+    """A valid front with standard unknots [L p, R p] spliced in at random
+    columns, often at the very start, and a component index 0..ncomp+1."""
+    events = list(draw(fronts()).events)
+    for _ in range(draw(st.integers(0, 3))):
+        column = draw(st.integers(0, len(events)) | st.just(0))
+        count = ([0] + strand_profile(FrontWord(tuple(events))))[column]
+        p = draw(st.integers(1, count + 1))
+        events[column:column] = [("L", p), ("R", p)]
+    front = FrontWord(tuple(events))
+    return front, draw(st.integers(0, components(front) + 1))
+
+
 class TestFronts:
     @PROPERTY
     @given(fronts(max_events=40))
@@ -138,3 +159,9 @@ class TestFronts:
         assert move_outcome(apply_move, front, move) == move_outcome(
             rewrite_then_validate, front, move
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(deaths_on_fronts())
+    def test_death_matches_traced_death(self, front_and_component):
+        front, c = front_and_component
+        assert move_outcome(death, front, c) == move_outcome(traced_death, front, c)
