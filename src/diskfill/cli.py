@@ -94,11 +94,6 @@ class _Out:
             print(text)
 
 
-def _load_presentation(path):
-    pf = parse_presentation(_read(path))
-    return pf
-
-
 def _weights_for(pf, map_spec):
     if map_spec:
         weights = parse_weights(map_spec, pf.presentation.gens)
@@ -118,7 +113,7 @@ def _render_weights(gens, weights):
 
 def cmd_alexander(args):
     out = _Out(args.machine)
-    pf = _load_presentation(args.presentation)
+    pf = parse_presentation(_read(args.presentation))
     weights = _weights_for(pf, args.map)
     pres = pf.presentation
     out.field("h1", h1(pres))
@@ -134,11 +129,10 @@ def cmd_compare(args):
     out = _Out(args.machine)
     polys = []
     for path in (args.presentation_a, args.presentation_b):
-        pf = _load_presentation(path)
-        if h1(pf.presentation).free_rank != 1:
-            raise InputError(
-                f"{path}: H1 free rank is {h1(pf.presentation).free_rank}, need 1"
-            )
+        pf = parse_presentation(_read(path))
+        free_rank = h1(pf.presentation).free_rank
+        if free_rank != 1:
+            raise InputError(f"{path}: H1 free rank is {free_rank}, need 1")
         polys.append(alexander_polynomial(pf.presentation, _weights_for(pf, None)))
     out.field("polynomial_a", polys[0])
     out.field("polynomial_b", polys[1])
@@ -238,7 +232,7 @@ def _parse_witness(text, gens, n):
 
 def cmd_homs(args):
     out = _Out(args.machine)
-    pf = _load_presentation(args.presentation)
+    pf = parse_presentation(_read(args.presentation))
     pres = pf.presentation
     if args.witness:
         images = _parse_witness(_read(args.witness), pres.gens, args.symbols)
@@ -289,7 +283,7 @@ def _cycles(perm):
 
 def cmd_snf(args):
     out = _Out(args.machine)
-    pf = _load_presentation(args.presentation)
+    pf = parse_presentation(_read(args.presentation))
     matrix = exponent_matrix(pf.presentation)
     if not matrix:
         out.field("matrix", "empty")

@@ -11,16 +11,16 @@ turns each row of derivatives into a row of Laurent polynomials.  The
 Alexander polynomial of a presentation on n generators is the gcd of all
 (n-1)-minors of that matrix, taken in canonical unit form.
 
-Most of those minors are redundant.  Fox's fundamental formula, with a
+One minor per row subset is enough.  Fox's fundamental formula, with a
 weight map that kills every relator, gives sum_j M_ij (t^{w_j} - 1) = 0
-for each row i, so the columns are dependent with coefficients
-t^{w_j} - 1.  Fix n-1 rows and let D_j be the minor deleting column j;
-then (t^{w_j} - 1) D_k = ±(t^{w_k} - 1) D_j.  When |w_j| = 1 the factor
-t^{w_j} - 1 is a unit times t - 1, which divides every t^{w_k} - 1, so
-D_j divides each D_k of that row subset and is zero exactly when they all
-are.  One determinant per row subset therefore gives the gcd exactly.
-When no weight is ±1 (torus-knot groups, for instance) every column
-subset is still enumerated.
+for each row i.  Fix n-1 rows and let D_j be the minor deleting column j;
+then (t^{w_j} - 1) D_k = ±(t^{w_k} - 1) D_j, so D_k = 0 when w_k = 0.
+Take j0 with the least nonzero |w_j0| (any nonzero one would do; the
+least keeps the division small), and let g be the gcd of the weights.
+The gcd of the t^|w_k| - 1 over nonzero w_k is t^g - 1, so the gcd of
+the D_k is D_j0 (t^g - 1) / (t^|w_j0| - 1), and the gcd over all row
+subsets is that of their D_j0 times the same factor.  The division is
+exact, and for a weight ±1 the factor is 1.
 
 Determinants of Laurent-polynomial matrices use fraction-free Bareiss
 elimination, which stays in the ring and is exact; plain cofactor
@@ -31,6 +31,7 @@ the Wirtinger-sized matrices the test suite throws at this module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -186,38 +187,33 @@ def laurent_det(rows):
 def alexander_polynomial(pres, weights):
     """Gcd of all (n-1)-minors of the Alexander matrix, canonical unit form.
 
-    Requires at least n-1 relators; when there are more, every row subset
-    of size n-1 contributes.  When some weight is ±1, the minor deleting
-    that generator's column divides every other minor of its row subset
-    (see the module docstring), so it is the only one computed; otherwise
-    every column subset is enumerated.  A zero ideal comes back as the
-    zero polynomial.
+    Requires a nonzero weight map and at least n-1 relators; when there are
+    more, every row subset of size n-1 contributes one minor (see the
+    module docstring).  A zero ideal comes back as the zero polynomial.
     """
     n = pres.rank
     if n < 1:
         raise InputError("presentation needs at least one generator")
+    if not any(weights):
+        raise InputError("weight map is zero")
     k = n - 1
     matrix = alexander_matrix(pres, weights)
     if matrix.nrows < k:
         raise InputError(
             f"need at least {k} relators for {n} generators, have {matrix.nrows}"
         )
-    if k == 0:
-        return IntLaurent.constant(1)
-    unit = next((j for j, w in enumerate(matrix.weights) if abs(w) == 1), None)
-    if unit is None:
-        column_sets = list(itertools.combinations(range(n), k))
-    else:
-        column_sets = [tuple(j for j in range(n) if j != unit)]
+    j0 = min((j for j in range(n) if weights[j]), key=lambda j: abs(weights[j]))
+    cols = [j for j in range(n) if j != j0]
     acc = IntLaurent()
     one = IntLaurent.constant(1)
     for rows in itertools.combinations(range(matrix.nrows), k):
-        for cols in column_sets:
-            sub = [[matrix.entries[i][j] for j in cols] for i in rows]
-            minor = laurent_det(sub)
-            if not minor:
-                continue
-            acc = laurent_gcd(acc, minor) if acc else minor
-            if normalize_unit(acc) == one:
-                return one
-    return normalize_unit(acc) if acc else IntLaurent()
+        minor = laurent_det([[matrix.entries[i][j] for j in cols] for i in rows])
+        if minor:
+            acc = laurent_gcd(acc, minor)
+            if acc == one:
+                break
+    t = IntLaurent.t()
+    delta = div_exact(acc * (t ** math.gcd(*weights) - 1), t ** abs(weights[j0]) - 1)
+    if delta is None:
+        raise ArithmeticError("t^|w_j0| - 1 must divide the minor gcd times t^g - 1")
+    return normalize_unit(delta) if delta else delta

@@ -481,12 +481,12 @@ def _rewrite(events, index, width, new):
 
 # -- filling moves -------------------------------------------------------------
 
-def pinch(front, index, k, oriented_mode=True):
+def pinch(front, index, k):
     """Insert an oriented saddle: a right cusp then a left cusp at position k.
 
-    The two strands at positions k, k+1 of column ``index`` must exist;
-    in oriented mode strands of one component must be anti-parallel
-    (strands of different components can always be oriented to be).
+    The two strands at positions k, k+1 of column ``index`` must exist,
+    and strands of one component must be anti-parallel (strands of
+    different components can always be oriented to be).
     """
     oriented, active = _trace(front, index)
     events = front.events
@@ -498,7 +498,7 @@ def pinch(front, index, k, oriented_mode=True):
         )
     u, v = active[k - 1], active[k]
     comp, dirs = oriented.component_of, oriented.directions
-    if oriented_mode and comp[u] == comp[v] and dirs[u] == dirs[v]:
+    if comp[u] == comp[v] and dirs[u] == dirs[v]:
         raise InputError(
             f"pinch at column {index} position {k}: strands are parallel; "
             "an oriented saddle needs anti-parallel strands"

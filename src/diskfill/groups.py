@@ -8,13 +8,15 @@ identity; a relation u = v is stored as u v^-1.
 The module computes the abelianization H1 through an exact integer Smith
 normal form, checks and constructs weight maps onto Z (the exponent of t
 assigned to each generator), and counts homomorphisms into small
-symmetric groups by exhaustive enumeration.  Everything is pure and
+symmetric groups by exhaustive enumeration, evaluating a relator one
+permutation power per run of a repeated letter.  Everything is pure and
 immutable; ``count_homs`` is deterministic regardless of how the
 assignment space is scanned.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -130,6 +132,15 @@ class Presentation:
     @property
     def rank(self):
         return len(self.gens)
+
+    @functools.cached_property
+    def _relator_runs(self):
+        """Each relator as (generator index, exponent) runs, for _evaluate_runs.
+
+        Kept with the presentation, so a search splits its relators once
+        rather than once per assignment.
+        """
+        return tuple(_word_runs(r) for r in self.relators)
 
 
 @dataclass(frozen=True)
@@ -385,7 +396,7 @@ def identity_perm(n):
 
 def perm_mul(p, q):
     """Compose left-to-right: (p * q)(i) = q(p(i))."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple([q[x] for x in p])
 
 
 def perm_inv(p):
@@ -409,14 +420,46 @@ def perm_from_cycles(text, n):
     return tuple(perm)
 
 
+def _perm_power(p, k):
+    """p^k for any integer k, walking each cycle of p once.
+
+    Most runs have exponent ±1, which skip the walk.
+    """
+    if k == 1:
+        return p
+    if k == -1:
+        return perm_inv(p)
+    out = [None] * len(p)
+    for i in range(len(p)):
+        if out[i] is None:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            s = k % len(cycle)
+            for x, y in zip(cycle, cycle[s:] + cycle[:s]):
+                out[x] = y
+    return tuple(out)
+
+
+def _word_runs(word):
+    """A word as (generator index, exponent) runs: x1^3 x2^-1 -> ((0, 3), (1, -1))."""
+    return tuple(
+        (abs(x) - 1, len(list(run)) * (1 if x > 0 else -1))
+        for x, run in itertools.groupby(word)
+    )
+
+
+def _evaluate_runs(runs, images, n):
+    """Evaluate runs at permutations of n symbols, one power per run."""
+    acc = identity_perm(n)
+    for g, k in runs:
+        acc = perm_mul(acc, _perm_power(images[g], k))
+    return acc
+
+
 def evaluate_word(word, images):
     """Evaluate a word at a tuple of permutations (one per generator)."""
-    n = len(images[0]) if images else 0
-    acc = identity_perm(n)
-    for x in word:
-        p = images[abs(x) - 1]
-        acc = perm_mul(acc, p if x > 0 else perm_inv(p))
-    return acc
+    return _evaluate_runs(_word_runs(word), images, len(images[0]) if images else 0)
 
 
 def check_finite_hom(pres, images):
@@ -430,7 +473,7 @@ def check_finite_hom(pres, images):
         raise InputError(f"permutations act on different symbol counts {sorted(sizes)}")
     n = sizes.pop() if sizes else 0
     ident = identity_perm(n)
-    return all(evaluate_word(r, images) == ident for r in pres.relators)
+    return all(_evaluate_runs(r, images, n) == ident for r in pres._relator_runs)
 
 
 def is_image_abelian(images):

@@ -82,6 +82,18 @@ class TestAlexanderCommands:
         code, _, err = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=1,x3=1")
         assert code == 2
 
+    def test_zero_map_rejected(self, capsys, tmp_path):
+        # every weight 0 kills every relator but is not onto Z
+        code, out, err = run(capsys, "alexander", "w12.pres", "--map", "x1=0,x2=0,x3=0", "--machine")
+        assert code == 2
+        assert "weight map is zero" in err
+        assert "polynomial" not in out
+        zero = tmp_path / "zero.pres"
+        zero.write_text("gens: x y\nrel: y\nmap: x=0 y=0\n")
+        for argv in (["alexander", str(zero)], ["compare", str(zero), "w22.pres"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "weight map is zero" in err
+
 
 class TestFrontCommands:
     def test_tb_unknot(self, capsys):

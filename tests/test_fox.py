@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -272,12 +273,36 @@ def counting_det(monkeypatch):
     return calls
 
 
+def torus_variant(p, q, rank, seed):
+    """T(p, q) stabilized to ``rank`` generators, no new weight ±1, then conjugated."""
+    rng = random.Random(seed)
+    pres, weights = torus_presentation(p, q)
+    while pres.rank < rank:
+        word = random_word(rng, pres.rank, 3)
+        if abs(abelianize_word(word, weights)) == 1:
+            continue
+        pres, weights = (
+            stabilize(pres, word, name=f"s{pres.rank}"),
+            stabilized_weights(pres, weights, word),
+        )
+    i = rng.randrange(len(pres.relators))
+    return conjugate_relator(pres, i, random_word(rng, pres.rank, 2)), weights
+
+
 class TestOneMinorPerRowSubset:
-    """The pruned minor loop against the gcd of every (n-1)-minor."""
+    """The one-minor loop against the gcd of every (n-1)-minor."""
 
     def check(self, pres, weights):
-        got = alexander_polynomial(pres, weights)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_det(mp)
+            got = alexander_polynomial(pres, weights)
         assert got == all_minors_gcd(alexander_matrix(pres, weights)), str(got)
+        # one (n-1)x(n-1) determinant per row subset, every subset unless
+        # the gcd reached a unit, which happens exactly when the result is 1
+        k = pres.rank - 1
+        subsets = math.comb(len(pres.relators), k)
+        assert calls == [k] * len(calls)
+        assert len(calls) == subsets if got != 1 else 1 <= len(calls) <= subsets
         return got
 
     @pytest.mark.parametrize("twists", [(1, 1, 1), (-3, 1, 1), (3, -1, 3), (2, 3, -1), (2, 2)])
@@ -303,6 +328,23 @@ class TestOneMinorPerRowSubset:
         assert self.check(pres, weights) == L("4*t^2 - 4*t + 1")
         assert self.check(BS12, (0, 1)) == L("-2*t + 1")
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("scale", [1, 2, -3])
+    def test_scaled_and_negated_maps(self, scale, sign):
+        # a map that is not onto Z (scale != ±1) still has a well-defined
+        # ideal; the exact division by t^|w_j0| - 1 must hold there too
+        for text, weights in ((W22_TEXT, ALPHA), (W12_TEXT, BETA)):
+            pres = parse_presentation(text).presentation
+            self.check(pres, tuple(sign * scale * w for w in weights))
+        self.check(BS12, (0, sign * scale))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (2, 5)])
+    def test_torus_stabilizations_without_unit_weights(self, p, q, rank, sign):
+        pres, weights = torus_variant(p, q, rank, seed=100 * p + 10 * q + rank)
+        self.check(pres, tuple(sign * w for w in weights))
+
     def test_conjugated_redundant_relator(self, monkeypatch):
         # a conjugate of r1 abelianizes to a multiple of r1's row, so on the
         # row subset {r1, its conjugate} the unit-column minor vanishes
@@ -311,20 +353,33 @@ class TestOneMinorPerRowSubset:
         pres = conjugate_relator(pres, 2, (2, 3, 2))
         matrix = alexander_matrix(pres, ALPHA)
         assert laurent_det([[matrix.entries[i][j] for j in (1, 2)] for i in (0, 2)]) == IntLaurent()
-        calls = counting_det(monkeypatch)
         assert self.check(pres, ALPHA) == L("4*t^2 - 4*t + 1")
+        calls = counting_det(monkeypatch)
+        alexander_polynomial(pres, ALPHA)
         assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (2, 5), (3, 5)])
-    def test_torus_groups_take_the_fallback(self, p, q, monkeypatch):
+    def test_torus_groups_take_one_minor(self, p, q, monkeypatch):
         pres, weights = torus_presentation(p, q)
         calls = counting_det(monkeypatch)
         got = alexander_polynomial(pres, weights)
-        assert len(calls) == 2  # both 1x1 minors of the one row
+        assert calls == [1]  # one 1x1 minor for the one row, though no weight is ±1
         t = IntLaurent.t()
         expected = div_exact((t ** (p * q) - 1) * (t - 1), (t ** p - 1) * (t ** q - 1))
         assert got == normalize_unit(expected)
         assert got == all_minors_gcd(alexander_matrix(pres, weights))
+
+    def test_torus_stabilization_with_three_relators(self, monkeypatch):
+        # rank 3, weights (3, 2, 6), and a redundant relator: three row
+        # subsets, one 2x2 minor each, none of them a unit
+        pres, weights = torus_presentation(2, 3)
+        pres, weights = stabilize(pres, (1, 1), name="c"), stabilized_weights(pres, weights, (1, 1))
+        assert weights == (3, 2, 6)
+        pres = Presentation(pres.gens, pres.relators + (pres.relators[0],))
+        pres = conjugate_relator(pres, 2, (3, -2))
+        calls = counting_det(monkeypatch)
+        assert alexander_polynomial(pres, weights) == L("t^2 - t + 1")
+        assert calls == [2, 2, 2]
 
     def test_one_determinant_per_row_subset(self, monkeypatch):
         pres = wirtinger_presentation(pretzel_pd([3, -1, 3]))
@@ -335,3 +390,14 @@ class TestOneMinorPerRowSubset:
         del calls[:]
         alexander_polynomial(pres, weights)
         assert calls == [pres.rank - 1] * pres.rank
+
+    def test_zero_map_is_rejected(self):
+        pres = parse_presentation(W12_TEXT).presentation
+        with pytest.raises(InputError, match="weight map is zero"):
+            alexander_polynomial(pres, (0, 0, 0))
+
+    def test_inexact_final_division_raises(self, monkeypatch):
+        monkeypatch.setattr(fox, "div_exact", lambda p, q: None)
+        pres, weights = torus_presentation(2, 3)  # a 1x1 minor: no Bareiss division
+        with pytest.raises(ArithmeticError, match="must divide"):
+            alexander_polynomial(pres, weights)

@@ -301,6 +301,30 @@ class TestFiniteQuotients:
         assert evaluate_word((1, 1, 1), (c,)) == identity_perm(3)
         assert evaluate_word((1, -1), (c,)) == identity_perm(3)
 
+    def test_word_evaluation_matches_letter_by_letter(self):
+        # runs of up to 13 letters, longer than any cycle of S5
+        rng = random.Random(26)
+        for _ in range(200):
+            images = tuple(tuple(rng.sample(range(5), 5)) for _ in range(2))
+            word = free_reduce(
+                [g for _ in range(4) for g in [rng.choice((1, -1, 2, -2))] * rng.randint(1, 13)]
+            )
+            acc = identity_perm(5)
+            for x in word:
+                p = images[abs(x) - 1]
+                acc = perm_mul(acc, p if x > 0 else perm_inv(p))
+            assert evaluate_word(word, images) == acc
+
+    def test_long_powers_cost_one_step_per_run(self):
+        # S4 has exponent 12 and 1000 = 4 mod 12, so both presentations have
+        # the same count; letter by letter the first walks 6,000 letters per
+        # assignment, which took minutes
+        big = parse_presentation(
+            "gens: x y z\nrel: x^1000 y^-1000 z^1000 x^-1000 y^1000 z^-1000\n"
+        ).presentation
+        small = parse_presentation("gens: x y z\nrel: x^4 y^-4 z^4 x^-4 y^4 z^-4\n").presentation
+        assert count_homs(big, 4) == count_homs(small, 4)
+
     def test_iter_homs_yields_witness(self):
         found = [
             images
