@@ -116,12 +116,14 @@ def cmd_alexander(args):
     pf = parse_presentation(_read(args.presentation))
     weights = _weights_for(pf, args.map)
     pres = pf.presentation
+    # compute before printing, so a rejected input leaves stdout empty
+    polynomial = alexander_polynomial(pres, weights)
     out.field("h1", h1(pres))
     out.field("map", _render_weights(pres.gens, weights))
     matrix = alexander_matrix(pres, weights)
     for i, row in enumerate(matrix.entries, start=1):
         out.field(f"matrix_row_{i}", "[" + ", ".join(str(e) for e in row) + "]")
-    out.field("polynomial", alexander_polynomial(pres, weights), "alexander polynomial")
+    out.field("polynomial", polynomial, "alexander polynomial")
     return 0
 
 

@@ -27,6 +27,13 @@ is a^writhe * delta^(components-1).  Kink and parallel-bigon reductions
 run before branching and results are memoized on a relabel-invariant
 canonical code, so evaluation is deterministic however the tree is
 walked.
+
+The canonical code is each piece's PD code relabelled along a
+traversal, minimized over the two starts per crossing that enter it on
+the under strand; the traversals follow one dart map built per code.
+That start set is fixed by the diagram, not by its labels, so the code
+is label-free, and equal codes mean equal diagrams (see
+``canonical_key``).
 """
 
 from __future__ import annotations
@@ -421,33 +428,33 @@ def _connected_pieces(crossings):
     return list(pieces.values())
 
 
-def _piece_code(crossings, piece, start):
-    """Relabel the piece's edges along a traversal from ``start``.
+def _piece_code(crossings, piece, step, start):
+    """Relabel the piece's edges along a traversal from the dart ``start``.
 
-    ``start`` is an (edge, incidence) pair.  Later link components of the
-    same piece start at the crossing holding the least relabeled edge that
+    A dart ``(ci, slot)`` is a strand end entering crossing ``ci`` along
+    the edge at ``slot``; ``step`` maps it to the dart the strand enters
+    next, after leaving through ``slot + 2``.  Edges are numbered in the
+    order the traversal enters them.  Later link components of the same
+    piece start at the crossing holding the least relabeled edge that
     still has an unvisited slot, at its least such slot; that anchor makes
-    the whole code independent of the input labels.
+    the whole code independent of the input labels.  Once every edge of
+    the piece has a label no component is left, so a knot never scans.
     """
-    inc = _incidences(crossings)
+    size = 2 * len(piece)  # each edge of the piece meets it twice
     labels = {}
-    entered = {}
-    counter = 0
-    edge, endpoint = start
+    entered = set()
+    dart = start
     while True:
-        # walk one closed component; the first repeated incidence closes it
-        while endpoint not in entered:
+        # walk one closed component; the first repeated dart closes it
+        while dart not in entered:
+            entered.add(dart)
+            edge = crossings[dart[0]][dart[1]]
             if edge not in labels:
-                labels[edge] = counter
-                counter += 1
-            ci, slot = endpoint
-            entered[(ci, slot)] = labels[edge]
-            out_slot = (slot + 2) % 4
-            out_edge = crossings[ci][out_slot]
-            both = inc[out_edge]
-            nxt = both[1] if both[0] == (ci, out_slot) else both[0]
-            edge, endpoint = out_edge, nxt
-        # anchor the next link component of this piece, if one remains
+                labels[edge] = len(labels)
+            dart = step[dart]
+        if len(labels) == size:
+            break
+        # anchor the next link component of this piece
         anchor = None
         for cj in piece:
             c = crossings[cj]
@@ -460,10 +467,8 @@ def _piece_code(crossings, piece, start):
             key = (labeled[0][0], min(unlabeled), tuple(labeled))
             if anchor is None or key < anchor[0]:
                 anchor = (key, cj, min(unlabeled))
-        if anchor is None:
-            break
         _, cj, slot = anchor
-        edge, endpoint = crossings[cj][slot], (cj, slot)
+        dart = (cj, slot)
     code = []
     for ci in piece:
         c = crossings[ci]
@@ -477,25 +482,32 @@ def canonical_key(diagram):
     """A relabel-invariant code for memoization.
 
     Each crossing-connected piece is renumbered along a traversal, taking
-    the minimum over all starting incidences; the piece codes are then
-    sorted.  Equal diagrams up to edge relabeling get equal keys, and the
-    code still determines the diagram, so memo hits are always sound.
+    the minimum over the starts that enter a crossing on its under strand
+    (slots 0 and 2, two per crossing); the piece codes are then sorted.
+    The dart map the traversals follow is built once per key.  The start
+    set is fixed by the diagram's structure, not by its labels, so equal
+    diagrams up to edge relabeling still get equal keys.  Each piece code
+    is the piece's PD code under the new labels, so the key still
+    determines the diagram and memo hits are always sound.
     """
     crossings = diagram.crossings
     if not crossings:
         return ("loops", diagram.loops)
     inc = _incidences(crossings)
-    piece_codes = []
-    for piece in _connected_pieces(crossings):
-        edges = {e for ci in piece for e in crossings[ci]}
-        best = None
-        for e in edges:
-            for endpoint in inc[e]:
-                code = _piece_code(crossings, piece, (e, endpoint))
-                if best is None or code < best:
-                    best = code
-        piece_codes.append(best)
-    piece_codes.sort()
+    step = {}
+    for ci, c in enumerate(crossings):
+        for slot in range(4):
+            out = (ci, (slot + 2) % 4)
+            both = inc[c[out[1]]]
+            step[ci, slot] = both[1] if both[0] == out else both[0]
+    piece_codes = sorted(
+        min(
+            _piece_code(crossings, piece, step, (ci, slot))
+            for ci in piece
+            for slot in (0, 2)
+        )
+        for piece in _connected_pieces(crossings)
+    )
     return ("pd", tuple(piece_codes), diagram.loops)
 
 
@@ -554,18 +566,22 @@ def _lam(diagram, memo):
 
 def kauffman_F(diagram, budget=DEFAULT_CROSSING_BUDGET):
     """The normalized, regular-isotopy-corrected Kauffman polynomial."""
-    lam = regular_isotopy_polynomial(diagram, budget)
-    w = writhe(diagram)
-    value = BiLaurent.a(w) * lam
-    if component_count(diagram) == 1 and value:
-        if value.min_z_exp() < 0:
-            raise ArithmeticError("knot polynomial must have z-exponents >= 0")
+    return _normalize(diagram, trace_diagram(diagram), budget)
+
+
+def _normalize(diagram, tr, budget):
+    """F = a^writhe * lam, with writhe and component count from ``tr``,
+    the one trace of the input diagram."""
+    value = BiLaurent.a(tr.writhe) * regular_isotopy_polynomial(diagram, budget)
+    if tr.components == 1 and value and value.min_z_exp() < 0:
+        raise ArithmeticError("knot polynomial must have z-exponents >= 0")
     return value
 
 
 def tb_upper_bound(diagram, budget=DEFAULT_CROSSING_BUDGET):
     """Upper bound for the Thurston-Bennequin number of any Legendrian
     representative: min a-degree of F, minus 1."""
-    if component_count(diagram) != 1:
+    tr = trace_diagram(diagram)
+    if tr.components != 1:
         raise InputError("the bound is stated for knots (one component)")
-    return min_deg_a(kauffman_F(diagram, budget)) - 1
+    return min_deg_a(_normalize(diagram, tr, budget)) - 1

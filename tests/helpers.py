@@ -7,8 +7,9 @@ PD generator, Tietze transformations, a plain exponential skein
 evaluator with no memoization and no simplification, the gcd of every
 (n-1)-minor of an Alexander matrix, exact Laurent division over Q, the
 parity union-find that once oriented fronts, isotopy moves that
-rewrite the word and then validate all of it, and a death that traces
-its input every time.
+rewrite the word and then validate all of it, a death that traces
+its input every time, and the Kauffman memo key minimized over every
+start dart.
 """
 
 import itertools
@@ -28,7 +29,13 @@ from diskfill.front import (
 )
 from diskfill.fox import alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, free_reduce
-from diskfill.kauffman import LinkDiagram, delta_power, trace_diagram
+from diskfill.kauffman import (
+    LinkDiagram,
+    _connected_pieces,
+    _incidences,
+    delta_power,
+    trace_diagram,
+)
 from diskfill.laurent import BiLaurent, IntLaurent, laurent_gcd, normalize_unit
 
 
@@ -263,6 +270,78 @@ def naive_lambda(diagram):
 
 def naive_F(diagram):
     return BiLaurent.a(trace_diagram(diagram).writhe) * naive_lambda(diagram)
+
+
+# -- canonical key over every start ----------------------------------------------
+
+def _all_starts_piece_code(crossings, piece, start):
+    """Relabel the piece's edges along a traversal from ``start``, an
+    (edge, incidence) pair, rebuilding the incidences on every call.  Later
+    components start at the anchor ``kauffman._piece_code`` uses, and the
+    anchor scan runs after every component, the last one included."""
+    inc = _incidences(crossings)
+    labels = {}
+    entered = {}
+    counter = 0
+    edge, endpoint = start
+    while True:
+        while endpoint not in entered:
+            if edge not in labels:
+                labels[edge] = counter
+                counter += 1
+            ci, slot = endpoint
+            entered[(ci, slot)] = labels[edge]
+            out_slot = (slot + 2) % 4
+            out_edge = crossings[ci][out_slot]
+            both = inc[out_edge]
+            nxt = both[1] if both[0] == (ci, out_slot) else both[0]
+            edge, endpoint = out_edge, nxt
+        anchor = None
+        for cj in piece:
+            c = crossings[cj]
+            unlabeled = [s for s in range(4) if c[s] not in labels]
+            labeled = sorted(
+                (labels[c[s]], s) for s in range(4) if c[s] in labels
+            )
+            if not unlabeled or not labeled:
+                continue
+            key = (labeled[0][0], min(unlabeled), tuple(labeled))
+            if anchor is None or key < anchor[0]:
+                anchor = (key, cj, min(unlabeled))
+        if anchor is None:
+            break
+        _, cj, slot = anchor
+        edge, endpoint = crossings[cj][slot], (cj, slot)
+    code = []
+    for ci in piece:
+        c = crossings[ci]
+        under_in = 0 if (ci, 0) in entered else 2
+        code.append(tuple(labels[c[(under_in + k) % 4]] for k in range(4)))
+    code.sort()
+    return tuple(code)
+
+
+def all_starts_key(diagram):
+    """The memo key minimized over all four start darts of every crossing.
+
+    This is the key ``kauffman.canonical_key`` computed before it started
+    only at under-strand darts; the two must induce the same partition of
+    diagrams.
+    """
+    crossings = diagram.crossings
+    if not crossings:
+        return ("loops", diagram.loops)
+    inc = _incidences(crossings)
+    piece_codes = []
+    for piece in _connected_pieces(crossings):
+        edges = {e for ci in piece for e in crossings[ci]}
+        piece_codes.append(min(
+            _all_starts_piece_code(crossings, piece, (e, endpoint))
+            for e in edges
+            for endpoint in inc[e]
+        ))
+    piece_codes.sort()
+    return ("pd", tuple(piece_codes), diagram.loops)
 
 
 # -- Tietze transformations ---------------------------------------------------------

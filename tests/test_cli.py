@@ -45,6 +45,14 @@ class TestAlexanderCommands:
         b = IntLaurent.parse(machine_dict(out_map)["polynomial"])
         assert unit_equivalent(a, b, allow_inversion=True)
 
+    def test_alexander_rejected_map_prints_nothing(self, capsys):
+        # the all-zero map passes the abelianization check but has no
+        # polynomial; no h1, map or matrix line may precede the error
+        code, out, err = run(capsys, "alexander", "w12.pres", "--map", "x1=0,x2=0,x3=0", "--machine")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
+
     def test_compare_distinct(self, capsys):
         code, out, _ = run(capsys, "compare", "w22.pres", "w12.pres", "--machine")
         assert code == 0

@@ -1,7 +1,8 @@
 """``--machine`` output of the bundled data, byte for byte.
 
 Each case's stdout, then an ``exit: <code>`` line, is stored in
-``tests/golden/<name>.out``.  A change that means to alter one of these
+``tests/golden/<name>.out``.  Inputs that are not bundled with the
+package (the pretzel PD codes) live next to the outputs.  A change that means to alter one of these
 outputs regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +36,10 @@ CASES = {
     "check_filling_d2": ["check-filling", "9_46.front", "d2.cert"],
     "homs_w22_3": ["homs", "w22.pres", "3"],
     "snf_w12": ["snf", "w12.pres"],
+    "kauffman_pretzel_3_m5_5": ["kauffman", str(GOLDEN / "pretzel_3_m5_5.pd")],
+    "kauffman_pretzel_3_4_m4": ["kauffman", str(GOLDEN / "pretzel_3_4_m4.pd")],
+    "tb_bound_pretzel_3_m5_5": ["tb-bound", str(GOLDEN / "pretzel_3_m5_5.pd")],
+    "tb_bound_pretzel_3_4_m4": ["tb-bound", str(GOLDEN / "pretzel_3_4_m4.pd")],
 }
 
 

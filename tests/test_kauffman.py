@@ -24,7 +24,7 @@ from diskfill.kauffman import (
 )
 from diskfill.laurent import BiLaurent, a_mirror, min_deg_a
 
-from helpers import naive_F, naive_lambda, pretzel_pd
+from helpers import all_starts_key, naive_F, naive_lambda, pretzel_pd
 
 UNKNOT = parse_pd("O(1)")
 KINK_POS = LinkDiagram(((7, 7, 3, 3),), 0)
@@ -222,6 +222,21 @@ class TestNormalizedF:
         d = pretzel_pd([3, -2, 3])
         assert kauffman_F(d) == kauffman_F(d)
 
+    def test_input_is_traced_once(self, monkeypatch):
+        # writhe and component count come from one trace of the input;
+        # every other trace is the skein recursion's own
+        calls = []
+        real = kauffman.trace_diagram
+        monkeypatch.setattr(kauffman, "trace_diagram", lambda d: calls.append(d) or real(d))
+        d = parse_pd(data_path("9_46.pd").read_text())
+        regular_isotopy_polynomial(d)
+        skein = len(calls)
+        for evaluate in (kauffman_F, tb_upper_bound):
+            calls.clear()
+            evaluate(d)
+            assert len(calls) == skein + 1
+            assert calls[0] is d
+
 
 class TestSimplify:
     def test_kinked_unknot_reduces(self):
@@ -276,6 +291,37 @@ class TestCanonicalKey:
 
     def test_distinguishes(self):
         assert canonical_key(TREFOIL_LH) != canonical_key(mirror(TREFOIL_LH))
+
+    def test_same_partition_as_all_starts(self, monkeypatch):
+        # every diagram the recursion keys, for knots and two-component
+        # links of 10-13 crossings: starting only at under-strand darts
+        # must identify exactly the diagrams all four starts identify
+        keyed = []
+        monkeypatch.setattr(kauffman, "canonical_key", lambda d: keyed.append(d) or canonical_key(d))
+        for twists in ([3, -5, 5], [-3, 3, 4], [3, 3, -5], [3, 4, -4], [4, -3, 4]):
+            kauffman_F(pretzel_pd(twists))
+        assert len(keyed) > 300
+        classes = {}
+        for d in keyed:
+            classes.setdefault(canonical_key(d), set()).add(all_starts_key(d))
+        assert all(len(old) == 1 for old in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+
+    def test_two_traversals_per_crossing(self, monkeypatch):
+        calls = []
+        real = kauffman._piece_code
+        monkeypatch.setattr(
+            kauffman, "_piece_code", lambda *args: calls.append(args) or real(*args)
+        )
+        split = LinkDiagram(
+            TREFOIL_LH.crossings
+            + tuple(tuple(e + 1000 for e in c) for c in pretzel_pd([2, 2]).crossings),
+            1,
+        )
+        for d in (TREFOIL_LH, pretzel_pd([3, -5, 5]), pretzel_pd([3, 4, -4]), split):
+            calls.clear()
+            canonical_key(d)
+            assert len(calls) == 2 * d.n
 
 
 class TestBound:

@@ -1,5 +1,6 @@
 """Property tests: text formats round-trip, the Laurent rings distribute,
-and fronts orient and move as the full-trace oracles in ``helpers`` say.
+fronts orient and move as the full-trace oracles in ``helpers`` say, and
+the Kauffman memo key is label-free and determines its diagram.
 
 The examples are derandomized and capped so the module runs in a few
 seconds and gives the same result on every run.
@@ -29,11 +30,22 @@ from diskfill.front import (  # noqa: E402
     strand_profile,
     validate,
 )
+from diskfill.kauffman import (  # noqa: E402
+    LinkDiagram,
+    _connected_pieces,
+    canonical_key,
+    kauffman_F,
+    regular_isotopy_polynomial,
+    smooth_crossing,
+    switch_crossing,
+    trace_diagram,
+)
 from diskfill.laurent import BiLaurent, IntLaurent  # noqa: E402
 
 from helpers import (  # noqa: E402
     move_outcome,
     parity_orient,
+    pretzel_pd,
     rewrite_then_validate,
     traced_death,
 )
@@ -165,3 +177,60 @@ class TestFronts:
     def test_death_matches_traced_death(self, front_and_component):
         front, c = front_and_component
         assert move_outcome(death, front, c) == move_outcome(traced_death, front, c)
+
+
+@st.composite
+def link_diagrams(draw):
+    """A pretzel diagram after up to three switches and smoothings, so
+    split pieces, loops and pieces of several components all come up."""
+    d = pretzel_pd(draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        if not d.crossings:
+            break
+        i = draw(st.integers(0, d.n - 1))
+        op = draw(st.integers(0, 2))
+        d = switch_crossing(d, i) if op == 0 else smooth_crossing(d, i, op - 1)
+    return d
+
+
+def diagram_from_key(key):
+    """The diagram a key encodes: each piece code is a PD code on labels
+    0, 1, ...; pieces are shifted apart so their labels stay distinct."""
+    if key[0] == "loops":
+        return LinkDiagram((), key[1])
+    _, pieces, loops = key
+    crossings = []
+    for code in pieces:
+        shift = 1 + max((e for c in crossings for e in c), default=-1)
+        crossings += [tuple(e + shift for e in c) for c in code]
+    return LinkDiagram(tuple(crossings), loops)
+
+
+def one_component_per_piece(d):
+    return trace_diagram(d).components - d.loops == len(_connected_pieces(d.crossings))
+
+
+class TestKauffmanKey:
+    @PROPERTY
+    @given(link_diagrams(), st.randoms(use_true_random=False))
+    def test_relabelling_keeps_the_key(self, d, rng):
+        labels = sorted({e for c in d.crossings for e in c})
+        new = rng.sample(range(-50, 50), len(labels))
+        m = dict(zip(labels, new))
+        order = rng.sample(d.crossings, d.n)
+        relabelled = LinkDiagram(tuple(tuple(m[e] for e in c) for c in order), d.loops)
+        assert canonical_key(relabelled) == canonical_key(d)
+
+    @PROPERTY
+    @given(link_diagrams())
+    def test_key_reads_back_as_its_diagram(self, d):
+        key = canonical_key(d)
+        back = diagram_from_key(key)
+        # the memo stores lam under the key, so lam is what must agree
+        assert regular_isotopy_polynomial(back) == regular_isotopy_polynomial(d)
+        if one_component_per_piece(d):
+            # F of a link also depends on the traced orientation, and a
+            # piece of several components is anchored by slot position,
+            # which the rotated read-back crossings do not keep
+            assert canonical_key(back) == key
+            assert kauffman_F(back) == kauffman_F(d)
