@@ -225,6 +225,8 @@ def _parse_witness(text, gens, n):
         name, _, cycles = line.partition(" ")
         if name not in gens:
             raise InputError(f"witness line {lineno}: unknown generator {name!r}")
+        if name in images:
+            raise InputError(f"witness line {lineno}: generator {name!r} listed twice")
         images[name] = perm_from_cycles(cycles, n)
     missing = [g for g in gens if g not in images]
     if missing:

@@ -407,14 +407,24 @@ def perm_inv(p):
 
 
 def perm_from_cycles(text, n):
-    """Parse cycle notation like ``(1 2 3)(4 5)`` on symbols 1..n."""
+    """Parse cycle notation like ``(1 2 3)(4 5)`` on symbols 1..n.
+
+    The cycles must be disjoint, so the result is a permutation.
+    """
+    if not re.fullmatch(r"(\s*\([^()]*\))*\s*", text):
+        raise InputError(f"expected cycles like (1 2 3)(4 5), got {text!r}")
     perm = list(range(n))
+    used = set()
     for cycle in re.findall(r"\(([^()]*)\)", text):
-        symbols = [int(s) for s in cycle.replace(",", " ").split()]
+        try:
+            symbols = [int(s) for s in cycle.replace(",", " ").split()]
+        except ValueError:
+            raise InputError(f"bad cycle symbol in {text!r}") from None
         if any(not 1 <= s <= n for s in symbols):
             raise InputError(f"cycle symbol outside 1..{n} in {text!r}")
-        if len(set(symbols)) != len(symbols):
-            raise InputError(f"repeated symbol in cycle {cycle!r}")
+        if len(set(symbols)) != len(symbols) or not used.isdisjoint(symbols):
+            raise InputError(f"repeated symbol in cycles {text!r}")
+        used.update(symbols)
         for i, s in enumerate(symbols):
             perm[s - 1] = symbols[(i + 1) % len(symbols)] - 1
     return tuple(perm)
@@ -473,6 +483,9 @@ def check_finite_hom(pres, images):
         raise InputError(f"permutations act on different symbol counts {sorted(sizes)}")
     n = sizes.pop() if sizes else 0
     ident = identity_perm(n)
+    for p in images:
+        if set(p) != set(ident):
+            raise InputError(f"image {p} is not a permutation of 0..{n - 1}")
     return all(_evaluate_runs(r, images, n) == ident for r in pres._relator_runs)
 
 
@@ -498,8 +511,12 @@ def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
             f"(n!)^generators = {total} assignments exceeds budget {budget}"
         )
     perms = list(itertools.permutations(range(n)))
+    ident = identity_perm(n)
+    runs = pres._relator_runs
+    # every assignment is made here, so check_finite_hom's input checks
+    # would only repeat themselves
     for images in itertools.product(perms, repeat=pres.rank):
-        if check_finite_hom(pres, images):
+        if all(_evaluate_runs(r, images, n) == ident for r in runs):
             yield images
 
 

@@ -28,18 +28,23 @@ run before branching and results are memoized on a relabel-invariant
 canonical code, so evaluation is deterministic however the tree is
 walked.
 
+Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
+is a strand end entering a crossing along the edge at that slot, and
+``LinkDiagram.far`` sends it to the dart at the other end of the same
+edge; a strand entering at ``slot`` leaves through ``slot ^ 2``.
+
 The canonical code is each piece's PD code relabelled along a
 traversal, minimized over the two starts per crossing that enter it on
-the under strand; the traversals follow one dart map built per code.
-That start set is fixed by the diagram, not by its labels, so the code
-is label-free, and equal codes mean equal diagrams (see
+the under strand.  Starts and the anchors of later components are fixed
+by the diagram, not by its labels or by how a crossing tuple is rotated,
+so the code is label-free, and equal codes mean equal diagrams (see
 ``canonical_key``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BudgetError, InputError
@@ -52,8 +57,6 @@ __all__ = [
     "DELTA_NUMERATOR",
     "delta_power",
     "trace_diagram",
-    "writhe",
-    "component_count",
     "mirror",
     "switch_crossing",
     "smooth_crossing",
@@ -88,20 +91,26 @@ class LinkDiagram:
 
     crossings: tuple  # of 4-tuples of edge labels, under strand at slots 0, 2
     loops: int = 0
+    # each dart (crossing, slot) -> the dart at the other end of its edge
+    far: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "crossings", tuple(tuple(c) for c in self.crossings)
-        )
-        counts = {}
-        for c in self.crossings:
+        crossings = tuple(tuple(c) for c in self.crossings)
+        object.__setattr__(self, "crossings", crossings)
+        far, first = {}, {}  # first: edge label -> the dart that met it first
+        for ci, c in enumerate(crossings):
             if len(c) != 4:
                 raise InputError(f"crossing {c} is not a 4-tuple")
-            for e in c:
-                counts[e] = counts.get(e, 0) + 1
-        bad = {e: k for e, k in counts.items() if k != 2}
-        if bad:
-            raise InputError(f"edge labels must occur exactly twice, got {bad}")
+            for slot, e in enumerate(c):
+                other = first.setdefault(e, (ci, slot))
+                if other in far:
+                    raise InputError(f"edge labels must occur exactly twice, {e!r} occurs more often")
+                if other != (ci, slot):
+                    far[ci, slot], far[other] = other, (ci, slot)
+        once = [e for e, dart in first.items() if dart not in far]
+        if once:
+            raise InputError(f"edge labels must occur exactly twice, {once} occur once")
+        object.__setattr__(self, "far", far)
         if self.loops < 0:
             raise InputError("negative loop count")
         if not self.crossings and not self.loops:
@@ -139,25 +148,24 @@ def parse_pd(text):
                 raise InputError(f"line {lineno}: loop marker needs 1 label")
             loops += 1
     diagram = LinkDiagram(tuple(crossings), loops)
-    _check_planar(diagram.crossings)
+    _check_planar(diagram)
     return diagram
 
 
-def _check_planar(crossings):
+def _check_planar(diagram):
     """Raise InputError unless each crossing-connected piece is planar:
     V - E + F = 2 with E = 2V, faces traced by turning to the next slot
     counterclockwise.  No piece exceeds 2, so sums over pieces decide.  The
     skein recursion's switches and smoothings keep a diagram planar."""
-    turn = {}  # each dart (crossing, slot) -> the next dart around its face
-    for (ca, sa), (cb, sb) in _incidences(crossings).values():
-        turn[ca, sa], turn[cb, sb] = (cb, (sb + 1) % 4), (ca, (sa + 1) % 4)
+    # each dart -> the next dart around its face
+    turn = {dart: (cj, (s + 1) % 4) for dart, (cj, s) in diagram.far.items()}
     faces = 0
     while turn:
         faces += 1
         dart = next(iter(turn))
         while dart in turn:
             dart = turn.pop(dart)
-    euler, pieces = faces - len(crossings), len(_connected_pieces(crossings))
+    euler, pieces = faces - diagram.n, len(_connected_pieces(diagram))
     if euler != 2 * pieces:
         raise InputError(
             f"PD code is not planar: V - E + F = {euler} over {pieces} "
@@ -176,15 +184,6 @@ def render_pd(diagram, header=None):
 
 # -- tracing -----------------------------------------------------------------
 
-def _incidences(crossings):
-    """Map edge -> list of (crossing index, slot)."""
-    inc = {}
-    for ci, c in enumerate(crossings):
-        for slot, e in enumerate(c):
-            inc.setdefault(e, []).append((ci, slot))
-    return inc
-
-
 @dataclass(frozen=True)
 class DiagramTrace:
     components: int
@@ -202,31 +201,19 @@ def trace_diagram(diagram):
     result is deterministic.  Crossing signs between different components
     depend on the traced orientations, as usual for unoriented input.
     """
-    crossings = diagram.crossings
-    inc = _incidences(crossings)
-    entered = {}  # (crossing, slot) -> order in which traversal entered
-    seen_edges = set()
+    crossings, far = diagram.crossings, diagram.far
+    entered = {}  # dart -> order in which traversal entered
     ncomp = diagram.loops
-    counter = 0
-    for start in sorted(inc):
-        if start in seen_edges:
-            continue
+    # each label's first dart comes first among its two
+    starts = sorted((e, (ci, slot)) for ci, c in enumerate(crossings) for slot, e in enumerate(c))
+    for _, dart in starts:
+        if dart in entered or far[dart] in entered:
+            continue  # the edge is on a component already walked
         ncomp += 1
-        # walk the component; enter the start edge at its first incidence
-        edge = start
-        endpoint = inc[start][0]
-        while True:
-            seen_edges.add(edge)
-            ci, slot = endpoint
-            entered[(ci, slot)] = counter
-            counter += 1
-            out_slot = (slot + 2) % 4
-            out_edge = crossings[ci][out_slot]
-            both = inc[out_edge]
-            nxt = both[1] if both[0] == (ci, out_slot) else both[0]
-            edge, endpoint = out_edge, nxt
-            if edge == start and endpoint == inc[start][0]:
-                break
+        while dart not in entered:
+            entered[dart] = len(entered)
+            ci, slot = dart
+            dart = far[ci, slot ^ 2]
     signs = []
     first_under = []
     first_visit = []
@@ -246,16 +233,6 @@ def trace_diagram(diagram):
         tuple(first_visit),
         tuple(under_ins),
     )
-
-
-def writhe(diagram):
-    return trace_diagram(diagram).writhe if diagram.crossings else 0
-
-
-def component_count(diagram):
-    if not diagram.crossings:
-        return diagram.loops
-    return trace_diagram(diagram).components
 
 
 def mirror(diagram):
@@ -333,28 +310,25 @@ def _find_kink(crossings):
     return None
 
 
-def _find_reducible_bigon(crossings):
-    inc = _incidences(crossings)
-    for ci, c in enumerate(crossings):
+def _find_reducible_bigon(diagram):
+    """The crossings of a cancellable bigon and the joins of its strands'
+    outer ends, or None."""
+    crossings, far = diagram.crossings, diagram.far
+    for ci, a in enumerate(crossings):
         for s in range(4):
-            x, y = c[s], c[(s + 1) % 4]
-            if x == y:
-                continue  # kink, handled separately
-            # both edges must run to one other crossing, adjacently there
-            other_x = [(cj, t) for cj, t in inc[x] if cj != ci]
-            other_y = [(cj, t) for cj, t in inc[y] if cj != ci]
-            if len(other_x) != 1 or len(other_y) != 1:
-                continue
-            (cx, sx), (cy, sy) = other_x[0], other_y[0]
+            # the edges at slots s and s + 1 must run to one other crossing,
+            # adjacently there; a kink's edge runs back to ci itself
+            (cx, sx), (cy, sy) = far[ci, s], far[ci, (s + 1) % 4]
             if cx != cy or cx == ci:
                 continue
             if (sx - sy) % 4 not in (1, 3):
                 continue
             # over iff the slot is odd; the bigon pulls apart exactly when
-            # the strand through x is on the same level at both crossings
+            # the strand through slot s is on the same level at both crossings
             if (s % 2 == 1) != (sx % 2 == 1):
                 continue
-            return ci, cx, x, y, s
+            b = crossings[cx]
+            return {ci, cx}, [(a[s ^ 2], b[sx ^ 2]), (a[(s + 3) % 4], b[sy ^ 2])]
     return None
 
 
@@ -382,93 +356,71 @@ def simplify(diagram):
             )
             current = out
             continue
-        bigon = _find_reducible_bigon(current.crossings)
+        bigon = _find_reducible_bigon(current)
         if bigon is not None:
-            ci, cj, x, y, s = bigon
-            a = current.crossings[ci]
-            b = current.crossings[cj]
-            # reconnect each strand's outer ends
-            xa = a[(a.index(x) + 2) % 4]
-            xb = b[(b.index(x) + 2) % 4]
-            ya = a[(a.index(y) + 2) % 4]
-            yb = b[(b.index(y) + 2) % 4]
-            out = _remove_and_join(
-                current.crossings, current.loops, {ci, cj}, [(xa, xb), (ya, yb)]
-            )
-            current = out
+            removed, joins = bigon
+            current = _remove_and_join(current.crossings, current.loops, removed, joins)
             continue
         return current, unit
 
 
 # -- canonical codes and evaluation --------------------------------------------
 
-def _connected_pieces(crossings):
+def _connected_pieces(diagram):
     """Partition crossing indices into crossing-connected pieces."""
-    n = len(crossings)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_edge = {}
-    for ci, c in enumerate(crossings):
-        for e in c:
-            if e in by_edge:
-                ri, rj = find(by_edge[e]), find(ci)
-                if ri != rj:
-                    parent[rj] = ri
-            else:
-                by_edge[e] = ci
-    pieces = {}
-    for ci in range(n):
-        pieces.setdefault(find(ci), []).append(ci)
-    return list(pieces.values())
+    far = diagram.far
+    seen, pieces = set(), []
+    for root in range(diagram.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        piece, stack = [], [root]
+        while stack:
+            ci = stack.pop()
+            piece.append(ci)
+            for slot in range(4):
+                cj = far[ci, slot][0]
+                if cj not in seen:
+                    seen.add(cj)
+                    stack.append(cj)
+        pieces.append(piece)
+    return pieces
 
 
-def _piece_code(crossings, piece, step, start):
+def _piece_code(diagram, piece, start):
     """Relabel the piece's edges along a traversal from the dart ``start``.
 
-    A dart ``(ci, slot)`` is a strand end entering crossing ``ci`` along
-    the edge at ``slot``; ``step`` maps it to the dart the strand enters
-    next, after leaving through ``slot + 2``.  Edges are numbered in the
-    order the traversal enters them.  Later link components of the same
-    piece start at the crossing holding the least relabeled edge that
-    still has an unvisited slot, at its least such slot; that anchor makes
-    the whole code independent of the input labels.  Once every edge of
-    the piece has a label no component is left, so a knot never scans.
+    The traversal steps with the diagram's dart map: a strand entering at
+    ``(ci, slot)`` leaves through ``slot ^ 2`` and enters the dart at the
+    far end of that edge.  Edges are numbered in the order the traversal
+    enters them.  Once every edge of the piece has a label no component is
+    left, so a knot never looks for an anchor.  Otherwise the next link
+    component of the piece enters the first crossing, in traversal order,
+    whose other strand has no entered dart, at the slot after the one the
+    traversal entered there; the piece is connected, so such a crossing
+    exists while an edge has no label.  Both "first in traversal order"
+    and "the slot after" are read off the diagram: neither depends on the
+    input labels, and rotating a crossing tuple by two slots (the same
+    crossing) keeps the slot after an entered dart the slot after it.
     """
+    crossings, far = diagram.crossings, diagram.far
     size = 2 * len(piece)  # each edge of the piece meets it twice
     labels = {}
-    entered = set()
+    entered = {}  # dart -> None, in the order the traversal entered them
     dart = start
     while True:
         # walk one closed component; the first repeated dart closes it
         while dart not in entered:
-            entered.add(dart)
-            edge = crossings[dart[0]][dart[1]]
-            if edge not in labels:
-                labels[edge] = len(labels)
-            dart = step[dart]
+            entered[dart] = None
+            ci, slot = dart
+            labels.setdefault(crossings[ci][slot], len(labels))
+            dart = far[ci, slot ^ 2]
         if len(labels) == size:
             break
-        # anchor the next link component of this piece
-        anchor = None
-        for cj in piece:
-            c = crossings[cj]
-            unlabeled = [s for s in range(4) if c[s] not in labels]
-            labeled = sorted(
-                (labels[c[s]], s) for s in range(4) if c[s] in labels
-            )
-            if not unlabeled or not labeled:
-                continue
-            key = (labeled[0][0], min(unlabeled), tuple(labeled))
-            if anchor is None or key < anchor[0]:
-                anchor = (key, cj, min(unlabeled))
-        _, cj, slot = anchor
-        dart = (cj, slot)
+        dart = next(
+            (ci, (s + 1) % 4) for ci, s in entered
+            if (ci, (s + 1) % 4) not in entered and (ci, (s + 3) % 4) not in entered
+        )
     code = []
     for ci in piece:
         c = crossings[ci]
@@ -484,29 +436,18 @@ def canonical_key(diagram):
     Each crossing-connected piece is renumbered along a traversal, taking
     the minimum over the starts that enter a crossing on its under strand
     (slots 0 and 2, two per crossing); the piece codes are then sorted.
-    The dart map the traversals follow is built once per key.  The start
-    set is fixed by the diagram's structure, not by its labels, so equal
-    diagrams up to edge relabeling still get equal keys.  Each piece code
-    is the piece's PD code under the new labels, so the key still
-    determines the diagram and memo hits are always sound.
+    The start set and the anchors of later components (see
+    ``_piece_code``) are fixed by the diagram's structure, not by its
+    labels, the order of its crossings or the rotation of a crossing tuple
+    by two slots, so equal diagrams get equal keys.  Each piece code is
+    the piece's PD code under the new labels, so the key still determines
+    the diagram and memo hits are always sound.
     """
-    crossings = diagram.crossings
-    if not crossings:
+    if not diagram.crossings:
         return ("loops", diagram.loops)
-    inc = _incidences(crossings)
-    step = {}
-    for ci, c in enumerate(crossings):
-        for slot in range(4):
-            out = (ci, (slot + 2) % 4)
-            both = inc[c[out[1]]]
-            step[ci, slot] = both[1] if both[0] == out else both[0]
     piece_codes = sorted(
-        min(
-            _piece_code(crossings, piece, step, (ci, slot))
-            for ci in piece
-            for slot in (0, 2)
-        )
-        for piece in _connected_pieces(crossings)
+        min(_piece_code(diagram, piece, (ci, slot)) for ci in piece for slot in (0, 2))
+        for piece in _connected_pieces(diagram)
     )
     return ("pd", tuple(piece_codes), diagram.loops)
 

@@ -8,8 +8,8 @@ evaluator with no memoization and no simplification, the gcd of every
 (n-1)-minor of an Alexander matrix, exact Laurent division over Q, the
 parity union-find that once oriented fronts, isotopy moves that
 rewrite the word and then validate all of it, a death that traces
-its input every time, and the Kauffman memo key minimized over every
-start dart.
+its input every time, the edge-incidence walk that once traced PD
+diagrams, and the Kauffman memo key minimized over every start dart.
 """
 
 import itertools
@@ -30,9 +30,9 @@ from diskfill.front import (
 from diskfill.fox import alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, free_reduce
 from diskfill.kauffman import (
+    DiagramTrace,
     LinkDiagram,
     _connected_pieces,
-    _incidences,
     delta_power,
     trace_diagram,
 )
@@ -272,46 +272,89 @@ def naive_F(diagram):
     return BiLaurent.a(trace_diagram(diagram).writhe) * naive_lambda(diagram)
 
 
-# -- canonical key over every start ----------------------------------------------
+# -- PD walks by edge incidences ----------------------------------------------------
+
+def _incidences(crossings):
+    """Map edge -> list of (crossing index, slot), rebuilt on every call."""
+    inc = {}
+    for ci, c in enumerate(crossings):
+        for slot, e in enumerate(c):
+            inc.setdefault(e, []).append((ci, slot))
+    return inc
+
+
+def incidence_trace(diagram):
+    """``kauffman.trace_diagram`` as it was before the dart map: components
+    start at their least edge label, entered at its first incidence, and
+    each step looks the next crossing up in the incidence lists."""
+    crossings = diagram.crossings
+    inc = _incidences(crossings)
+    entered = {}
+    seen_edges = set()
+    ncomp = diagram.loops
+    counter = 0
+    for start in sorted(inc):
+        if start in seen_edges:
+            continue
+        ncomp += 1
+        edge = start
+        endpoint = inc[start][0]
+        while True:
+            seen_edges.add(edge)
+            ci, slot = endpoint
+            entered[(ci, slot)] = counter
+            counter += 1
+            out_slot = (slot + 2) % 4
+            out_edge = crossings[ci][out_slot]
+            both = inc[out_edge]
+            nxt = both[1] if both[0] == (ci, out_slot) else both[0]
+            edge, endpoint = out_edge, nxt
+            if edge == start and endpoint == inc[start][0]:
+                break
+    signs, first_under, first_visit, under_ins = [], [], [], []
+    for ci in range(len(crossings)):
+        under_in = 0 if (ci, 0) in entered else 2
+        over_in = 1 if (ci, 1) in entered else 3
+        signs.append(1 if over_in == (under_in + 3) % 4 else -1)
+        first_under.append(entered[(ci, under_in)] < entered[(ci, over_in)])
+        first_visit.append(min(entered[(ci, under_in)], entered[(ci, over_in)]))
+        under_ins.append(under_in)
+    return DiagramTrace(
+        ncomp, sum(signs), tuple(signs), tuple(first_under), tuple(first_visit), tuple(under_ins)
+    )
+
 
 def _all_starts_piece_code(crossings, piece, start):
     """Relabel the piece's edges along a traversal from ``start``, an
     (edge, incidence) pair, rebuilding the incidences on every call.  Later
-    components start at the anchor ``kauffman._piece_code`` uses, and the
-    anchor scan runs after every component, the last one included."""
+    components start at the anchor ``kauffman._piece_code`` uses: the first
+    crossing, in traversal order, whose other strand has no entered dart,
+    at the slot after the entered one.  The anchor search runs after every
+    component, the last one included."""
     inc = _incidences(crossings)
     labels = {}
-    entered = {}
-    counter = 0
+    entered = {}  # dart -> None, in traversal order
     edge, endpoint = start
     while True:
         while endpoint not in entered:
             if edge not in labels:
-                labels[edge] = counter
-                counter += 1
+                labels[edge] = len(labels)
             ci, slot = endpoint
-            entered[(ci, slot)] = labels[edge]
+            entered[endpoint] = None
             out_slot = (slot + 2) % 4
             out_edge = crossings[ci][out_slot]
             both = inc[out_edge]
             nxt = both[1] if both[0] == (ci, out_slot) else both[0]
             edge, endpoint = out_edge, nxt
         anchor = None
-        for cj in piece:
-            c = crossings[cj]
-            unlabeled = [s for s in range(4) if c[s] not in labels]
-            labeled = sorted(
-                (labels[c[s]], s) for s in range(4) if c[s] in labels
-            )
-            if not unlabeled or not labeled:
-                continue
-            key = (labeled[0][0], min(unlabeled), tuple(labeled))
-            if anchor is None or key < anchor[0]:
-                anchor = (key, cj, min(unlabeled))
+        for ci, slot in entered:
+            other = {(ci, (slot + 1) % 4), (ci, (slot + 3) % 4)}
+            if not other & entered.keys():
+                anchor = (ci, (slot + 1) % 4)
+                break
         if anchor is None:
             break
-        _, cj, slot = anchor
-        edge, endpoint = crossings[cj][slot], (cj, slot)
+        edge, endpoint = crossings[anchor[0]][anchor[1]], anchor
     code = []
     for ci in piece:
         c = crossings[ci]
@@ -324,16 +367,16 @@ def _all_starts_piece_code(crossings, piece, start):
 def all_starts_key(diagram):
     """The memo key minimized over all four start darts of every crossing.
 
-    This is the key ``kauffman.canonical_key`` computed before it started
-    only at under-strand darts; the two must induce the same partition of
-    diagrams.
+    ``kauffman.canonical_key`` starts only at under-strand darts; with the
+    same anchor for later components, the two must induce the same
+    partition of diagrams.
     """
     crossings = diagram.crossings
     if not crossings:
         return ("loops", diagram.loops)
     inc = _incidences(crossings)
     piece_codes = []
-    for piece in _connected_pieces(crossings):
+    for piece in _connected_pieces(diagram):
         edges = {e for ci in piece for e in crossings[ci]}
         piece_codes.append(min(
             _all_starts_piece_code(crossings, piece, (e, endpoint))

@@ -201,6 +201,23 @@ class TestHomsCommand:
         assert values["witness_valid"] == "yes"
         assert values["image_abelian"] == "no"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # (1 2)(2 3) is not a permutation; its x^-2 once looped forever
+            ("x (1 2)(2 3)\ny ()\n", "repeated symbol"),
+            ("x (1 2 3)\ny (2 3)\nx (1 3 2)\n", "listed twice"),
+            ("x (a b)\ny ()\n", "bad cycle symbol"),
+            ("x 1 2 3\ny ()\n", "expected cycles"),
+        ],
+    )
+    def test_malformed_witness_rejected(self, capsys, tmp_path, text, message):
+        witness = tmp_path / "bad.witness"
+        witness.write_text(text)
+        code, out, err = run(capsys, "homs", "bs12.pres", "3", "--witness", str(witness))
+        assert code == 2
+        assert message in err and not out
+
     def test_large_symbol_count_needs_witness(self, capsys):
         code, _, err = run(capsys, "homs", "bs12.pres", "7")
         assert code == 3

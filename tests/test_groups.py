@@ -276,6 +276,15 @@ class TestFiniteQuotients:
         with pytest.raises(InputError):
             check_finite_hom(BS12, (identity_perm(3), identity_perm(4)))
 
+    def test_non_permutation_image_rejected(self):
+        with pytest.raises(InputError, match="not a permutation"):
+            check_finite_hom(BS12, ((1, 2, 1), identity_perm(3)))
+
+    def test_symbol_in_two_cycles_rejected(self):
+        with pytest.raises(InputError, match="repeated symbol"):
+            perm_from_cycles("(1 2)(2 3)", 3)
+        assert perm_from_cycles("(1 2)(3)", 3) == (1, 0, 2)
+
     def test_counts(self):
         x_squared = Presentation(("x",), ((1, 1),))
         assert count_homs(x_squared, 3) == 4

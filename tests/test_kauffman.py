@@ -8,7 +8,6 @@ from diskfill.kauffman import (
     DELTA_NUMERATOR,
     LinkDiagram,
     canonical_key,
-    component_count,
     delta_power,
     kauffman_F,
     mirror,
@@ -20,11 +19,10 @@ from diskfill.kauffman import (
     switch_crossing,
     tb_upper_bound,
     trace_diagram,
-    writhe,
 )
 from diskfill.laurent import BiLaurent, a_mirror, min_deg_a
 
-from helpers import all_starts_key, naive_F, naive_lambda, pretzel_pd
+from helpers import all_starts_key, incidence_trace, naive_F, naive_lambda, pretzel_pd
 
 UNKNOT = parse_pd("O(1)")
 KINK_POS = LinkDiagram(((7, 7, 3, 3),), 0)
@@ -61,16 +59,18 @@ def random_diagram(rng, max_crossings=6):
 class TestParsing:
     def test_unknot_and_loops(self):
         assert UNKNOT.loops == 1
-        assert component_count(UNKNOT) == 1
+        assert trace_diagram(UNKNOT).components == 1
 
     def test_trefoil_pd(self):
         d = parse_pd("X(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6,3)")
         assert d.n == 3
-        assert component_count(d) == 1
+        assert trace_diagram(d).components == 1
 
     def test_label_reuse_rejected(self):
         with pytest.raises(InputError, match="exactly twice"):
             parse_pd("X(1,1,1,2)\nX(2,3,3,4)")
+        with pytest.raises(InputError, match="exactly twice"):
+            parse_pd("X(1,2,3,4)\nX(1,2,3,5)")
 
     def test_malformed(self):
         with pytest.raises(InputError):
@@ -215,7 +215,7 @@ class TestNormalizedF:
             # lam never depends on labels; F additionally needs an
             # orientation, so it is label-free only for knots
             assert regular_isotopy_polynomial(relabel(d, rng)) == lam
-            if component_count(d) == 1:
+            if trace_diagram(d).components == 1:
                 assert kauffman_F(relabel(d, rng)) == kauffman_F(d)
 
     def test_determinism(self):
@@ -268,6 +268,32 @@ class TestSimplify:
             assert red.n <= d.n
 
 
+@pytest.fixture(scope="module")
+def keyed():
+    """Every diagram the recursion keys for knots and two-component links
+    of 10-13 crossings."""
+    diagrams = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kauffman, "canonical_key", lambda d: diagrams.append(d) or canonical_key(d))
+        for twists in ([3, -5, 5], [-3, 3, 4], [3, 3, -5], [3, 4, -4], [4, -3, 4]):
+            kauffman_F(pretzel_pd(twists))
+    assert len(diagrams) > 300
+    return diagrams
+
+
+class TestDartMap:
+    def test_trace_matches_incidence_walk(self, keyed):
+        for d in keyed:
+            assert trace_diagram(d) == incidence_trace(d), render_pd(d)
+
+    def test_far_pairs_the_two_ends_of_each_edge(self):
+        d = pretzel_pd([3, 4, -4])
+        assert len(d.far) == 4 * d.n
+        for (ci, slot), (cj, t) in d.far.items():
+            assert d.far[cj, t] == (ci, slot) != (cj, t)
+            assert d.crossings[ci][slot] == d.crossings[cj][t]
+
+
 class TestCanonicalKey:
     def test_relabel_invariance(self):
         rng = random.Random(55)
@@ -292,20 +318,21 @@ class TestCanonicalKey:
     def test_distinguishes(self):
         assert canonical_key(TREFOIL_LH) != canonical_key(mirror(TREFOIL_LH))
 
-    def test_same_partition_as_all_starts(self, monkeypatch):
-        # every diagram the recursion keys, for knots and two-component
-        # links of 10-13 crossings: starting only at under-strand darts
-        # must identify exactly the diagrams all four starts identify
-        keyed = []
-        monkeypatch.setattr(kauffman, "canonical_key", lambda d: keyed.append(d) or canonical_key(d))
-        for twists in ([3, -5, 5], [-3, 3, 4], [3, 3, -5], [3, 4, -4], [4, -3, 4]):
-            kauffman_F(pretzel_pd(twists))
-        assert len(keyed) > 300
+    def test_same_partition_as_all_starts(self, keyed):
+        # starting only at under-strand darts must identify exactly the
+        # diagrams all four starts identify
         classes = {}
         for d in keyed:
             classes.setdefault(canonical_key(d), set()).add(all_starts_key(d))
         assert all(len(old) == 1 for old in classes.values())
         assert len(set().union(*classes.values())) == len(classes)
+
+    def test_rotation_by_two_keeps_the_key(self, keyed):
+        # a crossing tuple rotated by two slots is the same crossing
+        rng = random.Random(58)
+        for d in keyed:
+            rotated = tuple(c[2:] + c[:2] if rng.random() < 0.5 else c for c in d.crossings)
+            assert canonical_key(LinkDiagram(rotated, d.loops)) == canonical_key(d), render_pd(d)
 
     def test_two_traversals_per_crossing(self, monkeypatch):
         calls = []

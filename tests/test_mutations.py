@@ -6,6 +6,8 @@ each command must end with exit code 0, 2, 3 or 4 (an answer, an input
 error, a budget error or a rejected certificate), never a traceback.
 Fronts and certificates matter most: ``pinch`` and ``death`` presume a
 valid word, so a replay must reject a bad one before it gets there.
+Witness files matter too: a symbol in two cycles is not a permutation,
+and raising one to a power such as bs12's ``x^-2`` never returns.
 """
 
 import random
@@ -18,12 +20,20 @@ from diskfill.cli import main
 
 MUTANTS_PER_FILE = 30
 
+# files that are not bundled: homomorphisms from BS(1,2) onto copies of S3
+# inside S4, with the fixed points written out so that mutants can collide
+WITNESSES = {
+    "bs12_s4_123.witness": "# y^-1 x y = x^2\nx (1 2 3)(4)\ny (2 3)(1)(4)\n",
+    "bs12_s4_234.witness": "# y^-1 x y = x^2\nx (2 3 4)(1)\ny (3 4)(1)(2)\n",
+}
+
 # per file suffix: the pattern of a line's kind, and kinds to put there
 KINDS = {
     ".front": (r"^\S+", ("L", "R", "X")),
     ".cert": (r"^(MOVE \S+|\S+)", ("PINCH", "DEATH", "EXPECT", "MOVE slide", "MOVE r1a+", "MOVE r2d-", "MOVE r3")),
     ".pd": (r"^[A-Z]", ("X", "O")),
     ".pres": (r"^\S+", ("gens:", "rel:", "map:")),
+    ".witness": (r"^\S+", ("x", "y", "z")),
 }
 
 
@@ -43,6 +53,8 @@ def commands(suffix, path, tmp_path):
         ]
     if suffix == ".pd":
         return [["kauffman", path], ["tb-bound", path, "--machine"]]
+    if suffix == ".witness":
+        return [["homs", "bs12.pres", "4", "--witness", path]]
     return [
         ["alexander", path],
         ["compare", path, "w12.pres"],
@@ -79,12 +91,13 @@ def mutate(rng, lines, kinds):
 @pytest.mark.parametrize(
     "name",
     ["9_46.front", "unknot.front", "d1.cert", "d2.cert", "9_46.pd", "trefoil_lh.pd",
-     "trefoil_rh.pd", "unknot.pd", "w22.pres", "w12.pres", "bs12.pres"],
+     "trefoil_rh.pd", "unknot.pd", "w22.pres", "w12.pres", "bs12.pres", *WITNESSES],
 )
 def test_mutated_inputs_exit_cleanly(name, tmp_path, capsys):
     # a one-step certificate for the unknot, so that connect has a partner
     (tmp_path / "unknot.cert").write_text("DEATH 1\n")
-    lines = data_path(name).read_text().splitlines()
+    text = WITNESSES[name] if name in WITNESSES else data_path(name).read_text()
+    lines = text.splitlines()
     suffix = name[name.rindex("."):]
     rng = random.Random(f"mutate {name}")
     codes = set()

@@ -207,7 +207,7 @@ def diagram_from_key(key):
 
 
 def one_component_per_piece(d):
-    return trace_diagram(d).components - d.loops == len(_connected_pieces(d.crossings))
+    return trace_diagram(d).components - d.loops == len(_connected_pieces(d))
 
 
 class TestKauffmanKey:
@@ -228,9 +228,8 @@ class TestKauffmanKey:
         back = diagram_from_key(key)
         # the memo stores lam under the key, so lam is what must agree
         assert regular_isotopy_polynomial(back) == regular_isotopy_polynomial(d)
+        assert canonical_key(back) == key
         if one_component_per_piece(d):
-            # F of a link also depends on the traced orientation, and a
-            # piece of several components is anchored by slot position,
-            # which the rotated read-back crossings do not keep
-            assert canonical_key(back) == key
+            # F of a link also depends on the orientation traced from the
+            # labels, which the read-back diagram does not keep
             assert kauffman_F(back) == kauffman_F(d)
