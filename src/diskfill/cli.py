@@ -319,14 +319,9 @@ def _build_parser():
     p = add("compare", cmd_compare, help="compare two presentations' Alexander polynomials")
     p.add_argument("presentation_a")
     p.add_argument("presentation_b")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--allow-inversion", action="store_true", default=True,
-        help="quotient by t -> t^-1 as well as units (the default)",
-    )
-    group.add_argument(
+    p.add_argument(
         "--units-only", action="store_true",
-        help="compare up to units +-t^k only",
+        help="compare up to units +-t^k only, not also up to t -> t^-1",
     )
 
     p = add("tb", cmd_tb, help="Thurston-Bennequin and rotation numbers of a front")

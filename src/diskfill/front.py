@@ -12,9 +12,10 @@ over/under is not stored: in a front the strand of more negative slope
 (the one moving from position k down to k+1) is in front, and all signs
 below use that convention.
 
-``validate`` checks these rules in the one tracing pass over the word.
-The same walk pairs the strands at their cusps for ``components`` and
-``orient``, so a caller that needs either gets validation from it.  Each
+``validate`` checks these rules in one walk over the strand count, the
+only check of event positions.  The one tracing pass, which pairs the
+strands at their cusps for ``components`` and ``orient``, starts with
+that walk, so a caller that needs either gets validation from it.  Each
 strand meets one left and one right cusp, so a component is a cycle of
 strands that alternates the two kinds of cusp.
 
@@ -25,10 +26,12 @@ count from the count at ``index``, and the new events change the count
 by the same net amount as the ones they replace: every later event then
 sees the count it saw before.  Every isotopy move keeps the net amount
 by construction, so ``apply_move`` checks only its window; a pinch's
-R k, L k on at least k+1 strands keeps it too.  So a replay traces its
-start word, each pinch's input, and a death's input unless the death is
-of component 1, which is born at event 0 and so is the standard unknot
-exactly when the word starts with L 1, R 1.
+R k, L k on at least k+1 strands keeps it too.  A column where the count
+is 0 splits the word into closed blocks, and a component never leaves its
+block.  So a replay traces its start word, the block around each pinch's
+column unless that column has only two strands, and a death's input
+unless the death is of component 1, which is born at event 0 and so is
+the standard unknot exactly when the word starts with L 1, R 1.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -136,20 +139,45 @@ def render_front(front, header=None):
 
 
 def validate(front):
-    """Check all front invariants in the one tracing pass; errors carry the
-    first offending index."""
-    _trace(front)
+    """Check all front invariants in one strand-count walk; errors carry
+    the first offending index."""
+    _word_counts(front.events)
     return True
 
 
 def strand_profile(front):
-    """Strand count after each event (prefix profile, starts implicit 0)."""
-    out = []
-    count = 0
-    for kind, _ in front.events:
-        count += 2 if kind == "L" else -2 if kind == "R" else 0
-        out.append(count)
-    return out
+    """Strand count after each event (prefix profile, starts implicit 0);
+    raises InputError at the first event that does not fit its count."""
+    return _counts(front.events)[1:]
+
+
+def _counts(events, count=0, first=0):
+    """The strand count before each of ``events`` and after the last,
+    from ``count`` before the first.  Raises InputError at the first event,
+    numbered from ``first``, whose position does not fit the count before
+    it.  This is the one check of event positions."""
+    counts = [count]
+    append = counts.append
+    for kind, p in events:  # crossings first: they are most of a word
+        if kind == "X":
+            if not 0 < p < count:
+                break
+        elif kind == "L":
+            if not 0 < p <= count + 1:
+                break
+            count += 2
+        elif kind == "R":
+            if not 0 < p < count:
+                break
+            count -= 2
+        else:
+            break
+        append(count)
+    else:
+        return counts
+    i = len(counts) - 1
+    kind, p = events[i]
+    raise _misplaced(first + i, kind, p, count)
 
 
 def _misplaced(i, kind, p, count):
@@ -162,12 +190,21 @@ def _misplaced(i, kind, p, count):
     return InputError(f"event {i}: unknown kind {kind!r}")
 
 
+def _word_counts(events):
+    """``_counts`` of a whole word, which must also end on no strands."""
+    counts = _counts(events)
+    if counts[-1]:
+        raise InputError(f"event {len(events)}: final strand count {counts[-1]}, expected 0")
+    return counts
+
+
 def _trace(front, column=-1):
-    """The one walk over a front: checks every event, records the strands
-    each event acts on, and pairs strands at right cusps; ``_cusp_cycles``
-    then finds and orients the components.  Raises InputError at the
-    first bad event.  Also returns the strands, top to bottom, just before
-    event ``column``, where ``pinch`` puts its saddle."""
+    """The one strand walk over a front.  It checks the word with
+    ``_word_counts`` first, then records the strands each event acts on
+    and pairs strands at right cusps; ``_cusp_cycles`` then finds and
+    orients the components.  Also returns the strands, top to bottom,
+    just before event ``column``, where ``pinch`` puts its saddle."""
+    _word_counts(front.events)
     event_strands = []
     mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
@@ -175,17 +212,12 @@ def _trace(front, column=-1):
     for i, (kind, p) in enumerate(front.events):
         if i == column:
             at_column = active[:]
-        count = len(active)
         if kind == "L":
-            if not 1 <= p <= count + 1:
-                raise _misplaced(i, kind, p, count)
             u = len(mate)
             v = u + 1
             mate += (-1, -1)
             active[p - 1:p - 1] = (u, v)
-        elif kind == "R" or kind == "X":
-            if not 1 <= p <= count - 1:
-                raise _misplaced(i, kind, p, count)
+        else:
             u, v = active[p - 1], active[p]
             if kind == "R":
                 mate[u] = v
@@ -194,13 +226,7 @@ def _trace(front, column=-1):
             else:
                 active[p - 1] = v
                 active[p] = u
-        else:
-            raise _misplaced(i, kind, p, len(active))
         event_strands.append((u, v))
-    if active:
-        raise InputError(
-            f"event {len(front.events)}: final strand count {len(active)}, expected 0"
-        )
     directions, component_of = _cusp_cycles(mate)
     return OrientedFront(front, directions, component_of, tuple(event_strands)), at_column
 
@@ -465,11 +491,8 @@ def _rewrite(events, index, width, new):
     before.
     """
     kinds = [kind for kind, _ in events[:index]]
-    start = count = 2 * (kinds.count("L") - kinds.count("R"))
-    for i, (kind, p) in enumerate(new, start=index):
-        if not 1 <= p <= (count + 1 if kind == "L" else count - 1):
-            raise _misplaced(i, kind, p, count)
-        count += 2 if kind == "L" else -2 if kind == "R" else 0
+    start = 2 * (kinds.count("L") - kinds.count("R"))
+    count = _counts(new, start, index)[-1]
     replaced = [kind for kind, _ in events[index:index + width]]
     net = 2 * (replaced.count("L") - replaced.count("R"))
     if count - start != net:
@@ -487,22 +510,34 @@ def pinch(front, index, k):
     The two strands at positions k, k+1 of column ``index`` must exist,
     and strands of one component must be anti-parallel (strands of
     different components can always be oriented to be).
+
+    One count walk validates the word.  Where the count is 0 the word
+    splits, and no component crosses such a column, so only the closed
+    block around ``index`` is traced.  A column of two strands needs no
+    trace: a closed curve meets a vertical line an even number of times,
+    once in each direction, so the two strands are one component and run
+    anti-parallel.
     """
-    oriented, active = _trace(front, index)
     events = front.events
+    counts = _word_counts(events)
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
-    if k < 1 or k + 1 > len(active):
+    count = counts[index]
+    if k < 1 or k + 1 > count:
         raise InputError(
-            f"pinch needs strands {k},{k + 1} at column {index}, only {len(active)} present"
+            f"pinch needs strands {k},{k + 1} at column {index}, only {count} present"
         )
-    u, v = active[k - 1], active[k]
-    comp, dirs = oriented.component_of, oriented.directions
-    if comp[u] == comp[v] and dirs[u] == dirs[v]:
-        raise InputError(
-            f"pinch at column {index} position {k}: strands are parallel; "
-            "an oriented saddle needs anti-parallel strands"
-        )
+    if count > 2:
+        start = index - counts[index::-1].index(0)
+        end = counts.index(0, index)
+        oriented, active = _trace(FrontWord._of(events[start:end]), index - start)
+        u, v = active[k - 1], active[k]
+        comp, dirs = oriented.component_of, oriented.directions
+        if comp[u] == comp[v] and dirs[u] == dirs[v]:
+            raise InputError(
+                f"pinch at column {index} position {k}: strands are parallel; "
+                "an oriented saddle needs anti-parallel strands"
+            )
     # R k then L k on at least k+1 strands leave the strand count as it
     # was, so the result is valid without a trace
     return FrontWord._of(events[:index] + (("R", k), ("L", k)) + events[index:])

@@ -3,13 +3,14 @@
 Independent reconstructions used as oracles: a front-word to PD-code
 converter, Wirtinger presentations of PD codes (so Alexander polynomials
 of diagrams can be computed through the group pipeline), a pretzel/torus
-PD generator, Tietze transformations, a plain exponential skein
-evaluator with no memoization and no simplification, the gcd of every
-(n-1)-minor of an Alexander matrix, exact Laurent division over Q, the
-parity union-find that once oriented fronts, isotopy moves that
-rewrite the word and then validate all of it, a death that traces
-its input every time, the edge-incidence walk that once traced PD
-diagrams, and the Kauffman memo key minimized over every start dart.
+PD generator, Tietze transformations, a plain skein evaluator with no
+simplification that caches only on the exact PD code within one call,
+the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
+division over Q, the parity union-find that once oriented fronts,
+isotopy moves that rewrite the word and then validate all of it, a
+pinch and a death that trace their whole input every time, the
+edge-incidence walk that once traced PD diagrams, and the Kauffman memo
+key minimized over every start dart.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from diskfill.front import (
     _instantiate,
     _match,
     _slide,
+    _trace,
     _window,
     orient,
     validate,
@@ -241,14 +243,29 @@ def pretzel_pd(twists):
 
 # -- plain exponential skein oracle ------------------------------------------------
 
-def naive_lambda(diagram):
-    """The regular-isotopy polynomial with no memo and no reductions.
+def naive_lambda(diagram, memo=None):
+    """The regular-isotopy polynomial with no reductions and no memo key.
 
     Recurses on the first under-first crossing in traversal order exactly
-    like the engine, but never simplifies and caches nothing.
+    like the engine, but never simplifies.  Within one call it caches a
+    value only under the exact ``(crossings, loops)`` tuple: equal tuples
+    are equal diagrams, so a hit returns what the recursion would compute
+    again.
     """
+    if memo is None:
+        memo = {}
+    key = (diagram.crossings, diagram.loops)
+    if key in memo:
+        return memo[key]
     if not diagram.crossings:
-        return delta_power(diagram.loops - 1)
+        value = delta_power(diagram.loops - 1)
+    else:
+        value = _skein_step(diagram, memo)
+    memo[key] = value
+    return value
+
+
+def _skein_step(diagram, memo):
     tr = trace_diagram(diagram)
     target = None
     best = None
@@ -262,9 +279,9 @@ def naive_lambda(diagram):
 
     z = BiLaurent.z(1)
     return (
-        z * (naive_lambda(smooth_crossing(diagram, target, 0))
-             + naive_lambda(smooth_crossing(diagram, target, 1)))
-        - naive_lambda(switch_crossing(diagram, target))
+        z * (naive_lambda(smooth_crossing(diagram, target, 0), memo)
+             + naive_lambda(smooth_crossing(diagram, target, 1), memo))
+        - naive_lambda(switch_crossing(diagram, target), memo)
     )
 
 
@@ -585,10 +602,10 @@ def rewrite_then_validate(front, move):
     return out
 
 
-def move_outcome(apply, front, move):
-    """The result of ``apply(front, move)``, or the type and text of what it raised."""
+def move_outcome(apply, front, *args):
+    """The result of ``apply(front, *args)``, or the type and text of what it raised."""
     try:
-        return apply(front, move).events
+        return apply(front, *args).events
     except (InputError, RuntimeError) as exc:
         return type(exc), str(exc)
 
@@ -620,3 +637,25 @@ def traced_death(front, component_index):
             f"[L {p1}, R {p2}]"
         )
     return FrontWord(events[:i] + events[i + 2:])
+
+
+def traced_pinch(front, index, k):
+    """``front.pinch`` as it was before it traced only the block around
+    its column: one trace of the whole input validates it and gives the
+    strands at the column."""
+    oriented, active = _trace(front, index)
+    events = front.events
+    if not 0 <= index <= len(events):
+        raise InputError(f"pinch column {index} out of range 0..{len(events)}")
+    if k < 1 or k + 1 > len(active):
+        raise InputError(
+            f"pinch needs strands {k},{k + 1} at column {index}, only {len(active)} present"
+        )
+    u, v = active[k - 1], active[k]
+    comp, dirs = oriented.component_of, oriented.directions
+    if comp[u] == comp[v] and dirs[u] == dirs[v]:
+        raise InputError(
+            f"pinch at column {index} position {k}: strands are parallel; "
+            "an oriented saddle needs anti-parallel strands"
+        )
+    return FrontWord(events[:index] + (("R", k), ("L", k)) + events[index:])

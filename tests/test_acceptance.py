@@ -219,9 +219,10 @@ def test_c7_kauffman_engine():
         while d.n > 8:
             d = smooth_crossing(d, rng.randrange(d.n), rng.randrange(2))
         corpus.append(d)
+    memo = {}  # the corpus shares sub-diagrams of 9_46
     for d in corpus:
         assert d.n <= 8
-        assert regular_isotopy_polynomial(d) == naive_lambda(d)
+        assert regular_isotopy_polynomial(d) == naive_lambda(d, memo)
     nine = parse_pd(read("9_46.pd"))
     assert min_deg_a(kauffman_F(nine)) >= 0
     assert tb_upper_bound(nine) >= -1

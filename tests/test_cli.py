@@ -74,10 +74,11 @@ class TestAlexanderCommands:
             capsys, "compare", "bs12.pres", str(reverse), "--units-only", "--machine"
         )
         assert code == 0 and machine_dict(out)["verdict"] == "DISTINCT"
-        code, out, _ = run(
+        # inversion is the default, so there is no flag that asks for it
+        code, out, err = run(
             capsys, "compare", "bs12.pres", str(reverse), "--allow-inversion", "--machine"
         )
-        assert code == 0 and machine_dict(out)["verdict"] == "INDISTINGUISHABLE"
+        assert code == 1 and out == "" and "--allow-inversion" in err
 
     def test_compare_rank_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "free2.pres"

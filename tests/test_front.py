@@ -208,8 +208,14 @@ class TestPinchAndDeath:
         with pytest.raises(InputError, match="pinch column 8 out of range 0..7"):
             pinch(TREFOIL, 8, 1)
 
-    def test_pinch_traces_its_input_once(self, monkeypatch):
-        assert traces_made(monkeypatch, pinch, TREFOIL, 1, 1) == 1
+    def test_pinch_traces_only_its_block(self, monkeypatch):
+        # two strands at the column: one component, anti-parallel, no trace
+        assert traces_made(monkeypatch, pinch, TREFOIL, 1, 1) == 0
+        # four strands: only the trefoil's block is traced, not the unknots
+        split = FrontWord(UNKNOT.events + TREFOIL.events + UNKNOT.events)
+        assert traces_made(monkeypatch, pinch, split, 4, 1) == len(TREFOIL)
+        with pytest.raises(InputError, match="parallel"):
+            pinch(split, 4, 2)
 
     def test_pinch_still_validates_its_input(self):
         with pytest.raises(InputError, match="final strand count 2"):
@@ -227,10 +233,10 @@ class TestPinchAndDeath:
     def test_death_of_component_one_needs_no_trace(self, monkeypatch):
         two = FrontWord(UNKNOT.events * 2)
         assert traces_made(monkeypatch, death, two, 1) == 0
-        assert traces_made(monkeypatch, death, two, 2) == 1
+        assert traces_made(monkeypatch, death, two, 2) == len(two)
         # here component 1 is the trefoil, so the word does not start L 1, R 1
         trefoil_first = FrontWord(TREFOIL.events + UNKNOT.events)
-        assert traces_made(monkeypatch, death, trefoil_first, 2) == 1
+        assert traces_made(monkeypatch, death, trefoil_first, 2) == len(trefoil_first)
 
 
 class TestCertificates:
@@ -291,52 +297,112 @@ class TestCertificates:
 
 
 def traces_made(monkeypatch, fn, *args):
-    """Number of front traces made while calling ``fn(*args)``."""
+    """Number of events traced while calling ``fn(*args)``: the sum of the
+    lengths of the words given to ``front._trace``."""
     real = front_module._trace
-    calls = []
+    traced = []
 
     def counting(word, *column):
-        calls.append(word)
+        traced.append(len(word))
         return real(word, *column)
 
     monkeypatch.setattr(front_module, "_trace", counting)
-    fn(*args)
-    monkeypatch.setattr(front_module, "_trace", real)
-    return len(calls)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.setattr(front_module, "_trace", real)
+    return sum(traced)
 
 
-def count_traces(monkeypatch, front, cert):
-    """Number of front traces made while replaying ``cert`` on ``front``."""
-    return traces_made(monkeypatch, check_certificate, front, cert)
+def block_length(front, index):
+    """Length of the closed block around column ``index``: the events
+    between the nearest columns on either side where no strand runs."""
+    profile = [0] + strand_profile(front)
+    start = end = index
+    while profile[start]:
+        start -= 1
+    while profile[end]:
+        end += 1
+    return end - start
+
+
+def replay_traces(monkeypatch, front, cert):
+    """Replay ``cert`` on ``front`` and record what each trace read.
+
+    Returns the lengths of the words traced outside any pinch, and for
+    each pinch in step order its column's strand count, the length of the
+    block around its column, and the events it traced."""
+    real_trace, real_pinch = front_module._trace, front_module.pinch
+    outside, pinches = [], []
+
+    def counting(word, *column):
+        outside.append(len(word))
+        return real_trace(word, *column)
+
+    def recording(word, index, k):
+        before = len(outside)
+        out = real_pinch(word, index, k)
+        count = ([0] + strand_profile(word))[index]
+        pinches.append((count, block_length(word, index), sum(outside[before:])))
+        del outside[before:]
+        return out
+
+    monkeypatch.setattr(front_module, "_trace", counting)
+    monkeypatch.setattr(front_module, "pinch", recording)
+    try:
+        check_certificate(front, cert)
+    finally:
+        monkeypatch.setattr(front_module, "_trace", real_trace)
+        monkeypatch.setattr(front_module, "pinch", real_pinch)
+    return outside, pinches
 
 
 class TestOneTracePerWord:
-    """A replay traces the start front once and each pinch's input; a move
-    checks only the window it rewrites, a pinch's result needs no check,
-    and every death in these certificates is of component 1, which needs
-    no trace."""
+    """A replay traces each word at most once, and mostly only in part:
+    the start front whole, and for each pinch at most the closed block
+    around its column; a move checks only the window it rewrites, a
+    pinch's result needs no check, and every death in these certificates
+    is of component 1, which needs no trace.  A neck pinch of a composed
+    certificate, at a column of two strands, traces nothing."""
 
-    def bound(self, cert):
-        return sum(isinstance(step, Pinch) for step in cert.steps) + 1
+    def check(self, monkeypatch, front, cert, necks=0):
+        outside, pinches = replay_traces(monkeypatch, front, cert)
+        assert outside == [len(front)]
+        assert len(pinches) == sum(isinstance(step, Pinch) for step in cert.steps)
+        for count, _, traced in pinches[:necks]:
+            assert count == 2 and traced == 0
+        for _, block, traced in pinches[necks:]:
+            assert traced <= block
+        return pinches
 
     def test_bundled_disk_certificates(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         for name in ("d1.cert", "d2.cert"):
             cert = parse_certificate(data_path(name).read_text())
-            assert count_traces(monkeypatch, f946, cert) == self.bound(cert)
+            self.check(monkeypatch, f946, cert)
 
     def test_composed_l2_certificate(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         d1, d2 = (parse_certificate(data_path(n).read_text()) for n in ("d1.cert", "d2.cert"))
         cert = compose_certificates(f946, d2, d1)
         total = connected_sum(f946, f946)
-        assert count_traces(monkeypatch, total, cert) == self.bound(cert)
+        self.check(monkeypatch, total, cert, necks=1)
+
+    def check_composed(self, monkeypatch, n):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
+        total, cert = connect([f946] * n, [d1, d2] * (n // 2))
+        # connect puts the n - 1 neck pinches first, outermost first
+        assert all(step.pos == 1 for step in cert.steps[:n - 1])
+        pinches = self.check(monkeypatch, total, cert, necks=n - 1)
+        # each summand's own pinch sees only its summand's block
+        assert [block for _, block, _ in pinches[n - 1:]] == [len(f946)] * n
 
     def test_composed_l8_certificate(self, monkeypatch):
-        f946 = parse_front(data_path("9_46.front").read_text())
-        d1, d2 = (parse_certificate(data_path(n).read_text()) for n in ("d1.cert", "d2.cert"))
-        total, cert = connect([f946] * 8, [d1, d2] * 4)
-        assert count_traces(monkeypatch, total, cert) == self.bound(cert)
+        self.check_composed(monkeypatch, 8)
+
+    def test_composed_l32_certificate(self, monkeypatch):
+        self.check_composed(monkeypatch, 32)
 
 
 class TestMovesCheckTheirWindow:
@@ -392,13 +458,13 @@ class TestConnectedSum:
 
     def test_traces_each_input_once(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
-        assert traces_made(monkeypatch, connected_sum, f946, f946) == 2
+        assert traces_made(monkeypatch, connected_sum, f946, f946) == 2 * len(f946)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_connect_traces_each_input_once(self, monkeypatch, n):
         f946 = parse_front(data_path("9_46.front").read_text())
         d1 = parse_certificate(data_path("d1.cert").read_text())
-        assert traces_made(monkeypatch, connect, [f946] * n, [d1] * n) == n
+        assert traces_made(monkeypatch, connect, [f946] * n, [d1] * n) == n * len(f946)
 
     def test_multi_component_rejected(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))

@@ -1,6 +1,6 @@
 """Property tests: text formats round-trip, the Laurent rings distribute,
-fronts orient and move as the full-trace oracles in ``helpers`` say, and
-the Kauffman memo key is label-free and determines its diagram.
+fronts orient, move and pinch as the full-trace oracles in ``helpers``
+say, and the Kauffman memo key is label-free and determines its diagram.
 
 The examples are derandomized and capped so the module runs in a few
 seconds and gives the same result on every run.
@@ -25,6 +25,7 @@ from diskfill.front import (  # noqa: E402
     orient,
     parse_certificate,
     parse_front,
+    pinch,
     render_certificate,
     render_front,
     strand_profile,
@@ -48,6 +49,7 @@ from helpers import (  # noqa: E402
     pretzel_pd,
     rewrite_then_validate,
     traced_death,
+    traced_pinch,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -156,6 +158,36 @@ def deaths_on_fronts(draw):
     return front, draw(st.integers(0, components(front) + 1))
 
 
+@st.composite
+def pinches_on_fronts(draw):
+    """A word of one to three valid fronts side by side, so a column of
+    no strands often splits it into blocks, with an event inserted or
+    deleted two times in seven so that it is often invalid; and a pinch
+    column and position.  The column often has more than two strands, and
+    is often one of two strands, 0, the word's length or outside the word."""
+    blocks = draw(st.lists(fronts(max_events=20), min_size=1, max_size=3))
+    events = [event for block in blocks for event in block.events]
+    corrupt = draw(st.sampled_from(("keep", "delete", "keep", "insert", "keep", "keep", "keep")))
+    if corrupt == "delete" and events:
+        del events[draw(st.integers(0, len(events) - 1))]
+    elif corrupt == "insert":
+        event = draw(st.tuples(st.sampled_from(("L", "R", "X")), st.integers(0, 6)))
+        events.insert(draw(st.integers(0, len(events))), event)
+    counts = [0]
+    for kind, _ in events:
+        counts.append(counts[-1] + (2 if kind == "L" else -2 if kind == "R" else 0))
+    inside = [i for i, c in enumerate(counts) if c > 2] or [0]
+    two = [i for i, c in enumerate(counts) if c == 2]
+    index = draw(
+        st.sampled_from(inside)
+        | st.sampled_from(two + [0, len(events)])
+        | st.integers(-2, len(events) + 2)
+    )
+    top = counts[index] if 0 <= index <= len(events) else 2
+    k = draw(st.integers(1, max(top - 1, 1)) | st.integers(-1, top + 1))
+    return FrontWord(tuple(events)), index, k
+
+
 class TestFronts:
     @PROPERTY
     @given(fronts(max_events=40))
@@ -177,6 +209,12 @@ class TestFronts:
     def test_death_matches_traced_death(self, front_and_component):
         front, c = front_and_component
         assert move_outcome(death, front, c) == move_outcome(traced_death, front, c)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pinches_on_fronts())
+    def test_pinch_matches_traced_pinch(self, case):
+        front, index, k = case
+        assert move_outcome(pinch, front, index, k) == move_outcome(traced_pinch, front, index, k)
 
 
 @st.composite
