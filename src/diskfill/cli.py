@@ -32,7 +32,7 @@ from .front import (
 )
 from .fox import alexander_matrix, alexander_polynomial
 from .groups import (
-    DEFAULT_HOM_BUDGET,
+    MAX_SYMBOLS,
     check_finite_hom,
     exponent_matrix,
     h1,
@@ -238,6 +238,8 @@ def cmd_homs(args):
     out = _Out(args.machine)
     pf = parse_presentation(_read(args.presentation))
     pres = pf.presentation
+    if not 1 <= args.symbols <= MAX_SYMBOLS:
+        raise InputError(f"symbol count {args.symbols} outside 1..{MAX_SYMBOLS}")
     if args.witness:
         images = _parse_witness(_read(args.witness), pres.gens, args.symbols)
         ok = check_finite_hom(pres, images)
@@ -252,7 +254,7 @@ def cmd_homs(args):
         )
     count = 0
     witness = None
-    for images in iter_homs(pres, args.symbols, budget=args.budget_homs):
+    for images in iter_homs(pres, args.symbols):
         count += 1
         if witness is None and not is_image_abelian(images):
             witness = images
@@ -348,7 +350,6 @@ def _build_parser():
     p = add("homs", cmd_homs, help="count homomorphisms into a symmetric group")
     p.add_argument("presentation")
     p.add_argument("symbols", type=int)
-    p.add_argument("--budget-homs", type=int, default=DEFAULT_HOM_BUDGET, metavar="N")
     p.add_argument("--witness", help="file with one 'gen (cycles)' line per generator")
 
     p = add("snf", cmd_snf, help="Smith normal form of the exponent matrix")

@@ -399,48 +399,20 @@ def _match(events, index, pattern):
         )
 
 
+# strands each kind of event consumes from the column before it and
+# produces in the column after it, from its position down
+_CONSUMES = {"L": 0, "R": 2, "X": 2}
+_PRODUCES = {"L": 2, "R": 0, "X": 2}
+
+
 def _slide(events, index):
     """Commute the events at index and index+1 when their supports are disjoint."""
     (a_kind, a), (b_kind, b) = _window(events, index, 2)
-    # strand-count change caused by B, used to re-aim A when B moves above it
-    db = 2 if b_kind == "L" else -2 if b_kind == "R" else 0
-    overlap = InputError(
-        f"slide at {index}: events overlap ({a_kind} {a} / {b_kind} {b})"
-    )
-    if a_kind == "L":
-        # A inserted a pair at positions a, a+1
-        if b >= a + 2:
-            new = [(b_kind, b - 2), (a_kind, a)]  # B acts below the new pair
-        elif (b_kind == "L" and b <= a) or (b_kind != "L" and b + 1 <= a - 1):
-            new = [(b_kind, b), (a_kind, a + db)]  # B acts above the insertion
-        else:
-            raise overlap
-    elif a_kind == "R":
-        # A removed the pair at positions a, a+1
-        if b >= a:
-            new = [(b_kind, b + 2), (a_kind, a)]  # B acts below the removed pair
-        elif b_kind == "L" and b <= a - 1:
-            new = [(b_kind, b), (a_kind, a + db)]
-        elif b_kind != "L" and b + 1 <= a - 1:
-            new = [(b_kind, b), (a_kind, a + db)]
-        else:
-            raise overlap
-    else:  # A = X, positions unchanged by A
-        if b_kind == "L":
-            if b >= a + 2:
-                new = [(b_kind, b), (a_kind, a)]
-            elif b <= a:
-                new = [(b_kind, b), (a_kind, a + 2)]
-            else:
-                raise overlap
-        else:
-            if b >= a + 2:
-                new = [(b_kind, b), (a_kind, a)]
-            elif b + 1 <= a - 1:
-                new = [(b_kind, b), (a_kind, a + db)]
-            else:
-                raise overlap
-    return new
+    if b >= a + _PRODUCES[a_kind]:  # B acts below A
+        return [(b_kind, b - _PRODUCES[a_kind] + _CONSUMES[a_kind]), (a_kind, a)]
+    if b + _CONSUMES[b_kind] <= a:  # B acts above A
+        return [(b_kind, b), (a_kind, a + _PRODUCES[b_kind] - _CONSUMES[b_kind])]
+    raise InputError(f"slide at {index}: events overlap ({a_kind} {a} / {b_kind} {b})")
 
 
 def apply_move(front, move):

@@ -6,12 +6,13 @@ empty tuple is the identity.  A relator is a word set equal to the
 identity; a relation u = v is stored as u v^-1.
 
 The module computes the abelianization H1 through an exact integer Smith
-normal form, checks and constructs weight maps onto Z (the exponent of t
-assigned to each generator), and counts homomorphisms into small
-symmetric groups by exhaustive enumeration, evaluating a relator one
-permutation power per run of a repeated letter.  Everything is pure and
-immutable; ``count_homs`` is deterministic regardless of how the
-assignment space is scanned.
+normal form, found by least-entry pivoting with a divisibility check,
+checks and constructs weight maps onto Z (the exponent of t assigned to
+each generator), and counts homomorphisms into small symmetric groups by
+exhaustive enumeration, evaluating a relator one permutation power per
+run of a repeated letter.  Everything is pure and immutable;
+``count_homs`` is deterministic regardless of how the assignment space
+is scanned.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
 
 DEFAULT_HOM_BUDGET = 1_000_000  # assignments iter_homs may enumerate
 MAX_EXPONENT = 1000  # x^k is stored as |k| letters, so larger powers are refused
+MAX_SYMBOLS = 10_000  # a permutation is a tuple of this many symbols at most
 
 
 # -- words -------------------------------------------------------------------
@@ -226,6 +228,12 @@ def smith_normal_form(matrix):
     Returns (d, u, v) with u * matrix * v == d, u and v unimodular, and
     the diagonal of d nonnegative with d[0] | d[1] | ... .  All
     arithmetic is exact.
+
+    Each pass moves the least nonzero |entry| left to (t, t) and reduces
+    its row and column by it; a remainder is smaller, so the next pass
+    picks it.  When the pivot fails to divide an entry left, that entry's
+    row is added to row t to make a remainder.  So t advances only past a
+    pivot that divides everything after it, which is the chain.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -233,87 +241,48 @@ def smith_normal_form(matrix):
     u = _identity(rows)
     v = _identity(cols)
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     def add_row(src, dst, q):
         # row dst += q * row src
         d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
         u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
 
     def add_col(src, dst, q):
-        for row in d:
+        for row in d + v:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
 
     t = 0
-    while True:
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] and (pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while t < min(rows, cols):
+        least = min(
+            ((abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]),
+            default=None,
+        )
+        if least is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # smallest pivots first keeps the entries small at this scale
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    add_row(t, i, -(d[i][t] // d[t][t]))
-                    if d[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    add_col(t, j, -(d[t][j] // d[t][t]))
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        if d[t][t] < 0:
-            negate_row(t)
+        _, i, j = least
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        for row in d + v:
+            row[t], row[j] = row[j], row[t]
+        p = d[t][t]
+        for i in range(t + 1, rows):
+            if q := d[i][t] // p:
+                add_row(t, i, -q)
+        for j in range(t + 1, cols):
+            if q := d[t][j] // p:
+                add_col(t, j, -q)
+        if any(d[i][t] for i in range(t + 1, rows)) or any(d[t][t + 1:]):
+            continue
+        # a unit divides everything left; a row found is below t, never 0
+        bad = abs(p) > 1 and next(
+            (i for i in range(t + 1, rows) if any(x % p for x in d[i][t + 1:])), None
+        )
+        if bad:
+            add_row(bad, t, 1)
+            continue
+        if p < 0:
+            d[t] = [-a for a in d[t]]
+            u[t] = [-a for a in u[t]]
         t += 1
-        if t >= rows or t >= cols:
-            break
-
-    # enforce the divisibility chain d[k] | d[k+1]
-    k = 0
-    while True:
-        changed = False
-        for k in range(min(rows, cols) - 1):
-            a, b = d[k][k], d[k + 1][k + 1]
-            if a and b and b % a:
-                add_col(k + 1, k, 1)
-                # re-diagonalize the 2x2 block exactly
-                while d[k + 1][k]:
-                    if abs(d[k][k]) >= abs(d[k + 1][k]):
-                        add_row(k + 1, k, -(d[k][k] // d[k + 1][k]))
-                    swap_rows(k, k + 1)
-                add_col(k, k + 1, -(d[k][k + 1] // d[k][k]))
-                if d[k][k] < 0:
-                    negate_row(k)
-                if d[k + 1][k + 1] < 0:
-                    negate_row(k + 1)
-                changed = True
-        if not changed:
-            break
-
     return d, u, v
 
 

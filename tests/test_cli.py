@@ -1,10 +1,14 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diskfill import cli, data_path
 from diskfill.cli import main
 from diskfill.front import parse_certificate, parse_front
+from diskfill.groups import MAX_SYMBOLS
 from diskfill.kauffman import parse_pd
 from diskfill.laurent import BiLaurent, IntLaurent
 
@@ -223,6 +227,17 @@ class TestHomsCommand:
         code, _, err = run(capsys, "homs", "bs12.pres", "7")
         assert code == 3
 
+    @pytest.mark.parametrize("symbols", ["0", "-3", str(10**15)])
+    def test_symbol_count_out_of_range(self, capsys, tmp_path, symbols):
+        # checked before either path, so a witness of identities cannot
+        # pass at -3 and no permutation on 10**15 symbols is ever built
+        witness = tmp_path / "identity.witness"
+        witness.write_text("x ()\ny ()\n")
+        for extra in (["--witness", str(witness)], []):
+            code, out, err = run(capsys, "homs", "bs12.pres", symbols, *extra)
+            assert code == 2
+            assert f"symbol count {symbols} outside 1..{MAX_SYMBOLS}" in err and not out
+
 
 class TestSnfCommand:
     def test_snf_output(self, capsys):
@@ -231,6 +246,42 @@ class TestSnfCommand:
         values = machine_dict(out)
         assert values["matrix_row_1"] == "[1, 1, 0]"
         assert values["d_row_1"] == "[1, 0, 0]"
+
+    def test_coefficient_blowup_finishes(self, tmp_path):
+        # an elimination that pivots on each remainder it meets doubles the
+        # entries' bit length every pass at the fourth pivot here; the
+        # subprocess timeout makes such a blow-up a failure, not a hang
+        pres = tmp_path / "blowup.pres"
+        pres.write_text(
+            "gens: x1 x2 x3 x4 x5\n"
+            "rel: x1^9 x2^3 x3^-2 x4^9\n"
+            "rel: x1^3 x2^4 x3^9 x4^2 x5^4\n"
+            "rel: x1^-5 x2^2 x3^9 x4^3 x5^-1\n"
+            "rel: x2^12 x3^4\n"
+            "rel: x2^2 x3 x4^-2 x5^4\n"
+            "rel: x2^-5 x4^6 x5^9\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def diskfill(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "diskfill.cli", *argv, "--machine"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        snf = diskfill("snf", str(pres))
+        assert snf.returncode == 0
+        d = [v for k, v in sorted(machine_dict(snf.stdout).items()) if k.startswith("d_row_")]
+        assert d == [
+            "[1, 0, 0, 0, 0]", "[0, 1, 0, 0, 0]", "[0, 0, 1, 0, 0]",
+            "[0, 0, 0, 1, 0]", "[0, 0, 0, 0, 2]", "[0, 0, 0, 0, 0]",
+        ]
+        for argv in (["alexander", str(pres)], ["compare", str(pres), "w22.pres"]):
+            result = diskfill(*argv)
+            assert result.returncode == 2
+            assert "free rank is 0" in result.stderr and not result.stdout
 
 
 class TestBundledData:

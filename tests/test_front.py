@@ -151,6 +151,49 @@ class TestMoves:
         with pytest.raises(InputError, match="overlap"):
             apply_move(TREFOIL, Move("slide", 4, 0))  # X2 then R1 share strands
 
+    @pytest.mark.parametrize("a_kind", "LRX")
+    @pytest.mark.parametrize("b_kind", "LRX")
+    def test_slide_matches_labelled_strands(self, a_kind, b_kind):
+        # Every pair at a in 1..8, b in 1..10 on a column of named strands.
+        # A slide must swap the events onto the same strands with the same
+        # final column, and is rejected exactly when no such order exists
+        # or the two events' strands meet.
+        start = tuple(range(24))
+
+        def act(column, kind, p, name):
+            # (strands the event touches, column after it), or None when
+            # the position is outside the column
+            i = p - 1
+            if p > len(column) + (1 if kind == "L" else -1):
+                return None, None
+            if kind == "L":
+                new = (name, name + "'")
+                return set(new), column[:i] + new + column[i:]
+            pair = column[i:i + 2]
+            rest = () if kind == "R" else pair[::-1]
+            return set(pair), column[:i] + rest + column[i + 2:]
+
+        for a in range(1, 9):
+            for b in range(1, 11):
+                touched_a, mid = act(start, a_kind, a, "A")
+                touched_b, end = act(mid, b_kind, b, "B")
+                orders = set()
+                for b2 in range(1, len(start) + 2):
+                    seen_b, mid2 = act(start, b_kind, b2, "B")
+                    if mid2 is None:
+                        continue
+                    for a2 in range(1, len(mid2) + 2):
+                        seen_a, end2 = act(mid2, a_kind, a2, "A")
+                        if (seen_a, seen_b, end2) == (touched_a, touched_b, end):
+                            orders.add((b2, a2))
+                events = ((a_kind, a), (b_kind, b))
+                if orders and not touched_a & touched_b:
+                    (_, b2), (_, a2) = front_module._slide(events, 0)
+                    assert (b2, a2) in orders, events
+                else:
+                    with pytest.raises(InputError, match=r"slide at 0: events overlap"):
+                        front_module._slide(events, 0)
+
     def test_r3_roundtrip(self):
         front = FrontWord(
             (("L", 1), ("L", 1), ("X", 1), ("X", 2), ("X", 1),

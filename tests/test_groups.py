@@ -150,12 +150,25 @@ class TestSmithNormalForm:
         assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
 
     def test_randomized(self):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
         rng = random.Random(22)
         for _ in range(120):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 4)
             m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             self.check(m)
+        # up to 6x6 over small entries with many common factors, where an
+        # elimination that pivots on each remainder it meets can blow up
+        entries = [0, 1, -1, 2, -2, 3, 4, 6, -5, 9, 12]
+        for _ in range(300):
+            rows = rng.randint(1, 6)
+            cols = rng.randint(1, 6)
+            m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+            diag = self.check(m)
+            expected = [abs(int(f)) for f in sympy_factors(Matrix(m), domain=ZZ) if f]
+            assert [x for x in diag if x] == expected
 
 
 def _int_det(m):
