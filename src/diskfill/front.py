@@ -33,6 +33,11 @@ column unless that column has only two strands, and a death's input
 unless the death is of component 1, which is born at event 0 and so is
 the standard unknot exactly when the word starts with L 1, R 1.
 
+A word keeps its strand-count profile once it is known.  A move, pinch
+or death builds its result's profile from its input's, changed only
+around the events it inserts or deletes, so a replay walks the count of
+its start word once and afterwards only the events each move inserts.
+
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
 
@@ -55,6 +60,7 @@ against tb.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
@@ -101,12 +107,25 @@ class FrontWord:
         object.__setattr__(self, "events", tuple((k, int(p)) for k, p in self.events))
 
     @classmethod
-    def _of(cls, events):
+    def _of(cls, events, counts=None):
         """A word from an events tuple that is already normalized, as every
-        rewrite of a FrontWord's events is; skips ``__post_init__``."""
+        rewrite of a FrontWord's events is; skips ``__post_init__``.
+        ``counts``, when given, is the word's known ``_profile``."""
         word = object.__new__(cls)
         object.__setattr__(word, "events", events)
+        if counts is not None:
+            word.__dict__["_profile"] = counts
         return word
+
+    @functools.cached_property
+    def _profile(self):
+        """The strand count before each event and after the last.
+
+        Reading it checks the word, so a word from the constructor is
+        validated on first use; a rewrite carries its input's profile
+        forward instead of walking the whole word again.
+        """
+        return _word_counts(self.events)
 
     def __len__(self):
         return len(self.events)
@@ -141,7 +160,7 @@ def render_front(front, header=None):
 def validate(front):
     """Check all front invariants in one strand-count walk; errors carry
     the first offending index."""
-    _word_counts(front.events)
+    front._profile  # reading the profile checks the word
     return True
 
 
@@ -186,7 +205,8 @@ def _misplaced(i, kind, p, count):
         return InputError(f"event {i}: left cusp at {p} outside 1..{count + 1}")
     if kind in ("R", "X"):
         what = "right cusp" if kind == "R" else "crossing"
-        return InputError(f"event {i}: {what} needs strands {p},{p + 1} but only {count} exist")
+        why = "positions start at 1" if p < 1 else f"only {count} exist"
+        return InputError(f"event {i}: {what} needs strands {p},{p + 1} but {why}")
     return InputError(f"event {i}: unknown kind {kind!r}")
 
 
@@ -199,12 +219,12 @@ def _word_counts(events):
 
 
 def _trace(front, column=-1):
-    """The one strand walk over a front.  It checks the word with
-    ``_word_counts`` first, then records the strands each event acts on
+    """The one strand walk over a front.  It checks the word by reading
+    its profile first, then records the strands each event acts on
     and pairs strands at right cusps; ``_cusp_cycles`` then finds and
     orients the components.  Also returns the strands, top to bottom,
     just before event ``column``, where ``pinch`` puts its saddle."""
-    _word_counts(front.events)
+    front._profile  # reading the profile checks the word
     event_strands = []
     mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
@@ -451,27 +471,29 @@ def apply_move(front, move):
         lhs = _instantiate(lhs, move.pos)
         _match(events, index, lhs)
         width, new = len(lhs), _instantiate(rhs, move.pos)
-    return FrontWord._of(_rewrite(events, index, width, tuple(new)))
+    return _rewrite(front, index, width, tuple(new))
 
 
-def _rewrite(events, index, width, new):
-    """``events`` with the ``width`` events from ``index`` replaced by ``new``.
+def _rewrite(front, index, width, new):
+    """``front`` with the ``width`` events from ``index`` replaced by ``new``.
 
-    ``events`` is a valid word, so the result is valid when each new event
+    ``front`` is a valid word, so the result is valid when each new event
     fits the running strand count and the window keeps its net change of
     the strand count; the events after it then see the counts they saw
-    before.
+    before, and the result's profile is the input's with the window's
+    counts replaced.
     """
-    kinds = [kind for kind, _ in events[:index]]
-    start = 2 * (kinds.count("L") - kinds.count("R"))
-    count = _counts(new, start, index)[-1]
-    replaced = [kind for kind, _ in events[index:index + width]]
-    net = 2 * (replaced.count("L") - replaced.count("R"))
-    if count - start != net:
+    events, counts = front.events, front._profile
+    inner = _counts(new, counts[index], index)
+    if inner[-1] != counts[index + width]:
         raise RuntimeError(
-            f"rewrite at {index} changes the strand count by {count - start}, not {net}"
+            f"rewrite at {index} changes the strand count by {inner[-1] - counts[index]}, "
+            f"not {counts[index + width] - counts[index]}"
         )
-    return events[:index] + new + events[index + width:]
+    return FrontWord._of(
+        events[:index] + new + events[index + width:],
+        counts[:index] + inner[:-1] + counts[index + width:],
+    )
 
 
 # -- filling moves -------------------------------------------------------------
@@ -483,15 +505,15 @@ def pinch(front, index, k):
     and strands of one component must be anti-parallel (strands of
     different components can always be oriented to be).
 
-    One count walk validates the word.  Where the count is 0 the word
-    splits, and no component crosses such a column, so only the closed
+    The word's profile validates it: a replay carries it forward, and a
+    word from the constructor is walked once.  Where the count is 0 the
+    word splits, and no component crosses such a column, so only the closed
     block around ``index`` is traced.  A column of two strands needs no
     trace: a closed curve meets a vertical line an even number of times,
     once in each direction, so the two strands are one component and run
     anti-parallel.
     """
-    events = front.events
-    counts = _word_counts(events)
+    events, counts = front.events, front._profile
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
     count = counts[index]
@@ -502,7 +524,8 @@ def pinch(front, index, k):
     if count > 2:
         start = index - counts[index::-1].index(0)
         end = counts.index(0, index)
-        oriented, active = _trace(FrontWord._of(events[start:end]), index - start)
+        block = FrontWord._of(events[start:end], counts[start:end + 1])
+        oriented, active = _trace(block, index - start)
         u, v = active[k - 1], active[k]
         comp, dirs = oriented.component_of, oriented.directions
         if comp[u] == comp[v] and dirs[u] == dirs[v]:
@@ -512,7 +535,10 @@ def pinch(front, index, k):
             )
     # R k then L k on at least k+1 strands leave the strand count as it
     # was, so the result is valid without a trace
-    return FrontWord._of(events[:index] + (("R", k), ("L", k)) + events[index:])
+    return FrontWord._of(
+        events[:index] + (("R", k), ("L", k)) + events[index:],
+        counts[:index + 1] + [count - 2] + counts[index:],
+    )
 
 
 def death(front, component_index):
@@ -522,9 +548,9 @@ def death(front, component_index):
     ``front`` must be valid.  Component 1, born at event 0, is the standard
     unknot exactly when the word starts with L 1, R 1: that needs no trace.
     """
-    events = front.events
+    events, counts = front.events, front._profile
     if component_index == 1 and events[:2] == (("L", 1), ("R", 1)):
-        return FrontWord._of(events[2:])
+        return FrontWord._of(events[2:], counts[2:])
     oriented = orient(front)
     ncomp = oriented.n_components
     if not 1 <= component_index <= ncomp:
@@ -544,7 +570,7 @@ def death(front, component_index):
     i = indices[0]
     # orient traced the input, and deleting the standard pair restores the
     # active strand list that the pair changed, so the result is valid
-    return FrontWord._of(events[:i] + events[i + 2:])
+    return FrontWord._of(events[:i] + events[i + 2:], counts[:i] + counts[i + 2:])
 
 
 # -- certificates ----------------------------------------------------------------

@@ -23,10 +23,12 @@ must have min_deg_a(F) = 2.
 Evaluation recurses on the first crossing, in traversal order, whose
 first visit passes under: switching it moves the diagram strictly closer
 to a descending one, and a descending diagram is an unlink whose value
-is a^writhe * delta^(components-1).  Kink and parallel-bigon reductions
-run before branching and results are memoized on a relabel-invariant
-canonical code, so evaluation is deterministic however the tree is
-walked.
+is a^writhe * delta^(components-1).  Every diagram the recursion meets
+is first reduced by removing kinks and parallel bigons; only the
+reduced diagram is keyed, so each memo key is the relabel-invariant
+canonical code of a diagram with no kink or cancellable bigon, and a
+reducible diagram costs one key, not two.  Evaluation is deterministic
+however the tree is walked.
 
 Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
 is a strand end entering a crossing along the edge at that slot, and
@@ -477,32 +479,27 @@ def regular_isotopy_polynomial(diagram, budget=DEFAULT_CROSSING_BUDGET, _memo=No
 
 
 def _lam(diagram, memo):
+    diagram, unit = simplify(diagram)
     if not diagram.crossings:
-        return delta_power(diagram.loops - 1)
+        return unit * delta_power(diagram.loops - 1)
     key = canonical_key(diagram)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    reduced, unit = simplify(diagram)
-    if reduced.crossings != diagram.crossings:
-        value = unit * _lam(reduced, memo)
+    value = memo.get(key)
+    if value is None:
+        target = _first_ascending(diagram)
+        if target is None:
+            # descending diagrams are unlinks; their value is the writhe
+            # normalization times the split-unlink value
+            tr = trace_diagram(diagram)
+            value = BiLaurent.a(-tr.writhe) * delta_power(tr.components - 1)
+        else:
+            z = BiLaurent.z(1)
+            value = (
+                z * (_lam(smooth_crossing(diagram, target, 0), memo)
+                     + _lam(smooth_crossing(diagram, target, 1), memo))
+                - _lam(switch_crossing(diagram, target), memo)
+            )
         memo[key] = value
-        return value
-    target = _first_ascending(diagram)
-    if target is None:
-        # descending diagrams are unlinks; their value is the writhe
-        # normalization times the split-unlink value
-        tr = trace_diagram(diagram)
-        value = BiLaurent.a(-tr.writhe) * delta_power(tr.components - 1)
-    else:
-        z = BiLaurent.z(1)
-        value = (
-            z * (_lam(smooth_crossing(diagram, target, 0), memo)
-                 + _lam(smooth_crossing(diagram, target, 1), memo))
-            - _lam(switch_crossing(diagram, target), memo)
-        )
-    memo[key] = value
-    return value
+    return unit * value
 
 
 def kauffman_F(diagram, budget=DEFAULT_CROSSING_BUDGET):

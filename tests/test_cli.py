@@ -138,6 +138,21 @@ class TestFrontCommands:
         assert code == 2
         assert "unrecognized step 'MOVE'" in err
 
+    def test_front_position_below_one(self, capsys, tmp_path):
+        bad = tmp_path / "zero.front"
+        bad.write_text("L 1\nX 0\nR 1\n")
+        code, _, err = run(capsys, "tb", str(bad))
+        assert code == 2
+        assert "event 1: crossing needs strands 0,1 but positions start at 1" in err
+
+    def test_certificate_position_below_one(self, capsys, tmp_path):
+        bad = tmp_path / "zero.cert"
+        bad.write_text("MOVE r1a+ 0 0\n")
+        code, _, err = run(capsys, "check-filling", "unknot.front", str(bad))
+        assert code == 4
+        assert "step 0" in err
+        assert "event 1: crossing needs strands 0,1 but positions start at 1" in err
+
     def test_connect_roundtrip(self, capsys, tmp_path):
         front_out = tmp_path / "sum.front"
         cert_out = tmp_path / "sum.cert"

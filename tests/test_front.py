@@ -13,6 +13,7 @@ from diskfill.front import (
     OrientedFront,
     Pinch,
     _cusp_cycles,
+    _word_counts,
     apply_move,
     check_certificate,
     classical_invariants,
@@ -65,6 +66,7 @@ class TestValidation:
             ((("L", 1), ("X", 1), ("X", 0), ("R", 1)), "event 2: crossing needs strands 0,1"),
             ((("L", 1), ("L", 1), ("R", 1)), "event 3: final strand count 2, expected 0"),
             ((("L", 1), ("Y", 1), ("R", 1)), "event 1: unknown kind 'Y'"),
+            ((("L", 1), ("R", 0)), "event 1: right cusp needs strands 0,1 but positions start at 1"),
         ],
     )
     def test_each_rule_names_its_event(self, events, message):
@@ -446,6 +448,34 @@ class TestOneTracePerWord:
 
     def test_composed_l32_certificate(self, monkeypatch):
         self.check_composed(monkeypatch, 32)
+
+
+class TestCarriedProfile:
+    """Each replay step hands its result the strand-count profile it
+    carried forward; that profile must equal a fresh walk of the result."""
+
+    def check(self, monkeypatch, front, cert):
+        results = []
+        for name in ("apply_move", "pinch", "death"):
+            real = getattr(front_module, name)
+            monkeypatch.setattr(
+                front_module, name, lambda *args, real=real: results.append(real(*args)) or results[-1]
+            )
+        check_certificate(front, cert)
+        assert len(results) == len(cert.steps)
+        for word in results:
+            assert vars(word)["_profile"] == _word_counts(word.events)
+
+    @pytest.mark.parametrize("name", ["d1.cert", "d2.cert"])
+    def test_bundled_disk_certificates(self, monkeypatch, name):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        self.check(monkeypatch, f946, parse_certificate(data_path(name).read_text()))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_composed_certificates(self, monkeypatch, n):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
+        self.check(monkeypatch, *connect([f946] * n, [d1, d2] * (n // 2)))
 
 
 class TestMovesCheckTheirWindow:

@@ -12,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from diskfill.errors import InputError  # noqa: E402
 from diskfill.front import (  # noqa: E402
     MOVE_KINDS,
     Death,
@@ -19,6 +20,7 @@ from diskfill.front import (  # noqa: E402
     FrontWord,
     Move,
     Pinch,
+    _word_counts,
     apply_move,
     components,
     death,
@@ -215,6 +217,16 @@ class TestFronts:
     def test_pinch_matches_traced_pinch(self, case):
         front, index, k = case
         assert move_outcome(pinch, front, index, k) == move_outcome(traced_pinch, front, index, k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(pinches_on_fronts())
+    def test_pinch_carries_the_profile(self, case):
+        front, index, k = case
+        try:
+            out = pinch(front, index, k)
+        except InputError:
+            return
+        assert vars(out)["_profile"] == _word_counts(out.events)
 
 
 @st.composite

@@ -18,3 +18,48 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def _called_name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded_cache(decorator):
+    """True for ``cache`` and ``lru_cache(maxsize=None)``, however imported."""
+    if not isinstance(decorator, ast.Call):
+        return _called_name(decorator) == "cache"
+    maxsize = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return _called_name(decorator.func) == "lru_cache" and any(
+        isinstance(v, ast.Constant) and v.value is None for v in maxsize
+    )
+
+
+def unbounded_caches(source):
+    """(name, takes arguments) for each function under an unbounded cache."""
+    return [
+        (node.name, bool(node.args.posonlyargs or node.args.args or node.args.vararg
+                         or node.args.kwonlyargs or node.args.kwarg))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_unbounded_cache(d) for d in node.decorator_list)
+    ]
+
+
+def test_unbounded_caches_take_no_arguments():
+    # every benchmark operation runs in one process under a peak-memory
+    # gate, so a cache must not grow with the inputs it has seen
+    found = [(path.name, name, takes) for path in SOURCES
+             for name, takes in unbounded_caches(path.read_text())]
+    assert ("cli.py", "_build_parser", False) in found
+    assert not [entry for entry in found if entry[2]], found
+
+
+def test_unbounded_cache_detection():
+    source = (
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(*xs): pass\n"
+        "@functools.lru_cache(None)\ndef c(): pass\n"
+        "@lru_cache(maxsize=256)\ndef d(k): pass\n"
+        "@lru_cache\ndef e(k): pass\n"
+    )
+    assert unbounded_caches(source) == [("a", True), ("b", True), ("c", False)]
