@@ -199,10 +199,17 @@ def cmd_connect(args):
     return 0
 
 
+def _crossing_budget(args):
+    if args.budget_crossings < 0:
+        raise InputError(f"--budget-crossings must be at least 0, got {args.budget_crossings}")
+    return args.budget_crossings
+
+
 def cmd_kauffman(args):
     out = _Out(args.machine)
+    budget = _crossing_budget(args)
     diagram = parse_pd(_read(args.pd))
-    value = kauffman_F(diagram, budget=args.budget_crossings)
+    value = kauffman_F(diagram, budget=budget)
     out.field("polynomial", value, "kauffman polynomial F")
     if value:
         out.field("min_deg_a", min_deg_a(value))
@@ -211,8 +218,9 @@ def cmd_kauffman(args):
 
 def cmd_tb_bound(args):
     out = _Out(args.machine)
+    budget = _crossing_budget(args)
     diagram = parse_pd(_read(args.pd))
-    out.field("bound", tb_upper_bound(diagram, budget=args.budget_crossings), "tb upper bound")
+    out.field("bound", tb_upper_bound(diagram, budget=budget), "tb upper bound")
     return 0
 
 

@@ -27,20 +27,25 @@ is a^writhe * delta^(components-1).  Every diagram the recursion meets
 is first reduced by removing kinks and parallel bigons; only the
 reduced diagram is keyed, so each memo key is the relabel-invariant
 canonical code of a diagram with no kink or cancellable bigon, and a
-reducible diagram costs one key, not two.  Evaluation is deterministic
-however the tree is walked.
+reducible diagram costs one key, not two.  ``simplify`` removes them all
+on one mutable table of edge ends and builds one diagram at the end, or
+none when nothing reduces.  Evaluation is deterministic however the tree
+is walked.
 
 Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
 is a strand end entering a crossing along the edge at that slot, and
 ``LinkDiagram.far`` sends it to the dart at the other end of the same
 edge; a strand entering at ``slot`` leaves through ``slot ^ 2``.
 
-The canonical code is each piece's PD code relabelled along a
-traversal, minimized over the two starts per crossing that enter it on
-the under strand.  Starts and the anchors of later components are fixed
-by the diagram, not by its labels or by how a crossing tuple is rotated,
-so the code is label-free, and equal codes mean equal diagrams (see
-``canonical_key``).
+The canonical code of a piece is a stream of small-int tokens, one per
+dart a traversal enters (under or over on a crossing's first visit, the
+crossing's first-visit index and turn on its second) and -1 between link
+components, minimized over the two starts per crossing that enter it on
+the under strand.  Each start's stream is compared with the least so far
+token by token and dropped at its first larger token.  Starts and the
+anchors of later components are fixed by the diagram, not by its labels
+or by how a crossing tuple is rotated, so the code is label-free, and
+equal codes mean equal diagrams (see ``canonical_key``).
 """
 
 from __future__ import annotations
@@ -97,7 +102,10 @@ class LinkDiagram:
     far: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        crossings = tuple(tuple(c) for c in self.crossings)
+        # tuples here and in the surgeries come from lists: CPython builds a
+        # generator's tuple by resizing, so each one freed grows the per-size
+        # tuple free list, by about 2 MB over a thousand evaluations
+        crossings = tuple([tuple(c) for c in self.crossings])
         object.__setattr__(self, "crossings", crossings)
         far, first = {}, {}  # first: edge label -> the dart that met it first
         for ci, c in enumerate(crossings):
@@ -129,7 +137,7 @@ _PD_LINE = re.compile(r"([XO])\(([^()]*)\)$")
 def parse_pd(text):
     """Parse ``X(a,b,c,d)`` crossing lines and ``O(e)`` loop lines."""
     crossings = []
-    loops = 0
+    loop_lines = {}  # loop label -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,8 +156,15 @@ def parse_pd(text):
         else:
             if len(labels) != 1:
                 raise InputError(f"line {lineno}: loop marker needs 1 label")
-            loops += 1
-    diagram = LinkDiagram(tuple(crossings), loops)
+            (label,) = labels
+            if label in loop_lines:
+                raise InputError(f"line {lineno}: loop label {label} repeats line {loop_lines[label]}")
+            loop_lines[label] = lineno
+    edges = {e for c in crossings for e in c}
+    for label, lineno in loop_lines.items():
+        if label in edges:
+            raise InputError(f"line {lineno}: loop label {label} is a crossing edge label")
+    diagram = LinkDiagram(tuple(crossings), len(loop_lines))
     _check_planar(diagram)
     return diagram
 
@@ -240,7 +255,7 @@ def trace_diagram(diagram):
 def mirror(diagram):
     """Swap over and under at every crossing."""
     return LinkDiagram(
-        tuple((b, c, d, a) for a, b, c, d in diagram.crossings), diagram.loops
+        tuple([(b, c, d, a) for a, b, c, d in diagram.crossings]), diagram.loops
     )
 
 
@@ -268,7 +283,7 @@ def _remove_and_join(crossings, loops, removed, joins):
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[ry] = rx
-    new_crossings = tuple(tuple(find(e) for e in c) for c in keep)
+    new_crossings = tuple([tuple([find(e) for e in c]) for c in keep])
     present = {find(e) for c in new_crossings for e in c}
     closed = {find(x) for x in touched} - present
     return LinkDiagram(new_crossings, loops + len(closed))
@@ -296,31 +311,102 @@ def smooth_crossing(diagram, i, which):
     return _remove_and_join(diagram.crossings, diagram.loops, {i}, joins)
 
 
-# Writhe contribution of a kink, by the slots its loop edge occupies;
-# derived from the sign convention (over entering at under_in + 3 is
-# positive).  A kink of writhe s carries a skein factor a^-s: that
-# orientation of the a-variable is the one under which the bound
-# tb <= min_deg_a(F) - 1 is sharp on maximal-tb fronts.
-_KINK_SIGN = {(0, 1): 1, (2, 3): 1, (1, 2): -1, (3, 0): -1}
+# Writhe contribution of a kink whose loop edge occupies slots s and
+# s + 1, by s; derived from the sign convention (over entering at
+# under_in + 3 is positive).  A kink of writhe w carries a skein factor
+# a^-w: that orientation of the a-variable is the one under which the
+# bound tb <= min_deg_a(F) - 1 is sharp on maximal-tb fronts.
+_KINK_SIGN = (1, -1, 1, -1)
 
 
-def _find_kink(crossings):
+def simplify(diagram):
+    """Remove kinks and cancellable bigons until none remain.
+
+    Returns (reduced diagram, unit) with unit = a^e collecting the kink
+    factors: lam(input) = unit * lam(reduced).  An input with nothing to
+    remove is returned itself; otherwise the removals run on one mutable
+    table, edge label -> the darts at its ends, and one ``LinkDiagram``
+    is built at the end.  The first kink (by crossing, then slot) goes
+    first, then, with no kink left, the first cancellable bigon.  A
+    removal joins the strand ends it leaves open under the first label of
+    each pair; a join that closes a strand on itself adds a loop.
+    """
+    if (_find_kink(diagram.crossings) is None
+            and _find_reducible_bigon(diagram.crossings, diagram.far.__getitem__) is None):
+        return diagram, BiLaurent.a(0)
+    crossings = [list(c) for c in diagram.crossings]  # None once removed
+    ends = {}
     for ci, c in enumerate(crossings):
-        for s in range(4):
-            if c[s] == c[(s + 1) % 4]:
-                return ci, s
+        for slot, e in enumerate(c):
+            ends.setdefault(e, []).append((ci, slot))
+    loops, exponent = diagram.loops, 0
+
+    def far(dart):
+        first, second = ends[crossings[dart[0]][dart[1]]]
+        return second if first == dart else first
+
+    def remove(removed, joins):
+        """Delete crossings and join label pairs; return the least
+        crossing that took a new label, where a kink may now sit."""
+        nonlocal loops
+        for ci in removed:
+            for slot, e in enumerate(crossings[ci]):
+                ends[e].remove((ci, slot))
+            crossings[ci] = None
+        # the joins are independent: a label in both joins of a bigon would
+        # be a kink or a third edge between its crossings, and a third edge
+        # leaves one free slot alone on a side of two others, an odd count
+        # of edge ends there, which no planar diagram has
+        touched = len(crossings)
+        for keep, gone in joins:
+            if keep == gone:
+                loops += 1  # the strand closed up with no crossing on it
+                continue
+            for cj, slot in ends[gone]:
+                crossings[cj][slot] = keep
+                touched = min(touched, cj)
+            ends[keep] += ends.pop(gone)
+        return touched
+
+    ci = 0
+    while True:
+        kink = _find_kink(crossings, ci)
+        if kink is not None:
+            ci, s = kink
+            c = crossings[ci]
+            exponent -= _KINK_SIGN[s]
+            ci = min(ci, remove((ci,), [(c[(s + 2) % 4], c[(s + 3) % 4])]))
+            continue
+        bigon = _find_reducible_bigon(crossings, far)
+        if bigon is None:
+            break
+        ci = remove(*bigon)
+    return LinkDiagram(tuple([c for c in crossings if c is not None]), loops), BiLaurent.a(exponent)
+
+
+def _find_kink(crossings, start=0):
+    """The first (crossing, slot), from crossing ``start`` on, whose slots
+    s and s + 1 hold one edge, or None; skips removed (None) crossings."""
+    for ci in range(start, len(crossings)):
+        c = crossings[ci]
+        if c is not None:
+            for s in range(4):
+                if c[s] == c[(s + 1) % 4]:
+                    return ci, s
     return None
 
 
-def _find_reducible_bigon(diagram):
+def _find_reducible_bigon(crossings, far):
     """The crossings of a cancellable bigon and the joins of its strands'
-    outer ends, or None."""
-    crossings, far = diagram.crossings, diagram.far
+    outer ends, or None; ``far(dart)`` is the dart at the other end of
+    the dart's edge, and removed crossings are None."""
     for ci, a in enumerate(crossings):
+        if a is None:
+            continue
         for s in range(4):
             # the edges at slots s and s + 1 must run to one other crossing,
             # adjacently there; a kink's edge runs back to ci itself
-            (cx, sx), (cy, sy) = far[ci, s], far[ci, (s + 1) % 4]
+            (cx, sx), (cy, sy) = far((ci, s)), far((ci, (s + 1) % 4))
             if cx != cy or cx == ci:
                 continue
             if (sx - sy) % 4 not in (1, 3):
@@ -330,40 +416,8 @@ def _find_reducible_bigon(diagram):
             if (s % 2 == 1) != (sx % 2 == 1):
                 continue
             b = crossings[cx]
-            return {ci, cx}, [(a[s ^ 2], b[sx ^ 2]), (a[(s + 3) % 4], b[sy ^ 2])]
+            return (ci, cx), [(a[s ^ 2], b[sx ^ 2]), (a[(s + 3) % 4], b[sy ^ 2])]
     return None
-
-
-def simplify(diagram):
-    """Remove kinks and cancellable bigons until none remain.
-
-    Returns (reduced diagram, unit) with unit a power of a collecting the
-    kink factors: lam(input) = unit * lam(reduced).  The reduction only
-    ever shrinks the crossing count.
-    """
-    unit = BiLaurent.constant(1)
-    current = diagram
-    while True:
-        kink = _find_kink(current.crossings)
-        if kink is not None:
-            ci, s = kink
-            c = current.crossings[ci]
-            sign = _KINK_SIGN[(s, (s + 1) % 4)]
-            unit = unit * BiLaurent.a(-sign)
-            out = _remove_and_join(
-                current.crossings,
-                current.loops,
-                {ci},
-                [(c[(s + 2) % 4], c[(s + 3) % 4])],
-            )
-            current = out
-            continue
-        bigon = _find_reducible_bigon(current)
-        if bigon is not None:
-            removed, joins = bigon
-            current = _remove_and_join(current.crossings, current.loops, removed, joins)
-            continue
-        return current, unit
 
 
 # -- canonical codes and evaluation --------------------------------------------
@@ -389,69 +443,90 @@ def _connected_pieces(diagram):
     return pieces
 
 
-def _piece_code(diagram, piece, start):
-    """Relabel the piece's edges along a traversal from the dart ``start``.
+def _piece_code(diagram, piece, start, best=None):
+    """The token code (a list of ints) of the piece traversed from the
+    dart ``start``, or None as soon as it is larger than ``best``.
 
-    The traversal steps with the diagram's dart map: a strand entering at
-    ``(ci, slot)`` leaves through ``slot ^ 2`` and enters the dart at the
-    far end of that edge.  Edges are numbered in the order the traversal
-    enters them.  Once every edge of the piece has a label no component is
-    left, so a knot never looks for an anchor.  Otherwise the next link
-    component of the piece enters the first crossing, in traversal order,
-    whose other strand has no entered dart, at the slot after the one the
-    traversal entered there; the piece is connected, so such a crossing
-    exists while an edge has no label.  Both "first in traversal order"
-    and "the slot after" are read off the diagram: neither depends on the
-    input labels, and rotating a crossing tuple by two slots (the same
-    crossing) keeps the slot after an entered dart the slot after it.
+    A strand entering at ``(ci, slot)`` leaves through ``slot ^ 2`` and
+    enters the dart ``far`` gives.  Each entered dart gives one token:
+    ``slot & 1`` (under 0, over 1) on its crossing's first visit, and
+    ``2 + 2 * i + ((slot - first slot) % 4 == 3)`` on the second, i being
+    the crossing's first-visit index.  When a link component closes with
+    darts of the piece left, a ``-1`` token is given and the next one
+    enters the first crossing, in traversal order, whose other strand has
+    no entered dart, at the slot after the one entered there (the piece is
+    connected, so one exists).  Tokens name no labels or crossing indices,
+    and rotating a crossing tuple by two slots keeps slot parities and
+    the slot after an entered dart.  The walk stops at its first token
+    larger than ``best``'s (the least code so far) at the same place; a
+    code equal to best is dropped too.
     """
-    crossings, far = diagram.crossings, diagram.far
-    size = 2 * len(piece)  # each edge of the piece meets it twice
-    labels = {}
-    entered = {}  # dart -> None, in the order the traversal entered them
-    dart = start
-    while True:
-        # walk one closed component; the first repeated dart closes it
-        while dart not in entered:
-            entered[dart] = None
-            ci, slot = dart
-            labels.setdefault(crossings[ci][slot], len(labels))
-            dart = far[ci, slot ^ 2]
-        if len(labels) == size:
-            break
-        dart = next(
-            (ci, (s + 1) % 4) for ci, s in entered
-            if (ci, (s + 1) % 4) not in entered and (ci, (s + 3) % 4) not in entered
-        )
+    far = diagram.far
     code = []
-    for ci in piece:
-        c = crossings[ci]
-        under_in = 0 if (ci, 0) in entered else 2
-        code.append(tuple(labels[c[(under_in + k) % 4]] for k in range(4)))
-    code.sort()
-    return tuple(code)
+    # per crossing: None before its first visit, then (2 + 2 * first-visit
+    # index, slot entered first), then False once both strands are entered
+    first = [None] * diagram.n
+    order = []  # crossings by first visit
+    left = len(piece)  # crossings with a strand not yet entered
+    tied = best is not None  # code is a prefix of best so far
+    dart = head = start  # head: the dart that opened the current component
+    while True:
+        ci, slot = dart
+        seen = first[ci]
+        if seen is None:
+            token = slot & 1
+            first[ci] = (2 + 2 * len(order), slot)
+            order.append(ci)
+        else:
+            token = seen[0] + ((slot - seen[1]) % 4 == 3)
+            first[ci] = False
+            left -= 1
+        if tied and token != best[len(code)]:
+            if token > best[len(code)]:
+                return None
+            tied = False
+        code.append(token)
+        dart = far[ci, slot ^ 2]
+        if dart == head:  # the component closed
+            if not left:
+                return None if tied else code
+            tied = tied and best[len(code)] == -1  # -1 is the least token
+            code.append(-1)
+            ci = next(cj for cj in order if first[cj])
+            dart = head = (ci, (first[ci][1] + 1) % 4)
 
 
 def canonical_key(diagram):
     """A relabel-invariant code for memoization.
 
-    Each crossing-connected piece is renumbered along a traversal, taking
-    the minimum over the starts that enter a crossing on its under strand
-    (slots 0 and 2, two per crossing); the piece codes are then sorted.
-    The start set and the anchors of later components (see
-    ``_piece_code``) are fixed by the diagram's structure, not by its
-    labels, the order of its crossings or the rotation of a crossing tuple
-    by two slots, so equal diagrams get equal keys.  Each piece code is
-    the piece's PD code under the new labels, so the key still determines
-    the diagram and memo hits are always sound.
+    Each crossing-connected piece gets the least token code (see
+    ``_piece_code``) over the starts that enter a crossing on its under
+    strand (slots 0 and 2, two per crossing); each start's walk is dropped
+    at its first token larger than the least code so far, so most end
+    after a few darts.  A least code is kept as the string of code points
+    token + 1, which orders as the tokens do at a third of a tuple's size.
+    Piece codes are sorted and the loop count kept.  Starts and anchors
+    are fixed by the diagram's structure, not by its labels, crossing
+    order or the rotation of a crossing tuple by two slots, so equal
+    diagrams get equal keys.
+
+    The key determines the diagram, so memo hits are sound: label a
+    piece's edges in entry order; a token gives its dart's crossing and
+    slot up to that rotation, the dart enters along its own label, and
+    its leaving slot ``slot ^ 2`` carries the next label, or the
+    component's first at a ``-1`` or at the end.
     """
     if not diagram.crossings:
         return ("loops", diagram.loops)
-    piece_codes = sorted(
-        min(_piece_code(diagram, piece, (ci, slot)) for ci in piece for slot in (0, 2))
-        for piece in _connected_pieces(diagram)
-    )
-    return ("pd", tuple(piece_codes), diagram.loops)
+    piece_codes = []
+    for piece in _connected_pieces(diagram):
+        best = None
+        for ci in piece:
+            for slot in (0, 2):
+                best = _piece_code(diagram, piece, (ci, slot), best) or best
+        piece_codes.append("".join(chr(token + 1) for token in best))
+    piece_codes.sort()
+    return ("tokens", tuple(piece_codes), diagram.loops)
 
 
 def _first_ascending(diagram):

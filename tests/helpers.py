@@ -9,8 +9,10 @@ the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
 division over Q, the parity union-find that once oriented fronts,
 isotopy moves that rewrite the word and then validate all of it, a
 pinch and a death that trace their whole input every time, the
-edge-incidence walk that once traced PD diagrams, and the Kauffman memo
-key minimized over every start dart.
+edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
+memo key minimized over every start dart, the token key built in full
+for every under-strand start, and the simplify that rebuilt the diagram
+after every kink or bigon.
 """
 
 import itertools
@@ -35,6 +37,7 @@ from diskfill.kauffman import (
     DiagramTrace,
     LinkDiagram,
     _connected_pieces,
+    _remove_and_join,
     delta_power,
     trace_diagram,
 )
@@ -402,6 +405,92 @@ def all_starts_key(diagram):
         ))
     piece_codes.sort()
     return ("pd", tuple(piece_codes), diagram.loops)
+
+
+def _token_code(crossings, start):
+    """The full token code from the dart ``start``, walked with the
+    incidence lists: per entered dart ``slot & 1`` on its crossing's first
+    visit, ``2 + 2 * (first-visit index) + ((slot - first slot) % 4 == 3)``
+    on the second, and -1 before each later link component, which starts
+    at ``kauffman._piece_code``'s anchor."""
+    inc = _incidences(crossings)
+    tokens = []
+    entered = {}  # dart -> None, in traversal order
+    first = {}  # crossing -> (first-visit index, slot entered first)
+    dart = start
+    while True:
+        while dart not in entered:
+            entered[dart] = None
+            ci, slot = dart
+            if ci in first:
+                index, first_slot = first[ci]
+                tokens.append(2 + 2 * index + ((slot - first_slot) % 4 == 3))
+            else:
+                first[ci] = (len(first), slot)
+                tokens.append(slot & 1)
+            out = (ci, (slot + 2) % 4)
+            both = inc[crossings[ci][out[1]]]
+            dart = both[1] if both[0] == out else both[0]
+        anchor = next(
+            ((ci, (slot + 1) % 4) for ci, slot in entered
+             if (ci, (slot + 1) % 4) not in entered and (ci, (slot + 3) % 4) not in entered),
+            None,
+        )
+        if anchor is None:
+            return tuple(tokens)
+        tokens.append(-1)
+        dart = anchor
+
+
+def token_key(diagram):
+    """``kauffman.canonical_key`` without its early exit: the full token
+    code of every under-strand start (slots 0 and 2 of every crossing),
+    the least of them per piece written as the string of code points
+    token + 1, the pieces sorted."""
+    crossings = diagram.crossings
+    if not crossings:
+        return ("loops", diagram.loops)
+    codes = []
+    for piece in _connected_pieces(diagram):
+        least = min(_token_code(crossings, (ci, slot)) for ci in piece for slot in (0, 2))
+        codes.append("".join(chr(token + 1) for token in least))
+    codes.sort()
+    return ("tokens", tuple(codes), diagram.loops)
+
+
+def stepwise_simplify(diagram):
+    """``kauffman.simplify`` as it was before it worked on one mutable
+    table: remove the first kink (by crossing, then slot), else the first
+    cancellable bigon, build a whole ``LinkDiagram`` and rescan from
+    crossing 0; the unit multiplies one a^-+1 per kink."""
+    unit = BiLaurent.constant(1)
+    while True:
+        crossings, far = diagram.crossings, diagram.far
+        kink = next(
+            ((ci, s) for ci, c in enumerate(crossings) for s in range(4) if c[s] == c[(s + 1) % 4]),
+            None,
+        )
+        if kink is not None:
+            ci, s = kink
+            c = crossings[ci]
+            unit = unit * BiLaurent.a(-1 if s % 2 == 0 else 1)
+            diagram = _remove_and_join(
+                crossings, diagram.loops, {ci}, [(c[(s + 2) % 4], c[(s + 3) % 4])]
+            )
+            continue
+        bigon = None
+        for ci, a in enumerate(crossings):
+            for s in range(4):
+                (cx, sx), (cy, sy) = far[ci, s], far[ci, (s + 1) % 4]
+                if cx == cy != ci and (sx - sy) % 4 in (1, 3) and s % 2 == sx % 2:
+                    b = crossings[cx]
+                    bigon = {ci, cx}, [(a[s ^ 2], b[sx ^ 2]), (a[(s + 3) % 4], b[sy ^ 2])]
+                    break
+            if bigon is not None:
+                break
+        if bigon is None:
+            return diagram, unit
+        diagram = _remove_and_join(crossings, diagram.loops, *bigon)
 
 
 # -- Tietze transformations ---------------------------------------------------------

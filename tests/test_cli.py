@@ -195,6 +195,32 @@ class TestKauffmanCommands:
         code, _, err = run(capsys, "kauffman", "9_46.pd", "--budget-crossings", "4")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["kauffman", "tb-bound"])
+    @pytest.mark.parametrize("budget", ["-1", "-16"])
+    def test_negative_budget_rejected(self, capsys, command, budget):
+        code, out, err = run(capsys, command, "unknot.pd", "--budget-crossings", budget, "--machine")
+        assert code == 2 and not out
+        assert f"--budget-crossings must be at least 0, got {budget}" in err
+
+    def test_zero_budget_allows_crossingless_diagrams(self, capsys):
+        code, out, _ = run(capsys, "tb-bound", "unknot.pd", "--budget-crossings", "0", "--machine")
+        assert code == 0 and out == "bound: -1\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X(1,2,2,1)\nO(1)\n", "line 2: loop label 1 is a crossing edge label"),
+            ("O(5)\nO(5)\nO(5)\n", "line 2: loop label 5 repeats line 1"),
+        ],
+    )
+    def test_loop_label_reuse_rejected(self, capsys, tmp_path, text, message):
+        path = tmp_path / "reuse.pd"
+        path.write_text(text)
+        for command in ("kauffman", "tb-bound"):
+            code, out, err = run(capsys, command, str(path), "--machine")
+            assert code == 2 and not out
+            assert message in err
+
     def test_usage_exit_code(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
         assert code == 1

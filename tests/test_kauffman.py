@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,15 @@ from diskfill.kauffman import (
 )
 from diskfill.laurent import BiLaurent, a_mirror, min_deg_a
 
-from helpers import all_starts_key, incidence_trace, naive_F, naive_lambda, pretzel_pd
+from helpers import (
+    all_starts_key,
+    incidence_trace,
+    naive_F,
+    naive_lambda,
+    pretzel_pd,
+    stepwise_simplify,
+    token_key,
+)
 
 UNKNOT = parse_pd("O(1)")
 KINK_POS = LinkDiagram(((7, 7, 3, 3),), 0)
@@ -84,6 +93,23 @@ class TestParsing:
         text = render_pd(TREFOIL_LH, header="demo")
         again = parse_pd(text)
         assert again.crossings == TREFOIL_LH.crossings
+
+    def test_loop_label_reusing_an_edge_rejected(self):
+        with pytest.raises(InputError, match="line 2: loop label 1 is a crossing edge label"):
+            parse_pd("X(1,2,2,1)\nO(1)")
+        with pytest.raises(InputError, match="line 1: loop label 2 is a crossing edge label"):
+            parse_pd("O(2)\nX(1,2,2,1)")
+
+    def test_repeated_loop_label_rejected(self):
+        with pytest.raises(InputError, match="line 2: loop label 5 repeats line 1"):
+            parse_pd("O(5)\nO(5)\nO(5)")
+        with pytest.raises(InputError, match="line 4: loop label 5 repeats line 2"):
+            parse_pd("X(1,1,2,2)\nO(5)\nO(6)\nO(5)")
+
+    def test_rendered_loops_parse(self):
+        for d in (LinkDiagram(((7, 7, 3, 3),), 2), LinkDiagram((), 3), TREFOIL_LH):
+            again = parse_pd(render_pd(d))
+            assert (again.crossings, again.loops) == (d.crossings, d.loops)
 
 
 class TestPlanarity:
@@ -267,6 +293,57 @@ class TestSimplify:
             red, _ = simplify(d)
             assert red.n <= d.n
 
+    def test_matches_stepwise_simplify(self, keyed):
+        # same order of removals and the same surviving labels, so the
+        # very same PD code, loop count and unit
+        rng = random.Random(59)
+        corpus = keyed + [random_diagram(rng) for _ in range(60)]
+        corpus += [KINK_POS, KINK_NEG, LinkDiagram(((7, 7, 3, 3),), 1), switch_crossing(TREFOIL_LH, 0)]
+        for d in corpus:
+            red, unit = simplify(d)
+            old, old_unit = stepwise_simplify(d)
+            assert (red.crossings, red.loops) == (old.crossings, old.loops), render_pd(d)
+            assert unit == old_unit, render_pd(d)
+
+    def test_every_two_crossing_code_matches_stepwise_simplify(self):
+        # all planar codes on two crossings: bigons whose outer ends meet
+        # each other or close up, kinks on both crossings, and loops
+        codes = set(itertools.permutations((1, 1, 2, 2, 3, 3, 4, 4)))
+        checked = 0
+        for code in sorted(codes):
+            try:
+                d = parse_pd("X({},{},{},{})\nX({},{},{},{})\nO(9)".format(*code))
+            except InputError:
+                continue
+            checked += 1
+            red, unit = simplify(d)
+            old, old_unit = stepwise_simplify(d)
+            assert (red.crossings, red.loops, unit) == (old.crossings, old.loops, old_unit), code
+        assert checked > 100
+
+    def test_one_diagram_build_per_call(self, keyed, monkeypatch):
+        builds = []
+        real = LinkDiagram.__post_init__
+        monkeypatch.setattr(LinkDiagram, "__post_init__", lambda d: builds.append(d) or real(d))
+        reduced = 0
+        for d in keyed:
+            builds.clear()
+            red, _ = simplify(d)
+            if red is d:
+                assert builds == []
+            else:
+                reduced += 1
+                assert builds == [red]
+        assert reduced > 50
+
+    def test_irreducible_input_is_returned_itself(self, keyed):
+        for d in keyed:
+            red, unit = simplify(d)
+            assert simplify(red) == (red, BiLaurent.constant(1))
+            assert simplify(red)[0] is red
+            if red.crossings == d.crossings:
+                assert red is d and unit == 1
+
 
 @pytest.fixture(scope="module")
 def recursion():
@@ -369,6 +446,12 @@ class TestCanonicalKey:
             classes.setdefault(canonical_key(d), set()).add(all_starts_key(d))
         assert all(len(old) == 1 for old in classes.values())
         assert len(set().union(*classes.values())) == len(classes)
+
+    def test_early_exit_keeps_the_least_code(self, keyed):
+        # dropping a start at its first larger token must give the least
+        # full token code of every under-strand start
+        for d in keyed:
+            assert canonical_key(d) == token_key(d), render_pd(d)
 
     def test_rotation_by_two_keeps_the_key(self, keyed):
         # a crossing tuple rotated by two slots is the same crossing

@@ -1,6 +1,7 @@
 """Property tests: text formats round-trip, the Laurent rings distribute,
 fronts orient, move and pinch as the full-trace oracles in ``helpers``
-say, and the Kauffman memo key is label-free and determines its diagram.
+say, and the Kauffman memo key is label-free, equals the least full token
+code and determines its diagram.
 
 The examples are derandomized and capped so the module runs in a few
 seconds and gives the same result on every run.
@@ -50,6 +51,7 @@ from helpers import (  # noqa: E402
     parity_orient,
     pretzel_pd,
     rewrite_then_validate,
+    token_key,
     traced_death,
     traced_pinch,
 )
@@ -244,15 +246,44 @@ def link_diagrams(draw):
 
 
 def diagram_from_key(key):
-    """The diagram a key encodes: each piece code is a PD code on labels
-    0, 1, ...; pieces are shifted apart so their labels stay distinct."""
+    """The diagram a key encodes, read from its token codes (each piece's
+    code is the string of code points token + 1).
+
+    Edges are labelled in the order the tokens enter them.  A token below 2
+    is a first visit, entering a new crossing at slot ``token`` (0 under, 1
+    over, up to rotating the crossing by two slots); a token ``2 + 2 * i +
+    turn`` enters crossing i again at its first slot plus 3 if ``turn``
+    else plus 1.  A dart enters along its own label and leaves through
+    ``slot ^ 2`` along the next one, or along its component's first label
+    at a -1 or at the end.  Pieces are shifted apart so their labels stay
+    distinct."""
     if key[0] == "loops":
         return LinkDiagram((), key[1])
     _, pieces, loops = key
     crossings = []
     for code in pieces:
-        shift = 1 + max((e for c in crossings for e in c), default=-1)
-        crossings += [tuple(e + shift for e in c) for c in code]
+        piece, first_slot = [], []
+        head = label = len(crossings) * 2  # labels used by earlier pieces
+        leaving = None  # (crossing, slot) that takes the next label
+        for token in [ord(ch) - 1 for ch in code] + [-1]:
+            if token == -1:
+                ci, slot = leaving
+                piece[ci][slot] = head
+                head, leaving = label, None
+                continue
+            if token < 2:
+                ci, slot = len(piece), token
+                piece.append([None] * 4)
+                first_slot.append(slot)
+            else:
+                ci = (token - 2) // 2
+                slot = (first_slot[ci] + (3 if token % 2 else 1)) % 4
+            piece[ci][slot] = label
+            if leaving is not None:
+                piece[leaving[0]][leaving[1]] = label
+            leaving = (ci, slot ^ 2)
+            label += 1
+        crossings += [tuple(c) for c in piece]
     return LinkDiagram(tuple(crossings), loops)
 
 
@@ -270,6 +301,11 @@ class TestKauffmanKey:
         order = rng.sample(d.crossings, d.n)
         relabelled = LinkDiagram(tuple(tuple(m[e] for e in c) for c in order), d.loops)
         assert canonical_key(relabelled) == canonical_key(d)
+
+    @PROPERTY
+    @given(link_diagrams())
+    def test_key_is_the_least_full_token_code(self, d):
+        assert canonical_key(d) == token_key(d)
 
     @PROPERTY
     @given(link_diagrams())

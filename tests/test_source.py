@@ -63,3 +63,27 @@ def test_unbounded_cache_detection():
         "@lru_cache\ndef e(k): pass\n"
     )
     assert unbounded_caches(source) == [("a", True), ("b", True), ("c", False)]
+
+
+def generator_tuples(source):
+    """Line numbers of ``tuple(<generator expression>)`` calls."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called_name(node.func) == "tuple"
+        and node.args and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+
+
+def test_skein_engine_builds_no_tuple_from_a_generator():
+    # CPython builds such a tuple by resizing, so freeing it adds one to
+    # the per-size tuple free list with none taken out: the skein engine
+    # builds diagrams by the hundred per evaluation, and in one process
+    # that ratchets about 2 MB of dead tuples into the free lists
+    kauffman = [path for path in SOURCES if path.name == "kauffman.py"]
+    assert kauffman and generator_tuples(kauffman[0].read_text()) == []
+
+
+def test_generator_tuple_detection():
+    source = "a = tuple(x for x in y)\nb = tuple([x for x in y])\nc = tuple(y)\nd = set(x for x in y)\n"
+    assert generator_tuples(source) == [1]
