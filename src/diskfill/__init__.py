@@ -8,7 +8,8 @@ diagrams with their filling moves and certificate checker, and
 ``kauffman`` computes the two-variable Kauffman polynomial of a PD-coded
 diagram together with the Thurston-Bennequin upper bound it implies.
 ``cli`` wires everything to the command line; bundled data files live in
-``diskfill/data``.
+``diskfill/data``.  Every input file format shares one comment rule:
+``#`` starts a comment, and a line blank without it is skipped.
 """
 
 from importlib import resources
@@ -22,3 +23,20 @@ def data_path(name):
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
+
+
+def content_lines(text):
+    """(line number from 1, line) for each line of an input file that is
+    not blank once its ``#`` comment is cut and whitespace stripped.
+
+    A list, not a generator: resuming a generator once per line costs
+    more on the long fronts and certificates a replay reads.
+    """
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
+def comment_header(header):
+    """The ``# `` comment lines a rendered file starts with, one per line
+    of ``header``; none for None."""
+    return [] if header is None else [f"# {line}" for line in header.splitlines()]

@@ -18,7 +18,7 @@ import functools
 import sys
 from pathlib import Path
 
-from . import data_path
+from . import content_lines, data_path
 from .errors import BudgetError, CertificateError, DiskfillError, InputError
 from .front import (
     check_certificate,
@@ -226,10 +226,7 @@ def cmd_tb_bound(args):
 
 def _parse_witness(text, gens, n):
     images = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         name, _, cycles = line.partition(" ")
         if name not in gens:
             raise InputError(f"witness line {lineno}: unknown generator {name!r}")

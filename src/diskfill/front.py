@@ -63,6 +63,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import comment_header, content_lines
 from .errors import CertificateError, InputError
 
 __all__ = [
@@ -136,10 +137,7 @@ class FrontWord:
 
 def parse_front(text):
     events = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in _EVENT_KINDS:
             raise InputError(f"line {lineno}: expected 'L k', 'R k' or 'X k', got {line!r}")
@@ -152,7 +150,7 @@ def parse_front(text):
 
 
 def render_front(front, header=None):
-    lines = [] if header is None else [f"# {line}" for line in header.splitlines()]
+    lines = comment_header(header)
     lines += [f"{k} {p}" for k, p in front.events]
     return "\n".join(lines) + "\n"
 
@@ -607,10 +605,7 @@ class FillingReport:
 def parse_certificate(text):
     steps = []
     declared = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         try:
             if parts[0] == "EXPECT" and len(parts) == 3:
@@ -633,7 +628,7 @@ def parse_certificate(text):
 
 
 def render_certificate(cert, header=None):
-    lines = [] if header is None else [f"# {line}" for line in header.splitlines()]
+    lines = comment_header(header)
     if cert.declared_surface is not None:
         lines.append(f"EXPECT {cert.declared_surface[0]} {cert.declared_surface[1]}")
     for step in cert.steps:

@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import content_lines
 from .errors import BudgetError, InputError
 
 __all__ = [
@@ -158,10 +159,7 @@ def parse_presentation(text):
     gens = None
     relators = []
     maps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if line.startswith("gens:"):
             if gens is not None:
                 raise InputError(f"line {lineno}: second gens: line")

@@ -29,8 +29,11 @@ reduced diagram is keyed, so each memo key is the relabel-invariant
 canonical code of a diagram with no kink or cancellable bigon, and a
 reducible diagram costs one key, not two.  ``simplify`` removes them all
 on one mutable table of edge ends and builds one diagram at the end, or
-none when nothing reduces.  Evaluation is deterministic however the tree
-is walked.
+none when nothing reduces; ``smooth_crossing`` cuts its crossing on the
+same table with the same join rule (``_edit_table``, ``_splice``).  A
+keyed diagram is traced once, and that trace gives both the crossing to
+switch and, for a descending diagram, its writhe and component count.
+Evaluation is deterministic however the tree is walked.
 
 Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
 is a strand end entering a crossing along the edge at that slot, and
@@ -54,6 +57,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import comment_header, content_lines
 from .errors import BudgetError, InputError
 from .laurent import BiLaurent, min_deg_a
 
@@ -138,10 +142,7 @@ def parse_pd(text):
     """Parse ``X(a,b,c,d)`` crossing lines and ``O(e)`` loop lines."""
     crossings = []
     loop_lines = {}  # loop label -> the line that gave it
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         m = _PD_LINE.match(line)
         if not m:
             raise InputError(f"line {lineno}: expected X(a,b,c,d) or O(e), got {line!r}")
@@ -191,7 +192,7 @@ def _check_planar(diagram):
 
 
 def render_pd(diagram, header=None):
-    lines = [] if header is None else [f"# {line}" for line in header.splitlines()]
+    lines = comment_header(header)
     lines += [f"X({a},{b},{c},{d})" for a, b, c, d in diagram.crossings]
     next_label = max((e for c in diagram.crossings for e in c), default=0)
     for i in range(diagram.loops):
@@ -261,32 +262,42 @@ def mirror(diagram):
 
 # -- local surgery ------------------------------------------------------------
 
-def _remove_and_join(crossings, loops, removed, joins):
-    """Delete crossings by index and identify edge pairs.
+def _edit_table(crossings):
+    """One list per crossing, to edit in place, and the table edge label
+    -> the darts at its ends; smoothings and ``simplify`` edit both only
+    through ``_splice``."""
+    table = [list(c) for c in crossings]
+    ends = {}
+    for ci, c in enumerate(table):
+        for slot, e in enumerate(c):
+            ends.setdefault(e, []).append((ci, slot))
+    return table, ends
 
-    Edge classes that no longer touch any crossing closed up into loops.
-    """
-    keep = [c for i, c in enumerate(crossings) if i not in removed]
-    parent = {}
 
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    touched = set()
-    for x, y in joins:
-        touched.add(x)
-        touched.add(y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-    new_crossings = tuple([tuple([find(e) for e in c]) for c in keep])
-    present = {find(e) for c in new_crossings for e in c}
-    closed = {find(x) for x in touched} - present
-    return LinkDiagram(new_crossings, loops + len(closed))
+def _splice(crossings, ends, removed, joins):
+    """Delete crossings by index (each becomes None) and join the label
+    pairs ``joins`` of the strand ends they leave open, each under its
+    first label; a label an earlier join of the call renamed is read as
+    its new name (calls join at most two pairs, so one step back does).
+    A join of a label with itself closes a loop with no crossing on it.
+    Returns the loops closed and the least crossing that took a new
+    label, where a kink may now sit."""
+    for ci in removed:
+        for slot, e in enumerate(crossings[ci]):
+            ends[e].remove((ci, slot))
+        crossings[ci] = None
+    renamed, closed, touched = {}, 0, len(crossings)
+    for pair in joins:
+        keep, gone = [renamed.get(e, e) for e in pair]
+        if keep == gone:
+            closed += 1
+            continue
+        for cj, slot in ends[gone]:
+            crossings[cj][slot] = keep
+            touched = min(touched, cj)
+        ends[keep] += ends.pop(gone)
+        renamed[gone] = keep
+    return closed, touched
 
 
 def switch_crossing(diagram, i):
@@ -308,7 +319,9 @@ def smooth_crossing(diagram, i, which):
     """
     c = diagram.crossings[i]
     joins = [(c[0], c[1]), (c[2], c[3])] if which == 0 else [(c[0], c[3]), (c[1], c[2])]
-    return _remove_and_join(diagram.crossings, diagram.loops, {i}, joins)
+    crossings, ends = _edit_table(diagram.crossings)
+    closed, _ = _splice(crossings, ends, (i,), joins)
+    return LinkDiagram(tuple([c for c in crossings if c is not None]), diagram.loops + closed)
 
 
 # Writhe contribution of a kink whose loop edge occupies slots s and
@@ -328,45 +341,17 @@ def simplify(diagram):
     table, edge label -> the darts at its ends, and one ``LinkDiagram``
     is built at the end.  The first kink (by crossing, then slot) goes
     first, then, with no kink left, the first cancellable bigon.  A
-    removal joins the strand ends it leaves open under the first label of
-    each pair; a join that closes a strand on itself adds a loop.
+    removal is one ``_splice``, the edit ``smooth_crossing`` makes too.
     """
     if (_find_kink(diagram.crossings) is None
             and _find_reducible_bigon(diagram.crossings, diagram.far.__getitem__) is None):
         return diagram, BiLaurent.a(0)
-    crossings = [list(c) for c in diagram.crossings]  # None once removed
-    ends = {}
-    for ci, c in enumerate(crossings):
-        for slot, e in enumerate(c):
-            ends.setdefault(e, []).append((ci, slot))
+    crossings, ends = _edit_table(diagram.crossings)
     loops, exponent = diagram.loops, 0
 
     def far(dart):
         first, second = ends[crossings[dart[0]][dart[1]]]
         return second if first == dart else first
-
-    def remove(removed, joins):
-        """Delete crossings and join label pairs; return the least
-        crossing that took a new label, where a kink may now sit."""
-        nonlocal loops
-        for ci in removed:
-            for slot, e in enumerate(crossings[ci]):
-                ends[e].remove((ci, slot))
-            crossings[ci] = None
-        # the joins are independent: a label in both joins of a bigon would
-        # be a kink or a third edge between its crossings, and a third edge
-        # leaves one free slot alone on a side of two others, an odd count
-        # of edge ends there, which no planar diagram has
-        touched = len(crossings)
-        for keep, gone in joins:
-            if keep == gone:
-                loops += 1  # the strand closed up with no crossing on it
-                continue
-            for cj, slot in ends[gone]:
-                crossings[cj][slot] = keep
-                touched = min(touched, cj)
-            ends[keep] += ends.pop(gone)
-        return touched
 
     ci = 0
     while True:
@@ -375,12 +360,14 @@ def simplify(diagram):
             ci, s = kink
             c = crossings[ci]
             exponent -= _KINK_SIGN[s]
-            ci = min(ci, remove((ci,), [(c[(s + 2) % 4], c[(s + 3) % 4])]))
+            closed, touched = _splice(crossings, ends, (ci,), [(c[(s + 2) % 4], c[(s + 3) % 4])])
+            loops, ci = loops + closed, min(ci, touched)
             continue
         bigon = _find_reducible_bigon(crossings, far)
         if bigon is None:
             break
-        ci = remove(*bigon)
+        closed, ci = _splice(crossings, ends, *bigon)
+        loops += closed
     return LinkDiagram(tuple([c for c in crossings if c is not None]), loops), BiLaurent.a(exponent)
 
 
@@ -529,19 +516,6 @@ def canonical_key(diagram):
     return ("tokens", tuple(piece_codes), diagram.loops)
 
 
-def _first_ascending(diagram):
-    """Index of the first crossing, in traversal order, met under first.
-
-    Switching it strictly grows the descending prefix of the traversal
-    (the traversal itself does not change), so the recursion terminates.
-    """
-    tr = trace_diagram(diagram)
-    candidates = [ci for ci in range(diagram.n) if tr.first_under[ci]]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda ci: tr.first_visit[ci])
-
-
 def regular_isotopy_polynomial(diagram, budget=DEFAULT_CROSSING_BUDGET, _memo=None):
     """The regular-isotopy skein polynomial lam (memoized evaluation)."""
     if diagram.n > budget:
@@ -560,13 +534,17 @@ def _lam(diagram, memo):
     key = canonical_key(diagram)
     value = memo.get(key)
     if value is None:
-        target = _first_ascending(diagram)
-        if target is None:
+        # switch the first crossing, in traversal order, met under first:
+        # that strictly grows the descending prefix of the traversal (the
+        # traversal itself does not change), so the recursion terminates
+        tr = trace_diagram(diagram)
+        ascending = [ci for ci in range(diagram.n) if tr.first_under[ci]]
+        if not ascending:
             # descending diagrams are unlinks; their value is the writhe
             # normalization times the split-unlink value
-            tr = trace_diagram(diagram)
             value = BiLaurent.a(-tr.writhe) * delta_power(tr.components - 1)
         else:
+            target = min(ascending, key=tr.first_visit.__getitem__)
             z = BiLaurent.z(1)
             value = (
                 z * (_lam(smooth_crossing(diagram, target, 0), memo)

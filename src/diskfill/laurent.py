@@ -261,6 +261,7 @@ def _parse_terms(text, variables):
     pos, n = 0, len(text)
     items = []
     sign, coeff, exps, in_term = 1, None, None, False
+    dangling = False  # a sign or '*' waits for the factor after it
 
     def flush():
         nonlocal sign, coeff, exps, in_term
@@ -274,6 +275,10 @@ def _parse_terms(text, variables):
         if not m or m.end() == pos:
             raise InputError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
         pos = m.end()
+        operator = m.group("sign") or m.group("mul")
+        if operator and dangling:
+            raise InputError(f"a sign or '*' with no factor after it in {text!r}")
+        dangling = bool(operator)
         if m.group("sign"):
             if in_term:
                 flush()
@@ -283,7 +288,7 @@ def _parse_terms(text, variables):
                 raise InputError(f"two bare integers in one term of {text!r}")
             if exps is None:
                 exps = [0] * len(variables)
-            coeff = (coeff or 1) * int(m.group("int")) if coeff is not None else int(m.group("int"))
+            coeff = int(m.group("int"))
             in_term = True
         elif m.group("var"):
             var = m.group("var")
@@ -295,6 +300,8 @@ def _parse_terms(text, variables):
             exps[variables.index(var)] += exp
             in_term = True
         # '*' tokens just separate factors
+    if dangling:
+        raise InputError(f"a sign or '*' with no factor after it in {text!r}")
     flush()
     if not items and text.strip() not in ("", "0"):
         raise InputError(f"cannot parse polynomial {text!r}")

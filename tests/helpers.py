@@ -11,8 +11,8 @@ isotopy moves that rewrite the word and then validate all of it, a
 pinch and a death that trace their whole input every time, the
 edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
 memo key minimized over every start dart, the token key built in full
-for every under-strand start, and the simplify that rebuilt the diagram
-after every kink or bigon.
+for every under-strand start, the simplify that rebuilt the diagram
+after every kink or bigon, and the union-find smoothing it used.
 """
 
 import itertools
@@ -37,7 +37,6 @@ from diskfill.kauffman import (
     DiagramTrace,
     LinkDiagram,
     _connected_pieces,
-    _remove_and_join,
     delta_power,
     trace_diagram,
 )
@@ -456,6 +455,43 @@ def token_key(diagram):
         codes.append("".join(chr(token + 1) for token in least))
     codes.sort()
     return ("tokens", tuple(codes), diagram.loops)
+
+
+def _remove_and_join(crossings, loops, removed, joins):
+    """Delete crossings by index and identify edge pairs through a
+    union-find, each class under the root of its first label.
+
+    Edge classes that no longer touch any crossing closed up into loops.
+    """
+    keep = [c for i, c in enumerate(crossings) if i not in removed]
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    touched = set()
+    for x, y in joins:
+        touched.add(x)
+        touched.add(y)
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+    new_crossings = tuple(tuple(find(e) for e in c) for c in keep)
+    present = {find(e) for c in new_crossings for e in c}
+    closed = {find(x) for x in touched} - present
+    return LinkDiagram(new_crossings, loops + len(closed))
+
+
+def union_find_smoothing(diagram, i, which):
+    """``kauffman.smooth_crossing`` as it was before it shared
+    ``simplify``'s edit table: the same joins through the union-find."""
+    c = diagram.crossings[i]
+    joins = [(c[0], c[1]), (c[2], c[3])] if which == 0 else [(c[0], c[3]), (c[1], c[2])]
+    return _remove_and_join(diagram.crossings, diagram.loops, {i}, joins)
 
 
 def stepwise_simplify(diagram):

@@ -31,6 +31,7 @@ from helpers import (
     pretzel_pd,
     stepwise_simplify,
     token_key,
+    union_find_smoothing,
 )
 
 UNKNOT = parse_pd("O(1)")
@@ -345,6 +346,34 @@ class TestSimplify:
                 assert red is d and unit == 1
 
 
+class TestSmoothing:
+    def test_matches_union_find(self, keyed):
+        # both smoothings of every crossing, label for label; a kink at the
+        # smoothed crossing makes its two joins share a label, so the
+        # second join must read the label the first renamed
+        rng = random.Random(60)
+        kinked = [LinkDiagram(crossings) for crossings in (
+            ((1, 2, 2, 1),), ((1, 1, 2, 2),), ((1, 2, 2, 3), (3, 4, 4, 1)), ((1, 2, 3, 1), (2, 4, 4, 3)),
+        )]
+        for d in keyed + [random_diagram(rng) for _ in range(60)] + kinked:
+            for i in range(d.n):
+                for which in (0, 1):
+                    new, old = smooth_crossing(d, i, which), union_find_smoothing(d, i, which)
+                    assert (new.crossings, new.loops) == (old.crossings, old.loops), (render_pd(d), i, which)
+
+    def test_joined_labels(self):
+        # (a,b),(b,d) keeps a; (a,b),(c,a) keeps c; a self-join is a loop
+        cases = [
+            ((((1, 2, 2, 3), (3, 4, 4, 1)), 0), (((1, 4, 4, 1),), 0)),
+            ((((1, 2, 3, 1), (2, 4, 4, 3)), 0), (((3, 4, 4, 3),), 0)),
+            ((((1, 2, 2, 1),), 0), ((), 1)),
+            ((((1, 1, 2, 2),), 1), ((), 3)),
+        ]
+        for (crossings, loops), expected in cases:
+            smoothed = smooth_crossing(LinkDiagram(crossings, loops), 0, 0)
+            assert (smoothed.crossings, smoothed.loops) == expected
+
+
 @pytest.fixture(scope="module")
 def recursion():
     """The diagrams the recursion keys, and the diagrams with crossings
@@ -399,6 +428,19 @@ class TestRecursion:
         monkeypatch.setattr(kauffman, "canonical_key", lambda d: keys.append(d) or canonical_key(d))
         kauffman_F(parse_pd(data_path("9_46.pd").read_text()))
         assert len(keys) == 22
+
+    def test_one_trace_per_memo_miss(self, monkeypatch):
+        # each newly keyed diagram is traced once, for the crossing to
+        # switch or a descending leaf's value; F traces its input once more
+        keys, traces = [], []
+        monkeypatch.setattr(kauffman, "canonical_key", lambda d: keys.append(canonical_key(d)) or keys[-1])
+        monkeypatch.setattr(kauffman, "trace_diagram", lambda d: traces.append(d) or trace_diagram(d))
+        for d in (parse_pd(data_path("9_46.pd").read_text()), pretzel_pd([3, 4, -4]),
+                  LinkDiagram(((1, 2, 3, 4), (4, 3, 2, 1)))):
+            keys.clear()
+            traces.clear()
+            kauffman_F(d)
+            assert len(traces) == len(set(keys)) + 1
 
 
 class TestDartMap:

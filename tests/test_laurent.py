@@ -67,6 +67,15 @@ class TestArithmetic:
         with pytest.raises(InputError):
             B("a^2*b")
 
+    def test_parse_rejects_a_sign_or_star_with_no_factor(self):
+        for s in ("t -", "t +", "- - t", "3*", "t * - 3", "-"):
+            with pytest.raises(InputError, match="no factor after it"):
+                L(s)
+        for s in ("a -", "+ + z", "a*z*"):
+            with pytest.raises(InputError, match="no factor after it"):
+                B(s)
+        assert L("- t") == -IntLaurent.t() and L("+ 3*t") == L("3*t")
+
     def test_ring_laws_randomized(self):
         rng = random.Random(7)
         for _ in range(120):

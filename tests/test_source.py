@@ -87,3 +87,34 @@ def test_skein_engine_builds_no_tuple_from_a_generator():
 def test_generator_tuple_detection():
     source = "a = tuple(x for x in y)\nb = tuple([x for x in y])\nc = tuple(y)\nd = set(x for x in y)\n"
     assert generator_tuples(source) == [1]
+
+
+def unreferenced_private_names(sources):
+    """Module-level ``_name`` functions and classes that no code in
+    ``sources`` (a list of source texts) refers to outside their own
+    definition."""
+    trees = [ast.parse(source) for source in sources]
+    defined = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+
+    def names(node):
+        return [_called_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+    used = [name for tree in trees for name in names(tree)]
+    return [node.name for node in defined
+            if used.count(node.name) == names(node).count(node.name)]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper only the tests call belongs in the tests
+    assert unreferenced_private_names([path.read_text() for path in SOURCES]) == []
+
+
+def test_unreferenced_private_detection():
+    sources = [
+        "def _used(): pass\ndef _dead(): pass\ndef _recursive(n): return _recursive(n - 1)\n"
+        "class _Kept: pass\ndef __dunder__(): pass\n",
+        "from m import _used\nx = _used() + m._Kept\n",
+    ]
+    assert unreferenced_private_names(sources) == ["_dead", "_recursive"]
