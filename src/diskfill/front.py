@@ -33,10 +33,15 @@ column unless that column has only two strands, and a death's input
 unless the death is of component 1, which is born at event 0 and so is
 the standard unknot exactly when the word starts with L 1, R 1.
 
-A word keeps its strand-count profile once it is known.  A move, pinch
-or death builds its result's profile from its input's, changed only
-around the events it inserts or deletes, so a replay walks the count of
-its start word once and afterwards only the events each move inserts.
+A word keeps its strand-count profile once it is known.  A replay copies
+its start word's events and profile into one pair of lists and edits
+them in place, by slice assignment: each move, pinch or death runs all
+its checks before it changes anything, and changes the profile only
+around the events it inserts or deletes.  So a replay walks the count of
+its start word once, afterwards only the events each move inserts, and
+copies no whole word.  The public ``apply_move``, ``pinch`` and ``death``
+run the same in-place step on a copy of their input's lists, so they
+leave their input as it was.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -110,7 +115,8 @@ class FrontWord:
     @classmethod
     def _of(cls, events, counts=None):
         """A word from an events tuple that is already normalized, as every
-        rewrite of a FrontWord's events is; skips ``__post_init__``.
+        rewrite of a FrontWord's events and every parsed word is; skips
+        ``__post_init__``.
         ``counts``, when given, is the word's known ``_profile``."""
         word = object.__new__(cls)
         object.__setattr__(word, "events", events)
@@ -146,7 +152,9 @@ def parse_front(text):
         except ValueError:
             raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
         events.append((parts[0], k))
-    return FrontWord(tuple(events))
+    # the events are already (str, int) pairs, so __post_init__ is skipped;
+    # the word is checked when its profile is first read
+    return FrontWord._of(tuple(events))
 
 
 def render_front(front, header=None):
@@ -396,7 +404,7 @@ class Move:
 
 
 def _instantiate(pattern, p):
-    return tuple((kind, p + off - 1) for kind, off in pattern)
+    return tuple([(kind, p + off - 1) for kind, off in pattern])
 
 
 def _window(events, index, width):
@@ -410,7 +418,7 @@ def _window(events, index, width):
 
 
 def _match(events, index, pattern):
-    got = _window(events, index, len(pattern))
+    got = tuple(_window(events, index, len(pattern)))
     if got != pattern:
         raise InputError(
             f"pattern mismatch at index {index}: expected {list(pattern)}, found {list(got)}"
@@ -433,6 +441,13 @@ def _slide(events, index):
     raise InputError(f"slide at {index}: events overlap ({a_kind} {a} / {b_kind} {b})")
 
 
+def _stepped(step, front, *args):
+    """``front`` after ``step``, run on a copy of its events and profile."""
+    events, counts = list(front.events), list(front._profile)
+    step(events, counts, *args)
+    return FrontWord._of(tuple(events), counts)
+
+
 def apply_move(front, move):
     """Apply one isotopy move to a valid front.
 
@@ -441,7 +456,17 @@ def apply_move(front, move):
     Only the rewritten window is checked (see the module docstring); a
     rejection reads as a full ``validate`` of the rewritten word would.
     """
-    events = front.events
+    return _stepped(_move, front, move)
+
+
+def _move(events, counts, move):
+    """``apply_move`` in place on a valid word's event list and profile.
+
+    The word is valid, so the result is valid when each new event fits the
+    running strand count and the window keeps its net change of the strand
+    count; the events after it then see the counts they saw before, and
+    only the window's counts change.  Nothing is changed on a rejection.
+    """
     kind = move.kind
     index = move.index
     if kind == "slide":
@@ -450,7 +475,7 @@ def apply_move(front, move):
         p = move.pos
         lhs = (("X", p), ("X", p + 1), ("X", p))
         rhs = (("X", p + 1), ("X", p), ("X", p + 1))
-        got = _window(events, index, 3)
+        got = tuple(_window(events, index, 3))
         if got == lhs:
             width, new = 3, rhs
         elif got == rhs:
@@ -469,29 +494,14 @@ def apply_move(front, move):
         lhs = _instantiate(lhs, move.pos)
         _match(events, index, lhs)
         width, new = len(lhs), _instantiate(rhs, move.pos)
-    return _rewrite(front, index, width, tuple(new))
-
-
-def _rewrite(front, index, width, new):
-    """``front`` with the ``width`` events from ``index`` replaced by ``new``.
-
-    ``front`` is a valid word, so the result is valid when each new event
-    fits the running strand count and the window keeps its net change of
-    the strand count; the events after it then see the counts they saw
-    before, and the result's profile is the input's with the window's
-    counts replaced.
-    """
-    events, counts = front.events, front._profile
     inner = _counts(new, counts[index], index)
     if inner[-1] != counts[index + width]:
         raise RuntimeError(
             f"rewrite at {index} changes the strand count by {inner[-1] - counts[index]}, "
             f"not {counts[index + width] - counts[index]}"
         )
-    return FrontWord._of(
-        events[:index] + new + events[index + width:],
-        counts[:index] + inner[:-1] + counts[index + width:],
-    )
+    events[index:index + width] = new
+    counts[index:index + width] = inner[:-1]
 
 
 # -- filling moves -------------------------------------------------------------
@@ -511,7 +521,12 @@ def pinch(front, index, k):
     once in each direction, so the two strands are one component and run
     anti-parallel.
     """
-    events, counts = front.events, front._profile
+    return _stepped(_pinch, front, index, k)
+
+
+def _pinch(events, counts, index, k):
+    """``pinch`` in place on a valid word's event list and profile;
+    nothing is changed on a rejection."""
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
     count = counts[index]
@@ -520,9 +535,11 @@ def pinch(front, index, k):
             f"pinch needs strands {k},{k + 1} at column {index}, only {count} present"
         )
     if count > 2:
-        start = index - counts[index::-1].index(0)
+        start = index
+        while counts[start]:
+            start -= 1
         end = counts.index(0, index)
-        block = FrontWord._of(events[start:end], counts[start:end + 1])
+        block = FrontWord._of(tuple(events[start:end]), counts[start:end + 1])
         oriented, active = _trace(block, index - start)
         u, v = active[k - 1], active[k]
         comp, dirs = oriented.component_of, oriented.directions
@@ -533,10 +550,8 @@ def pinch(front, index, k):
             )
     # R k then L k on at least k+1 strands leave the strand count as it
     # was, so the result is valid without a trace
-    return FrontWord._of(
-        events[:index] + (("R", k), ("L", k)) + events[index:],
-        counts[:index + 1] + [count - 2] + counts[index:],
-    )
+    events[index:index] = (("R", k), ("L", k))
+    counts[index + 1:index + 1] = (count - 2, count)
 
 
 def death(front, component_index):
@@ -546,29 +561,36 @@ def death(front, component_index):
     ``front`` must be valid.  Component 1, born at event 0, is the standard
     unknot exactly when the word starts with L 1, R 1: that needs no trace.
     """
-    events, counts = front.events, front._profile
-    if component_index == 1 and events[:2] == (("L", 1), ("R", 1)):
-        return FrontWord._of(events[2:], counts[2:])
-    oriented = orient(front)
-    ncomp = oriented.n_components
-    if not 1 <= component_index <= ncomp:
-        raise InputError(f"component {component_index} out of range 1..{ncomp}")
-    target = component_index - 1
-    indices = [
-        i
-        for i, strands in enumerate(oriented.event_strands)
-        if oriented.component_of[strands[0]] == target
-    ]
-    # a component's only two events, if adjacent, are an L k and its R k
-    if len(indices) != 2 or indices[1] != indices[0] + 1:
-        raise InputError(
-            f"component {component_index} is not a standard unknot: "
-            f"its events sit at {indices}"
-        )
-    i = indices[0]
-    # orient traced the input, and deleting the standard pair restores the
-    # active strand list that the pair changed, so the result is valid
-    return FrontWord._of(events[:i] + events[i + 2:], counts[:i] + counts[i + 2:])
+    return _stepped(_death, front, component_index)
+
+
+def _death(events, counts, component_index):
+    """``death`` in place on a valid word's event list and profile;
+    nothing is changed on a rejection."""
+    if component_index == 1 and events[0:2] == [("L", 1), ("R", 1)]:
+        i = 0
+    else:
+        oriented = orient(FrontWord._of(tuple(events), counts))
+        ncomp = oriented.n_components
+        if not 1 <= component_index <= ncomp:
+            raise InputError(f"component {component_index} out of range 1..{ncomp}")
+        target = component_index - 1
+        indices = [
+            i
+            for i, strands in enumerate(oriented.event_strands)
+            if oriented.component_of[strands[0]] == target
+        ]
+        # a component's only two events, if adjacent, are an L k and its R k
+        if len(indices) != 2 or indices[1] != indices[0] + 1:
+            raise InputError(
+                f"component {component_index} is not a standard unknot: "
+                f"its events sit at {indices}"
+            )
+        i = indices[0]
+    # deleting the standard pair restores the active strand list that the
+    # pair changed, so the result is valid
+    del events[i:i + 2]
+    del counts[i:i + 2]
 
 
 # -- certificates ----------------------------------------------------------------
@@ -655,25 +677,26 @@ def check_certificate(front, cert):
     if oriented.n_components != 1:
         raise InputError("certificates are checked for knots (one component)")
     tb = thurston_bennequin(oriented)
-    word = front
+    # one event list and one profile, which each step edits in place
+    events, counts = list(front.events), list(front._profile)
     pinches = deaths = 0
     for i, step in enumerate(cert.steps):
         try:
             if isinstance(step, Move):
-                word = apply_move(word, step)
+                _move(events, counts, step)
             elif isinstance(step, Pinch):
-                word = pinch(word, step.index, step.pos)
+                _pinch(events, counts, step.index, step.pos)
                 pinches += 1
             elif isinstance(step, Death):
-                word = death(word, step.component)
+                _death(events, counts, step.component)
                 deaths += 1
             else:
                 raise InputError(f"unknown step type {step!r}")
         except InputError as exc:
             raise CertificateError(f"step {i} ({step}): {exc}", step=i) from exc
-    if word.events:
+    if events:
         raise CertificateError(
-            f"non-empty final word: {len(word.events)} events remain", step=None
+            f"non-empty final word: {len(events)} events remain", step=None
         )
     if cert.declared_surface is not None and cert.declared_surface != (pinches, deaths):
         raise CertificateError(

@@ -279,6 +279,8 @@ def _parse_terms(text, variables):
         if operator and dangling:
             raise InputError(f"a sign or '*' with no factor after it in {text!r}")
         dangling = bool(operator)
+        if operator == "*" and not in_term:
+            raise InputError(f"a '*' with no factor before it in {text!r}")
         if m.group("sign"):
             if in_term:
                 flush()

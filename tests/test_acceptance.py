@@ -269,6 +269,30 @@ def test_c8_finite_quotients():
     )
 
 
+def test_c8_affine_quotients_separate_the_pair():
+    # a witness of the headline that uses no Fox calculus: W22 and W12
+    # have different numbers of maps into AGL(1,5), the maps x -> ax+b
+    # mod 5, while S3 and S4 do not tell them apart
+    affine = [tuple((a * x + b) % 5 for x in range(5)) for a in range(1, 5) for b in range(5)]
+    assert len(set(affine)) == 20
+    counts = {}
+    start = time.monotonic()
+    for pres_name in ("w22.pres", "w12.pres"):
+        pres = parse_presentation(read(pres_name)).presentation
+        counts[pres_name] = (
+            sum(check_finite_hom(pres, images)
+                for images in itertools.product(affine, repeat=pres.rank)),
+            count_homs(pres, 3),
+            count_homs(pres, 4),
+        )
+    elapsed = time.monotonic() - start
+    assert counts == {"w22.pres": (140, 30, 168), "w12.pres": (60, 30, 168)}
+    ok(
+        "criterion 8 (second witness): 140 vs 60 homomorphisms into AGL(1,5) "
+        f"separate W22 and W12, which S3 (30/30) and S4 (168/168) do not, in {elapsed:.3f}s"
+    )
+
+
 def test_c9_property_suites():
     rng = random.Random(99)
     # Laurent ring laws

@@ -376,29 +376,31 @@ def replay_traces(monkeypatch, front, cert):
 
     Returns the lengths of the words traced outside any pinch, and for
     each pinch in step order its column's strand count, the length of the
-    block around its column, and the events it traced."""
-    real_trace, real_pinch = front_module._trace, front_module.pinch
+    block around its column, and the events it traced.  Replay pinches
+    through the in-place step ``front._pinch``, so that is what is
+    recorded; the count and block come from a fresh walk of the word."""
+    real_trace, real_pinch = front_module._trace, front_module._pinch
     outside, pinches = [], []
 
     def counting(word, *column):
         outside.append(len(word))
         return real_trace(word, *column)
 
-    def recording(word, index, k):
+    def recording(events, counts, index, k):
+        word = FrontWord(tuple(events))
         before = len(outside)
-        out = real_pinch(word, index, k)
+        real_pinch(events, counts, index, k)
         count = ([0] + strand_profile(word))[index]
         pinches.append((count, block_length(word, index), sum(outside[before:])))
         del outside[before:]
-        return out
 
     monkeypatch.setattr(front_module, "_trace", counting)
-    monkeypatch.setattr(front_module, "pinch", recording)
+    monkeypatch.setattr(front_module, "_pinch", recording)
     try:
         check_certificate(front, cert)
     finally:
         monkeypatch.setattr(front_module, "_trace", real_trace)
-        monkeypatch.setattr(front_module, "pinch", real_pinch)
+        monkeypatch.setattr(front_module, "_pinch", real_pinch)
     return outside, pinches
 
 
@@ -451,20 +453,24 @@ class TestOneTracePerWord:
 
 
 class TestCarriedProfile:
-    """Each replay step hands its result the strand-count profile it
-    carried forward; that profile must equal a fresh walk of the result."""
+    """Each replay step edits the strand-count profile in place with its
+    event list; after every step that profile must equal a fresh walk of
+    the events."""
 
     def check(self, monkeypatch, front, cert):
         results = []
-        for name in ("apply_move", "pinch", "death"):
+        for name in ("_move", "_pinch", "_death"):
             real = getattr(front_module, name)
-            monkeypatch.setattr(
-                front_module, name, lambda *args, real=real: results.append(real(*args)) or results[-1]
-            )
+
+            def step(events, counts, *args, real=real):
+                real(events, counts, *args)
+                results.append((tuple(events), list(counts)))
+
+            monkeypatch.setattr(front_module, name, step)
         check_certificate(front, cert)
         assert len(results) == len(cert.steps)
-        for word in results:
-            assert vars(word)["_profile"] == _word_counts(word.events)
+        for events, counts in results:
+            assert counts == _word_counts(events)
 
     @pytest.mark.parametrize("name", ["d1.cert", "d2.cert"])
     def test_bundled_disk_certificates(self, monkeypatch, name):
@@ -476,6 +482,56 @@ class TestCarriedProfile:
         f946 = parse_front(data_path("9_46.front").read_text())
         d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
         self.check(monkeypatch, *connect([f946] * n, [d1, d2] * (n // 2)))
+
+
+class TestReplayInPlace:
+    """A replay edits one event list and one profile list: the only words
+    it builds are the blocks its pinches trace, never the whole sum."""
+
+    def test_composed_l32_builds_no_word_longer_than_a_summand(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
+        total, cert = connect([f946] * 32, [d1, d2] * 16)
+        real = FrontWord._of
+        built = []
+
+        def recording(cls, events, counts=None):
+            built.append(len(events))
+            return real(events, counts)
+
+        monkeypatch.setattr(FrontWord, "_of", classmethod(recording))
+        assert check_certificate(total, cert).euler == 1
+        assert built and max(built) <= len(f946), built
+
+    def test_public_steps_leave_their_input_as_it_was(self):
+        word = parse_front(data_path("9_46.front").read_text())
+        for step in parse_certificate(data_path("d1.cert").read_text()).steps:
+            events, profile = word.events, list(word._profile)
+            if isinstance(step, Move):
+                out = apply_move(word, step)
+            elif isinstance(step, Pinch):
+                out = pinch(word, step.index, step.pos)
+            else:
+                out = death(word, step.component)
+            assert word.events == events and word._profile == profile
+            word = out
+        assert word.events == ()
+
+    @pytest.mark.parametrize("step, args", [
+        ("_move", (Move("r2a-", 0, 1),)),  # pattern mismatch
+        ("_move", (Move("slide", 2, 0),)),  # overlapping events
+        ("_move", (Move("r1a+", 0, 1),)),  # a new event on too few strands
+        ("_pinch", (3, 2)),  # parallel strands
+        ("_pinch", (3, 4)),  # too few strands
+        ("_pinch", (9, 1)),  # column outside the word
+        ("_death", (1,)),  # not a standard unknot
+        ("_death", (2,)),  # no such component
+    ])
+    def test_rejected_steps_change_nothing(self, step, args):
+        events, counts = list(TREFOIL.events), list(TREFOIL._profile)
+        with pytest.raises(InputError):
+            getattr(front_module, step)(events, counts, *args)
+        assert events == list(TREFOIL.events) and counts == TREFOIL._profile
 
 
 class TestMovesCheckTheirWindow:

@@ -76,6 +76,15 @@ class TestArithmetic:
                 B(s)
         assert L("- t") == -IntLaurent.t() and L("+ 3*t") == L("3*t")
 
+    def test_parse_rejects_a_star_with_no_factor_before_it(self):
+        for s in ("* t", "*3"):
+            with pytest.raises(InputError, match="no factor before it"):
+                L(s)
+        with pytest.raises(InputError, match="no factor before it"):
+            B("* a")
+        assert L("3*t") == L("3 t") == IntLaurent({1: 3})
+        assert L("-t^-1") == IntLaurent({-1: -1})
+
     def test_ring_laws_randomized(self):
         rng = random.Random(7)
         for _ in range(120):
