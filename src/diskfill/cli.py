@@ -45,7 +45,7 @@ from .groups import (
     validate_abelianization,
     z_surjection,
 )
-from .kauffman import DEFAULT_CROSSING_BUDGET, kauffman_F, parse_pd, tb_upper_bound
+from .kauffman import kauffman_F, parse_pd, tb_upper_bound
 from .laurent import min_deg_a, unit_equivalent
 
 EXIT_USAGE = 1
@@ -117,10 +117,10 @@ def cmd_alexander(args):
     weights = _weights_for(pf, args.map)
     pres = pf.presentation
     # compute before printing, so a rejected input leaves stdout empty
-    polynomial = alexander_polynomial(pres, weights)
+    matrix = alexander_matrix(pres, weights)
+    polynomial = alexander_polynomial(matrix)
     out.field("h1", h1(pres))
     out.field("map", _render_weights(pres.gens, weights))
-    matrix = alexander_matrix(pres, weights)
     for i, row in enumerate(matrix.entries, start=1):
         out.field(f"matrix_row_{i}", "[" + ", ".join(str(e) for e in row) + "]")
     out.field("polynomial", polynomial, "alexander polynomial")
@@ -135,7 +135,7 @@ def cmd_compare(args):
         free_rank = h1(pf.presentation).free_rank
         if free_rank != 1:
             raise InputError(f"{path}: H1 free rank is {free_rank}, need 1")
-        polys.append(alexander_polynomial(pf.presentation, _weights_for(pf, None)))
+        polys.append(alexander_polynomial(alexander_matrix(pf.presentation, _weights_for(pf, None))))
     out.field("polynomial_a", polys[0])
     out.field("polynomial_b", polys[1])
     allow = not args.units_only
@@ -199,17 +199,23 @@ def cmd_connect(args):
     return 0
 
 
-def _crossing_budget(args):
-    if args.budget_crossings < 0:
-        raise InputError(f"--budget-crossings must be at least 0, got {args.budget_crossings}")
-    return args.budget_crossings
+def _bounded_pd(args):
+    """The PD file's diagram, refused above the optional ``--budget-crossings``."""
+    bound = args.budget_crossings
+    if bound is not None and bound < 0:
+        raise InputError(f"--budget-crossings must be at least 0, got {bound}")
+    diagram = parse_pd(_read(args.pd))
+    if bound is not None and diagram.n > bound:
+        raise BudgetError(
+            f"{diagram.n} crossings exceeds the budget of {bound}; "
+            "raise it explicitly for larger diagrams"
+        )
+    return diagram
 
 
 def cmd_kauffman(args):
     out = _Out(args.machine)
-    budget = _crossing_budget(args)
-    diagram = parse_pd(_read(args.pd))
-    value = kauffman_F(diagram, budget=budget)
+    value = kauffman_F(_bounded_pd(args))
     out.field("polynomial", value, "kauffman polynomial F")
     if value:
         out.field("min_deg_a", min_deg_a(value))
@@ -218,9 +224,7 @@ def cmd_kauffman(args):
 
 def cmd_tb_bound(args):
     out = _Out(args.machine)
-    budget = _crossing_budget(args)
-    diagram = parse_pd(_read(args.pd))
-    out.field("bound", tb_upper_bound(diagram, budget=budget), "tb upper bound")
+    out.field("bound", tb_upper_bound(_bounded_pd(args)), "tb upper bound")
     return 0
 
 
@@ -346,11 +350,11 @@ def _build_parser():
 
     p = add("kauffman", cmd_kauffman, help="Kauffman polynomial of a PD diagram")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, default=DEFAULT_CROSSING_BUDGET, metavar="N")
+    p.add_argument("--budget-crossings", type=int, metavar="N")
 
     p = add("tb-bound", cmd_tb_bound, help="Kauffman upper bound for tb")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, default=DEFAULT_CROSSING_BUDGET, metavar="N")
+    p.add_argument("--budget-crossings", type=int, metavar="N")
 
     p = add("homs", cmd_homs, help="count homomorphisms into a symmetric group")
     p.add_argument("presentation")

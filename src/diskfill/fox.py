@@ -9,7 +9,8 @@ integer coefficients.  The free derivative d/dg satisfies
 and abelianizing a derivative through a weight map (generator -> t^w)
 turns each row of derivatives into a row of Laurent polynomials.  The
 Alexander polynomial of a presentation on n generators is the gcd of all
-(n-1)-minors of that matrix, taken in canonical unit form.
+(n-1)-minors of that matrix, taken in canonical unit form:
+``alexander_polynomial(alexander_matrix(pres, weights))``.
 
 One minor per row subset is enough.  Fox's fundamental formula, with a
 weight map that kills every relator, gives sum_j M_ij (t^{w_j} - 1) = 0
@@ -88,25 +89,22 @@ def ring_mul(a, b):
 # -- Fox derivatives ----------------------------------------------------------
 
 def fox_derivative(word, gen):
-    """d(word)/d(x_gen) as a group-ring element; gen is 1-based."""
+    """d(word)/d(x_gen) as a group-ring element; gen is 1-based.
+
+    Every prefix of a freely reduced word w is freely reduced, so a letter
+    gen at index i contributes the prefix ``w[:i]`` and a letter -gen the
+    prefix times gen^-1, ``w[:i + 1]``.  Two terms meet only for -gen
+    followed by gen, which a reduced word never holds, so each is ±1.
+    """
     if gen < 1:
         raise InputError("generator index must be 1-based and positive")
+    w = free_reduce(word)
     out = {}
-    prefix = ()
-    for x in free_reduce(word):
+    for i, x in enumerate(w):
         if x == gen:
-            key, c = prefix, 1
+            out[w[:i]] = 1
         elif x == -gen:
-            key, c = word_mul(prefix, (-gen,)), -1
-        else:
-            key = None
-        if key is not None:
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                out.pop(key, None)
-        prefix = word_mul(prefix, (x,))
+            out[w[:i + 1]] = -1
     return out
 
 
@@ -184,20 +182,20 @@ def laurent_det(rows):
     return -det if sign < 0 else det
 
 
-def alexander_polynomial(pres, weights):
-    """Gcd of all (n-1)-minors of the Alexander matrix, canonical unit form.
+def alexander_polynomial(matrix):
+    """Gcd of all (n-1)-minors of an Alexander matrix, canonical unit form.
 
     Requires a nonzero weight map and at least n-1 relators; when there are
     more, every row subset of size n-1 contributes one minor (see the
     module docstring).  A zero ideal comes back as the zero polynomial.
     """
-    n = pres.rank
+    weights = matrix.weights
+    n = len(weights)
     if n < 1:
         raise InputError("presentation needs at least one generator")
     if not any(weights):
         raise InputError("weight map is zero")
     k = n - 1
-    matrix = alexander_matrix(pres, weights)
     if matrix.nrows < k:
         raise InputError(
             f"need at least {k} relators for {n} generators, have {matrix.nrows}"

@@ -35,6 +35,10 @@ keyed diagram is traced once, and that trace gives both the crossing to
 switch and, for a descending diagram, its writhe and component count.
 Evaluation is deterministic however the tree is walked.
 
+The budget counts the diagrams an evaluation keys (its memo misses), not
+crossings: a 45-crossing pretzel keys 155, a closed 4-braid of T(4,6) up
+to 3,260, and one of T(4,7) passes ``MAX_KEYS``, which raises.
+
 Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
 is a strand end entering a crossing along the edge at that slot, and
 ``LinkDiagram.far`` sends it to the dart at the other end of the same
@@ -78,7 +82,7 @@ __all__ = [
     "tb_upper_bound",
 ]
 
-DEFAULT_CROSSING_BUDGET = 16
+MAX_KEYS = 5_000  # diagrams one evaluation may key, a few seconds of work
 
 # delta = (a + a^-1 - z) / z
 DELTA_NUMERATOR = BiLaurent({(1, 0): 1, (-1, 0): 1, (0, 1): -1})
@@ -516,24 +520,27 @@ def canonical_key(diagram):
     return ("tokens", tuple(piece_codes), diagram.loops)
 
 
-def regular_isotopy_polynomial(diagram, budget=DEFAULT_CROSSING_BUDGET, _memo=None):
-    """The regular-isotopy skein polynomial lam (memoized evaluation)."""
-    if diagram.n > budget:
-        raise BudgetError(
-            f"{diagram.n} crossings exceeds the budget of {budget}; "
-            "raise it explicitly for larger diagrams"
-        )
+def regular_isotopy_polynomial(diagram, _memo=None):
+    """The regular-isotopy skein polynomial lam (memoized evaluation);
+    ``BudgetError`` once it keys more than ``MAX_KEYS`` diagrams, counting
+    none a shared ``_memo`` already holds."""
     memo = {} if _memo is None else _memo
-    return _lam(diagram, memo)
+    return _lam(diagram, memo, [])
 
 
-def _lam(diagram, memo):
+def _lam(diagram, memo, keyed):
     diagram, unit = simplify(diagram)
     if not diagram.crossings:
         return unit * delta_power(diagram.loops - 1)
     key = canonical_key(diagram)
     value = memo.get(key)
     if value is None:
+        keyed.append(diagram.n)  # no child has more crossings: keyed[0] is the largest
+        if len(keyed) > MAX_KEYS:
+            raise BudgetError(
+                f"the skein evaluation keyed {len(keyed)} diagrams, more than "
+                f"{MAX_KEYS}; the largest had {keyed[0]} crossings"
+            )
         # switch the first crossing, in traversal order, met under first:
         # that strictly grows the descending prefix of the traversal (the
         # traversal itself does not change), so the recursion terminates
@@ -547,32 +554,32 @@ def _lam(diagram, memo):
             target = min(ascending, key=tr.first_visit.__getitem__)
             z = BiLaurent.z(1)
             value = (
-                z * (_lam(smooth_crossing(diagram, target, 0), memo)
-                     + _lam(smooth_crossing(diagram, target, 1), memo))
-                - _lam(switch_crossing(diagram, target), memo)
+                z * (_lam(smooth_crossing(diagram, target, 0), memo, keyed)
+                     + _lam(smooth_crossing(diagram, target, 1), memo, keyed))
+                - _lam(switch_crossing(diagram, target), memo, keyed)
             )
         memo[key] = value
     return unit * value
 
 
-def kauffman_F(diagram, budget=DEFAULT_CROSSING_BUDGET):
+def kauffman_F(diagram):
     """The normalized, regular-isotopy-corrected Kauffman polynomial."""
-    return _normalize(diagram, trace_diagram(diagram), budget)
+    return _normalize(diagram, trace_diagram(diagram))
 
 
-def _normalize(diagram, tr, budget):
+def _normalize(diagram, tr):
     """F = a^writhe * lam, with writhe and component count from ``tr``,
     the one trace of the input diagram."""
-    value = BiLaurent.a(tr.writhe) * regular_isotopy_polynomial(diagram, budget)
+    value = BiLaurent.a(tr.writhe) * regular_isotopy_polynomial(diagram)
     if tr.components == 1 and value and value.min_z_exp() < 0:
         raise ArithmeticError("knot polynomial must have z-exponents >= 0")
     return value
 
 
-def tb_upper_bound(diagram, budget=DEFAULT_CROSSING_BUDGET):
+def tb_upper_bound(diagram):
     """Upper bound for the Thurston-Bennequin number of any Legendrian
     representative: min a-degree of F, minus 1."""
     tr = trace_diagram(diagram)
     if tr.components != 1:
         raise InputError("the bound is stated for knots (one component)")
-    return min_deg_a(_normalize(diagram, tr, budget)) - 1
+    return min_deg_a(_normalize(diagram, tr)) - 1

@@ -2,8 +2,9 @@
 
 Independent reconstructions used as oracles: a front-word to PD-code
 converter, Wirtinger presentations of PD codes (so Alexander polynomials
-of diagrams can be computed through the group pipeline), a pretzel/torus
-PD generator, Tietze transformations, a plain skein evaluator with no
+of diagrams can be computed through the group pipeline), pretzel/torus
+and braid-closure PD generators, the pretzel skein polynomial by tangle
+algebra, Tietze transformations, a plain skein evaluator with no
 simplification that caches only on the exact PD code within one call,
 the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
 division over Q, the parity union-find that once oriented fronts,
@@ -31,7 +32,7 @@ from diskfill.front import (
     orient,
     validate,
 )
-from diskfill.fox import alexander_polynomial, laurent_det
+from diskfill.fox import alexander_matrix, alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, free_reduce
 from diskfill.kauffman import (
     DiagramTrace,
@@ -144,7 +145,7 @@ def pd_alexander(diagram):
     pres = wirtinger_presentation(diagram)
     trimmed = Presentation(pres.gens, pres.relators[:-1])
     weights = (1,) * trimmed.rank
-    return alexander_polynomial(trimmed, weights)
+    return alexander_polynomial(alexander_matrix(trimmed, weights))
 
 
 # -- Alexander oracles ------------------------------------------------------------
@@ -194,7 +195,8 @@ def fraction_div_exact(p, q):
 def pretzel_pd(twists):
     """PD code of the pretzel link with the given twist counts.
 
-    ``pretzel_pd([k])`` is the (2, k) torus diagram.  The sign of each
+    ``pretzel_pd([1] * k)`` is the (2, k) torus diagram; ``pretzel_pd([k])``
+    closes one region on itself, an unknot with k kinks.  The sign of each
     twist count picks which strand of that region passes in front.
     """
     if not twists or any(k == 0 for k in twists):
@@ -241,6 +243,70 @@ def pretzel_pd(twists):
         if rx != ry:
             parent[ry] = rx
     return LinkDiagram(tuple(tuple(find(e) for e in c) for c in crossings), 0)
+
+
+def braid_pd(strands, word):
+    """PD code of the closure of a braid on ``strands`` strands.
+
+    Letter ``i`` (1-based) crosses the strands at positions i and i + 1,
+    positively for ``i > 0`` and negatively for ``-i``; the closure of
+    ``[1] * 3`` is the right-handed trefoil, of writhe 3.  A position no
+    letter touches closes into a crossingless loop.
+    """
+    top = list(range(1, strands + 1))  # the edge leaving each position upward
+    crossings = []
+    for x in word:
+        i = abs(x) - 1
+        if not x or i >= strands - 1:
+            raise ValueError(f"no braid letter {x} on {strands} strands")
+        # strands run upward: a and b enter from below, c and d leave above
+        a, b = top[i], top[i + 1]
+        c = strands + 2 * len(crossings) + 1
+        d = c + 1
+        crossings.append((b, d, c, a) if x > 0 else (a, b, d, c))
+        top[i], top[i + 1] = c, d
+    close = {edge: j for j, edge in enumerate(top, start=1)}
+    crossings = tuple(tuple(close.get(e, e) for e in c) for c in crossings)
+    return LinkDiagram(crossings, sum(edge == j for edge, j in close.items()))
+
+
+def pretzel_lambda(twists):
+    """The regular-isotopy polynomial of ``pretzel_pd(twists)`` by tangle
+    algebra, with no diagram and no recursion.
+
+    A 4-ended tangle is a vector (c0, cinf, c1) over the skein module's
+    basis: B0 (horizontal arcs), Binf (vertical arcs) and B1 (one
+    crossing).  In the horizontal sum B0 is the unit, Binf + Binf =
+    delta Binf, Binf + B1 = B1 + Binf = a Binf and B1 + B1 = -B0 + z B1 +
+    z a Binf.  Turning a tangle by 90 degrees swaps B0 and Binf and sends
+    B1 to B-1 = z (B0 + Binf) - B1.  A region with k > 0 is the turned
+    horizontal sum of k B1 crossings, one with k < 0 of |k| B-1; the
+    regions are summed horizontally and closed by the numerator N, with
+    N(B0) = delta, N(Binf) = 1 and N(B1) = a^-1.
+    """
+    zero, one = BiLaurent(), BiLaurent.constant(1)
+    z, a, delta = BiLaurent.z(1), BiLaurent.a(1), delta_power(1)
+
+    def add(s, t):
+        (s0, si, s1), (t0, ti, t1) = s, t
+        return (s0 * t0 - s1 * t1,
+                s0 * ti + si * t0 + si * ti * delta + (si * t1 + s1 * ti) * a + s1 * t1 * z * a,
+                s0 * t1 + s1 * t0 + s1 * t1 * z)
+
+    def turn(s):
+        c0, ci, c1 = s
+        return (ci + z * c1, c0 + z * c1, -c1)
+
+    unit, b1 = (one, zero, zero), (zero, zero, one)
+    total = unit
+    for k in twists:
+        crossing = b1 if k > 0 else turn(b1)
+        region = unit
+        for _ in range(abs(k)):
+            region = add(region, crossing)
+        total = add(total, turn(region))
+    c0, ci, c1 = total
+    return c0 * delta + ci + c1 * BiLaurent.a(-1)
 
 
 # -- plain exponential skein oracle ------------------------------------------------

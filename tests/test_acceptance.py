@@ -241,8 +241,8 @@ def test_c7_optional_k_ak_regression():
     except FileNotFoundError:
         pytest.skip("k_ak.pd not supplied; drop a PD file into diskfill/data to enable")
     d = parse_pd(text)
-    assert min_deg_a(kauffman_F(d, budget=20)) == -1
-    assert min_deg_a(kauffman_F(mirror(d), budget=20)) == -8
+    assert min_deg_a(kauffman_F(d)) == -1
+    assert min_deg_a(kauffman_F(mirror(d))) == -8
     ok("criterion 7 (optional): user-supplied k_ak.pd has a-degrees -1 / -8")
 
 
@@ -325,10 +325,10 @@ def test_c9_property_suites():
             fox_derivative(u, g), ring_mul({u: 1}, fox_derivative(v, g))
         )
     # Alexander Tietze invariance up to units
-    from diskfill.fox import alexander_polynomial
+    from diskfill.fox import alexander_matrix, alexander_polynomial
 
     w22 = parse_presentation(read("w22.pres"))
-    golden = alexander_polynomial(w22.presentation, w22.maps[0])
+    golden = alexander_polynomial(alexander_matrix(w22.presentation, w22.maps[0]))
     for _ in range(100):
         p, w = w22.presentation, w22.maps[0]
         op = rng.randrange(3)
@@ -340,7 +340,7 @@ def test_c9_property_suites():
         else:
             word = random_word(rng, p.rank, 3)
             p, w = stabilize(p, word, name="s"), stabilized_weights(p, w, word)
-        assert unit_equivalent(alexander_polynomial(p, w), golden)
+        assert unit_equivalent(alexander_polynomial(alexander_matrix(p, w)), golden)
     # skein relation at recursion nodes (shared memo keeps this quick)
     z = BiLaurent.z(1)
     base = parse_pd(read("9_46.pd"))

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from diskfill import cli, data_path
+from diskfill import cli, data_path, fox, kauffman
 from diskfill.cli import main
 from diskfill.front import parse_certificate, parse_front
 from diskfill.groups import MAX_SYMBOLS
-from diskfill.kauffman import parse_pd
+from diskfill.kauffman import parse_pd, render_pd, trace_diagram
 from diskfill.laurent import BiLaurent, IntLaurent
+
+from helpers import braid_pd, pretzel_lambda, pretzel_pd
 
 
 def run(capsys, *argv):
@@ -48,6 +50,21 @@ class TestAlexanderCommands:
         a = IntLaurent.parse(machine_dict(out_auto)["polynomial"])
         b = IntLaurent.parse(machine_dict(out_map)["polynomial"])
         assert unit_equivalent(a, b, allow_inversion=True)
+
+    def test_alexander_builds_one_matrix(self, capsys, monkeypatch):
+        # the printed rows are those of the matrix the polynomial came from
+        built = []
+        real = fox.alexander_matrix
+
+        def counting(pres, weights):
+            built.append(pres)
+            return real(pres, weights)
+
+        monkeypatch.setattr(fox, "alexander_matrix", counting)
+        monkeypatch.setattr(cli, "alexander_matrix", counting)
+        code, out, _ = run(capsys, "alexander", "w22.pres", "--machine")
+        assert code == 0 and len(built) == 1
+        assert machine_dict(out)["matrix_row_1"].startswith("[")
 
     def test_alexander_rejected_map_prints_nothing(self, capsys):
         # the all-zero map passes the abelianization check but has no
@@ -205,6 +222,38 @@ class TestKauffmanCommands:
     def test_zero_budget_allows_crossingless_diagrams(self, capsys):
         code, out, _ = run(capsys, "tb-bound", "unknot.pd", "--budget-crossings", "0", "--machine")
         assert code == 0 and out == "bound: -1\n"
+
+    @pytest.mark.parametrize("command", ["kauffman", "tb-bound"])
+    def test_budget_crossings_is_an_optional_input_bound(self, capsys, tmp_path, command):
+        path = tmp_path / "p27.pd"
+        path.write_text(render_pd(pretzel_pd([9, 9, -9])))  # a 27-crossing knot
+        code, out, err = run(capsys, command, str(path), "--machine")
+        assert code == 0 and out and not err
+        code, out, err = run(capsys, command, str(path), "--budget-crossings", "26", "--machine")
+        assert code == 3 and not out
+        assert "27 crossings exceeds the budget of 26" in err
+        code, out, _ = run(capsys, command, str(path), "--budget-crossings", "27", "--machine")
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("twists", [[9, 9, -9], [9, -9, 9, -9, 9]])
+    def test_pretzels_above_16_crossings_match_the_tangle_oracle(self, capsys, tmp_path, twists):
+        d = pretzel_pd(twists)
+        path = tmp_path / "p.pd"
+        path.write_text(render_pd(d))
+        code, out, _ = run(capsys, "kauffman", str(path), "--machine")
+        assert code == 0
+        expected = BiLaurent.a(trace_diagram(d).writhe) * pretzel_lambda(twists)
+        assert BiLaurent.parse(machine_dict(out)["polynomial"]) == expected
+
+    def test_key_limit_exit_code(self, capsys, tmp_path, monkeypatch):
+        # this closed braid of T(4,7) keys 7,665 diagrams; with the limit
+        # lowered the run stops at the first key past it
+        monkeypatch.setattr(kauffman, "MAX_KEYS", 300)
+        path = tmp_path / "t47.pd"
+        path.write_text(render_pd(braid_pd(4, [1, 2, 3] * 7)))
+        code, out, err = run(capsys, "kauffman", str(path), "--machine")
+        assert code == 3 and not out
+        assert "keyed 301 diagrams, more than 300; the largest had 21 crossings" in err
 
     @pytest.mark.parametrize(
         "text, message",

@@ -73,6 +73,13 @@ class TestFoxDerivative:
             )
             assert lhs == rhs
 
+    def test_terms_are_prefixes_of_the_reduced_word(self, monkeypatch):
+        # no prefix is multiplied out again: each term is a slice of the
+        # freely reduced input, and an unreduced input is reduced first
+        monkeypatch.setattr(fox, "word_mul", lambda u, v: pytest.fail("word_mul called"))
+        assert fox_derivative(R1, 1) == {(): 1, (1, 2, -1): -1, (1, 2, -1, -2): 1}
+        assert fox_derivative((1, 2, -2, -1, -1, 3), 1) == {(-1,): -1}
+
     def test_ring_helpers(self):
         a = {(1,): 2, (): -1}
         b = {(-1,): 1}
@@ -194,11 +201,11 @@ class TestLaurentDet:
 class TestAlexanderPolynomial:
     def test_w22(self):
         pres = parse_presentation(W22_TEXT).presentation
-        assert alexander_polynomial(pres, ALPHA) == L("4*t^2 - 4*t + 1")
+        assert alexander_polynomial(alexander_matrix(pres, ALPHA)) == L("4*t^2 - 4*t + 1")
 
     def test_w12(self):
         pres = parse_presentation(W12_TEXT).presentation
-        assert alexander_polynomial(pres, BETA) == L("2*t^2 - 5*t + 2")
+        assert alexander_polynomial(alexander_matrix(pres, BETA)) == L("2*t^2 - 5*t + 2")
 
     def test_canonical_forms_square_vs_product(self):
         p = L("2 - t^-1")
@@ -208,28 +215,28 @@ class TestAlexanderPolynomial:
     def test_single_relator_two_generators(self):
         pres = Presentation(("x", "y"), (((1,)),))
         pres = Presentation(("x", "y"), ((1,),))
-        assert alexander_polynomial(pres, (0, 1)) == L("1")
+        assert alexander_polynomial(alexander_matrix(pres, (0, 1))) == L("1")
 
     def test_too_few_relators(self):
         with pytest.raises(InputError):
-            alexander_polynomial(Presentation(("x", "y", "z"), ((1, -2),)), (1, 1, 0))
+            alexander_polynomial(alexander_matrix(Presentation(("x", "y", "z"), ((1, -2),)), (1, 1, 0)))
 
     def test_zero_ideal(self):
         pres = Presentation(("x", "y"), ((),))
-        assert alexander_polynomial(pres, (1, 1)) == IntLaurent()
+        assert alexander_polynomial(alexander_matrix(pres, (1, 1))) == IntLaurent()
 
     def test_bs12(self):
-        assert alexander_polynomial(BS12, (0, 1)) == L("-2*t + 1")
+        assert alexander_polynomial(alexander_matrix(BS12, (0, 1))) == L("-2*t + 1")
 
     def test_deficiency_handling_extra_relators(self):
         pres = parse_presentation(W22_TEXT).presentation
         extra = Presentation(pres.gens, pres.relators + (pres.relators[0],))
-        assert alexander_polynomial(extra, ALPHA) == L("4*t^2 - 4*t + 1")
+        assert alexander_polynomial(alexander_matrix(extra, ALPHA)) == L("4*t^2 - 4*t + 1")
 
     def test_tietze_invariance_up_to_units(self):
         rng = random.Random(34)
         pres = parse_presentation(W22_TEXT).presentation
-        golden = alexander_polynomial(pres, ALPHA)
+        golden = alexander_polynomial(alexander_matrix(pres, ALPHA))
         for trial in range(100):
             p, w = pres, ALPHA
             for _ in range(2):
@@ -246,13 +253,13 @@ class TestAlexanderPolynomial:
                 else:
                     word = random_word(rng, p.rank, 3)
                     p, w = stabilize(p, word, name=f"s{p.rank}"), stabilized_weights(p, w, word)
-            got = alexander_polynomial(p, w)
+            got = alexander_polynomial(alexander_matrix(p, w))
             assert unit_equivalent(got, golden), (trial, str(got))
 
     def test_negating_weights_inverts_t(self):
         pres = parse_presentation(W12_TEXT).presentation
-        plus = alexander_polynomial(pres, BETA)
-        minus = alexander_polynomial(pres, tuple(-w for w in BETA))
+        plus = alexander_polynomial(alexander_matrix(pres, BETA))
+        minus = alexander_polynomial(alexander_matrix(pres, tuple(-w for w in BETA)))
         assert unit_equivalent(plus, minus, allow_inversion=True)
         assert unit_equivalent(plus, substitute_inverse(minus))
 
@@ -295,7 +302,7 @@ class TestOneMinorPerRowSubset:
     def check(self, pres, weights):
         with pytest.MonkeyPatch.context() as mp:
             calls = counting_det(mp)
-            got = alexander_polynomial(pres, weights)
+            got = alexander_polynomial(alexander_matrix(pres, weights))
         assert got == all_minors_gcd(alexander_matrix(pres, weights)), str(got)
         # one (n-1)x(n-1) determinant per row subset, every subset unless
         # the gcd reached a unit, which happens exactly when the result is 1
@@ -355,14 +362,14 @@ class TestOneMinorPerRowSubset:
         assert laurent_det([[matrix.entries[i][j] for j in (1, 2)] for i in (0, 2)]) == IntLaurent()
         assert self.check(pres, ALPHA) == L("4*t^2 - 4*t + 1")
         calls = counting_det(monkeypatch)
-        alexander_polynomial(pres, ALPHA)
+        alexander_polynomial(alexander_matrix(pres, ALPHA))
         assert calls == [2, 2, 2]
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (2, 5), (3, 5)])
     def test_torus_groups_take_one_minor(self, p, q, monkeypatch):
         pres, weights = torus_presentation(p, q)
         calls = counting_det(monkeypatch)
-        got = alexander_polynomial(pres, weights)
+        got = alexander_polynomial(alexander_matrix(pres, weights))
         assert calls == [1]  # one 1x1 minor for the one row, though no weight is ±1
         t = IntLaurent.t()
         expected = div_exact((t ** (p * q) - 1) * (t - 1), (t ** p - 1) * (t ** q - 1))
@@ -378,26 +385,26 @@ class TestOneMinorPerRowSubset:
         pres = Presentation(pres.gens, pres.relators + (pres.relators[0],))
         pres = conjugate_relator(pres, 2, (3, -2))
         calls = counting_det(monkeypatch)
-        assert alexander_polynomial(pres, weights) == L("t^2 - t + 1")
+        assert alexander_polynomial(alexander_matrix(pres, weights)) == L("t^2 - t + 1")
         assert calls == [2, 2, 2]
 
     def test_one_determinant_per_row_subset(self, monkeypatch):
         pres = wirtinger_presentation(pretzel_pd([3, -1, 3]))
         weights = (1,) * pres.rank
         calls = counting_det(monkeypatch)
-        alexander_polynomial(Presentation(pres.gens, pres.relators[:-1]), weights)
+        alexander_polynomial(alexander_matrix(Presentation(pres.gens, pres.relators[:-1]), weights))
         assert calls == [pres.rank - 1]
         del calls[:]
-        alexander_polynomial(pres, weights)
+        alexander_polynomial(alexander_matrix(pres, weights))
         assert calls == [pres.rank - 1] * pres.rank
 
     def test_zero_map_is_rejected(self):
         pres = parse_presentation(W12_TEXT).presentation
         with pytest.raises(InputError, match="weight map is zero"):
-            alexander_polynomial(pres, (0, 0, 0))
+            alexander_polynomial(alexander_matrix(pres, (0, 0, 0)))
 
     def test_inexact_final_division_raises(self, monkeypatch):
         monkeypatch.setattr(fox, "div_exact", lambda p, q: None)
         pres, weights = torus_presentation(2, 3)  # a 1x1 minor: no Bareiss division
         with pytest.raises(ArithmeticError, match="must divide"):
-            alexander_polynomial(pres, weights)
+            alexander_polynomial(alexander_matrix(pres, weights))

@@ -25,9 +25,11 @@ from diskfill.laurent import BiLaurent, a_mirror, min_deg_a
 
 from helpers import (
     all_starts_key,
+    braid_pd,
     incidence_trace,
     naive_F,
     naive_lambda,
+    pretzel_lambda,
     pretzel_pd,
     stepwise_simplify,
     token_key,
@@ -166,9 +168,31 @@ class TestRegularIsotopy:
         assert regular_isotopy_polynomial(two) == delta_power(1)
         assert delta_power(1) == DELTA_NUMERATOR * BiLaurent.z(-1)
 
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            regular_isotopy_polynomial(pretzel_pd([9, 9, -9]), budget=16)
+    def test_budget(self, monkeypatch):
+        # the budget counts keyed diagrams, not crossings: 27 crossings,
+        # above the 16-crossing cap the engine once had, evaluate
+        assert regular_isotopy_polynomial(pretzel_pd([9, 9, -9])) == pretzel_lambda([9, 9, -9])
+        # the torus knot T(4,5), the closure of (s1 s2 s3)^5: 15 crossings
+        # and no kink or bigon, so the input is the largest keyed diagram
+        monkeypatch.setattr(kauffman, "MAX_KEYS", 100)
+        with pytest.raises(BudgetError, match="keyed 101 diagrams, more than 100; "
+                                              "the largest had 15 crossings"):
+            regular_isotopy_polynomial(braid_pd(4, [1, 2, 3] * 5))
+
+    def test_budget_counts_this_evaluation_only(self, monkeypatch):
+        # a memo shared across calls may hold more entries than MAX_KEYS;
+        # only the diagrams the call itself keys count, up to the limit
+        d = pretzel_pd([4, -3, 4])
+        alone = {}
+        lam = regular_isotopy_polynomial(d, _memo=alone)
+        shared = {}
+        regular_isotopy_polynomial(pretzel_pd([3, -5, 5]), _memo=shared)
+        monkeypatch.setattr(kauffman, "MAX_KEYS", len(alone))
+        assert regular_isotopy_polynomial(d, _memo=shared) == lam
+        assert len(shared) > kauffman.MAX_KEYS
+        monkeypatch.setattr(kauffman, "MAX_KEYS", len(alone) - 1)
+        with pytest.raises(BudgetError, match=f"keyed {len(alone)} diagrams"):
+            regular_isotopy_polynomial(d)
 
     def test_skein_relation_at_nodes(self):
         rng = random.Random(51)
@@ -226,7 +250,7 @@ class TestNormalizedF:
             assert min(ez for (_, ez) in F.terms) >= 0
 
     def test_negative_z_exponent_for_a_knot_raises(self, monkeypatch):
-        monkeypatch.setattr(kauffman, "regular_isotopy_polynomial", lambda d, budget: BiLaurent.z(-1))
+        monkeypatch.setattr(kauffman, "regular_isotopy_polynomial", lambda d: BiLaurent.z(-1))
         with pytest.raises(ArithmeticError, match="z-exponents >= 0"):
             kauffman_F(UNKNOT)
 
@@ -547,3 +571,52 @@ class TestMirrorInvolution:
             dd = mirror(mirror(d))
             assert tuple(c[2:] + c[:2] for c in dd.crossings) == d.crossings
             assert canonical_key(dd) == canonical_key(d)
+
+
+class TestLargeDiagramOracles:
+    """The engine at sizes the memo recursion handles but the plain
+    exponential oracle cannot: pretzels against ``pretzel_lambda``, and
+    the braid closures that are its hardest inputs."""
+
+    def test_pretzel_oracle_matches_the_plain_oracle(self):
+        rng = random.Random(60)
+        for _ in range(20):
+            twists = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            d = pretzel_pd(twists)
+            assert pretzel_lambda(twists) == naive_lambda(d), twists
+
+    def test_engine_matches_pretzel_oracle_at_25_to_45_crossings(self):
+        rng = random.Random(61)
+        components = set()
+        for _ in range(10):
+            regions = rng.randint(3, 5)
+            total = rng.randint(25, 45)
+            sizes = [1] * regions
+            for _ in range(total - regions):
+                sizes[rng.randrange(regions)] += 1
+            twists = [rng.choice((-1, 1)) * k for k in sizes]
+            d = pretzel_pd(twists)
+            assert 25 <= d.n <= 45
+            components.add(trace_diagram(d).components)
+            assert regular_isotopy_polynomial(d) == pretzel_lambda(twists), twists
+        assert 1 in components and len(components) > 1
+
+    def test_braid_closures(self):
+        # the closure of s1^3 is the right-handed trefoil, of writhe 3, and
+        # the closure of s1^-k is the (2, k) torus diagram pretzel_pd([1] * k)
+        rh = parse_pd(data_path("trefoil_rh.pd").read_text())
+        for word, expected in (([1, 1, 1], kauffman_F(rh)), ([-1, -1, -1], kauffman_F(mirror(rh)))):
+            d = braid_pd(2, word)
+            assert trace_diagram(d).writhe == sum(1 if x > 0 else -1 for x in word)
+            assert kauffman_F(d) == expected
+        for k in (2, 4, 5, 6):
+            lam = regular_isotopy_polynomial(braid_pd(2, [-1] * k))
+            assert lam == regular_isotopy_polynomial(pretzel_pd([1] * k))
+        # a braid closure draws in the plane, and a strand no letter
+        # touches is a crossingless loop
+        for strands, word in ((3, [1, -2] * 4), (4, [1, 2, 3] * 5), (3, [1, 1])):
+            d = braid_pd(strands, word)
+            assert parse_pd(render_pd(d)) == d
+        assert braid_pd(3, [1, 1]).loops == 1
+        with pytest.raises(ValueError):
+            braid_pd(3, [3])
