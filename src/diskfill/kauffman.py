@@ -58,6 +58,7 @@ equal codes mean equal diagrams (see ``canonical_key``).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -523,9 +524,17 @@ def canonical_key(diagram):
 def regular_isotopy_polynomial(diagram, _memo=None):
     """The regular-isotopy skein polynomial lam (memoized evaluation);
     ``BudgetError`` once it keys more than ``MAX_KEYS`` diagrams, counting
-    none a shared ``_memo`` already holds."""
+    none a shared ``_memo`` already holds.  The recursion nests about once
+    per crossing, so a diagram too deep for the interpreter's recursion
+    limit also raises ``BudgetError``."""
     memo = {} if _memo is None else _memo
-    return _lam(diagram, memo, [])
+    try:
+        return _lam(diagram, memo, [])
+    except RecursionError:
+        raise BudgetError(
+            f"the skein recursion on {diagram.n} crossings nested deeper than "
+            f"the interpreter's recursion limit of {sys.getrecursionlimit()}"
+        ) from None
 
 
 def _lam(diagram, memo, keyed):

@@ -13,7 +13,8 @@ pinch and a death that trace their whole input every time, the
 edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
 memo key minimized over every start dart, the token key built in full
 for every under-strand start, the simplify that rebuilt the diagram
-after every kink or bigon, and the union-find smoothing it used.
+after every kink or bigon, the union-find smoothing it used, and the
+homomorphism count by brute force over every assignment.
 """
 
 import itertools
@@ -33,7 +34,7 @@ from diskfill.front import (
     validate,
 )
 from diskfill.fox import alexander_matrix, alexander_polynomial, laurent_det
-from diskfill.groups import Presentation, free_reduce
+from diskfill.groups import Presentation, check_finite_hom, free_reduce
 from diskfill.kauffman import (
     DiagramTrace,
     LinkDiagram,
@@ -626,6 +627,17 @@ def stabilized_weights(pres, weights, word):
     from diskfill.fox import abelianize_word
 
     return tuple(weights) + (abelianize_word(word, weights),)
+
+
+# -- homomorphisms by brute force -------------------------------------------------
+
+def brute_homs(pres, n):
+    """Every homomorphism into the symmetric group on n symbols, found by
+    checking all (n!)^rank assignments in ``itertools.product`` order."""
+    perms = list(itertools.permutations(range(n)))
+    for images in itertools.product(perms, repeat=pres.rank):
+        if check_finite_hom(pres, images):
+            yield images
 
 
 # -- randomized inputs ---------------------------------------------------------------

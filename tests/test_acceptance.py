@@ -287,9 +287,13 @@ def test_c8_affine_quotients_separate_the_pair():
         )
     elapsed = time.monotonic() - start
     assert counts == {"w22.pres": (140, 30, 168), "w12.pres": (60, 30, 168)}
+    # nor does S5: 120^3 assignments each, within the search's node budget
+    w22, w12 = (parse_presentation(read(name)).presentation for name in ("w22.pres", "w12.pres"))
+    assert count_homs(w22, 5) == count_homs(w12, 5) == 1680
     ok(
         "criterion 8 (second witness): 140 vs 60 homomorphisms into AGL(1,5) "
-        f"separate W22 and W12, which S3 (30/30) and S4 (168/168) do not, in {elapsed:.3f}s"
+        f"separate W22 and W12, which S3 (30/30), S4 (168/168) and S5 (1680/1680) "
+        f"do not; AGL(1,5), S3 and S4 counts in {elapsed:.3f}s"
     )
 
 

@@ -212,6 +212,23 @@ class TestKauffmanCommands:
         code, _, err = run(capsys, "kauffman", "9_46.pd", "--budget-crossings", "4")
         assert code == 3
 
+    def test_recursion_too_deep_is_a_budget_error(self, capsys, tmp_path):
+        # the skein recursion nests about once per crossing; a limit only
+        # 40 frames above the caller's keeps the 60-crossing T(2,60) quick
+        path = tmp_path / "t2_60.pd"
+        path.write_text(render_pd(braid_pd(2, [1] * 60)))
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            code, out, err = run(capsys, "kauffman", str(path), "--machine")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3 and not out
+        assert "the skein recursion on 60 crossings nested deeper" in err
+
     @pytest.mark.parametrize("command", ["kauffman", "tb-bound"])
     @pytest.mark.parametrize("budget", ["-1", "-16"])
     def test_negative_budget_rejected(self, capsys, command, budget):
@@ -312,6 +329,12 @@ class TestHomsCommand:
         code, out, err = run(capsys, "homs", "bs12.pres", "3", "--witness", str(witness))
         assert code == 2
         assert message in err and not out
+
+    def test_s5_count_within_the_node_budget(self, capsys):
+        # 120^3 assignments, but the search visits 57,600 nodes
+        code, out, _ = run(capsys, "homs", "w22.pres", "5", "--machine")
+        assert code == 0
+        assert machine_dict(out)["count"] == "1680"
 
     def test_large_symbol_count_needs_witness(self, capsys):
         code, _, err = run(capsys, "homs", "bs12.pres", "7")

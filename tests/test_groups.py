@@ -309,6 +309,23 @@ class TestFiniteQuotients:
         with pytest.raises(BudgetError):
             count_homs(Presentation(("x", "y", "z"), ()), 5, budget=1000)
 
+    def test_budget_error_says_how_far_the_search_got(self):
+        # S3 has 6 elements: x and y take their first image (2 nodes), z
+        # all six (6 homs), y its second (the 9th node), and the budget
+        # trips at z, which the search reached before
+        free3 = Presentation(("x", "y", "z"), ())
+        with pytest.raises(BudgetError, match=r"visited 9 nodes, its budget, and found 6 homs; "
+                                              r"the deepest generator reached was z \(3 of 3\)"):
+            count_homs(free3, 3, budget=9)
+
+    def test_budget_counts_search_nodes(self):
+        # the relator x fails at every image of x but the identity, so the
+        # search tries 120 images of x and then 120 of y, not 120^2 pairs
+        pres = Presentation(("x", "y"), ((1,),))
+        assert count_homs(pres, 5, budget=240) == 120
+        with pytest.raises(BudgetError, match="visited 239 nodes"):
+            count_homs(pres, 5, budget=239)
+
     def test_count_tietze_invariance(self):
         rng = random.Random(25)
         base = count_homs(BS12, 3)

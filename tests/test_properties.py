@@ -1,11 +1,14 @@
 """Property tests: text formats round-trip, the Laurent rings distribute,
 fronts orient, move and pinch as the full-trace oracles in ``helpers``
-say, and the Kauffman memo key is label-free, equals the least full token
-code and determines its diagram.
+say, the Kauffman memo key is label-free, equals the least full token
+code and determines its diagram, and the pruned homomorphism search
+yields what brute force over every assignment does, in the same order.
 
 The examples are derandomized and capped so the module runs in a few
 seconds and gives the same result on every run.
 """
+
+import itertools
 
 import pytest
 
@@ -13,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from diskfill.errors import InputError  # noqa: E402
+from diskfill.errors import BudgetError, InputError  # noqa: E402
 from diskfill.front import (  # noqa: E402
     MOVE_KINDS,
     Death,
@@ -34,6 +37,7 @@ from diskfill.front import (  # noqa: E402
     strand_profile,
     validate,
 )
+from diskfill.groups import Presentation, iter_homs  # noqa: E402
 from diskfill.kauffman import (  # noqa: E402
     LinkDiagram,
     _connected_pieces,
@@ -47,6 +51,7 @@ from diskfill.kauffman import (  # noqa: E402
 from diskfill.laurent import BiLaurent, IntLaurent  # noqa: E402
 
 from helpers import (  # noqa: E402
+    brute_homs,
     move_outcome,
     parity_orient,
     pretzel_pd,
@@ -319,3 +324,42 @@ class TestKauffmanKey:
             # F of a link also depends on the orientation traced from the
             # labels, which the read-back diagram does not keep
             assert kauffman_F(back) == kauffman_F(d)
+
+
+@st.composite
+def hom_searches(draw):
+    """A presentation of rank 0-4 and a symbol count 1-4, with at most 24^3
+    assignments so brute force stays quick.  Each relator first draws its
+    highest generator, 0 for the empty relator, so relators in the early
+    generators only come up often; runs repeat a letter up to 7 times,
+    past every cycle length of S4."""
+    n = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, 3 if n == 4 else 4))
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        top = draw(st.integers(0, rank))
+        letters = []
+        for _ in range(draw(st.integers(1, 4)) if top else 0):
+            letter = draw(st.integers(1, top)) * draw(st.sampled_from((1, -1)))
+            letters += [letter] * draw(st.integers(1, 7))
+        relators.append(tuple(letters))
+    return Presentation(tuple(f"x{i}" for i in range(1, rank + 1)), tuple(relators)), n
+
+
+class TestHomSearch:
+    @PROPERTY
+    @given(hom_searches())
+    def test_search_yields_what_brute_force_does(self, case):
+        pres, n = case
+        assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
+
+    def test_budget_stops_on_a_brute_force_prefix(self):
+        # the free group of rank 3 prunes nothing, so 1,000 nodes are far
+        # short of the 120^3 homs into S5
+        free3 = Presentation(("x", "y", "z"), ())
+        found = []
+        with pytest.raises(BudgetError):
+            for images in iter_homs(free3, 5, budget=1000):
+                found.append(images)
+        assert found
+        assert found == list(itertools.islice(brute_homs(free3, 5), len(found)))
