@@ -9,10 +9,11 @@ The module computes the abelianization H1 through an exact integer Smith
 normal form, found by least-entry pivoting with a divisibility check,
 checks and constructs weight maps onto Z (the exponent of t assigned to
 each generator), and counts homomorphisms into small symmetric groups by
-a depth-first search that checks each relator once its generators have
-images, evaluating it one permutation power per run of a repeated
-letter.  Everything is pure and immutable; the search yields in
-``itertools.product`` order, so its results are deterministic.
+a depth-first search.  The search checks each relator at the depth of
+its highest generator, with each stretch of lower-generator runs already
+multiplied into one permutation, and rejects an assignment at the first
+symbol the relator moves.  Everything is pure and immutable; the search
+yields in ``itertools.product`` order, so its results are deterministic.
 """
 
 from __future__ import annotations
@@ -384,8 +385,10 @@ def perm_from_cycles(text, n):
 
 
 def _perm_power(p, k):
-    """p^k for any integer k, walking each cycle of p once; p^-1, the
-    most common power after p itself, skips the walk."""
+    """p^k for any integer k, walking each cycle of p once; p and p^-1,
+    the most common powers, skip the walk."""
+    if k == 1:
+        return p
     if k == -1:
         return perm_inv(p)
     out = [None] * len(p)
@@ -412,7 +415,7 @@ def _evaluate_runs(runs, images, n):
     """Evaluate runs at permutations of n symbols, one power per run."""
     acc = identity_perm(n)
     for g, k in runs:
-        p = images[g] if k == 1 else _perm_power(images[g], k)
+        p = _perm_power(images[g], k)
         acc = tuple([p[x] for x in acc])  # perm_mul(acc, p), inlined
     return acc
 
@@ -444,6 +447,33 @@ def is_image_abelian(images):
     return all(perm_mul(p, q) == perm_mul(q, p) for p, q in itertools.combinations(images, 2))
 
 
+def _segments(runs, top):
+    """A relator's runs cut into segments, one per run of its highest
+    generator ``top``: (exponent, the stretch of lower runs after it).
+
+    The runs are first rotated to start with a run of ``top``.  That
+    conjugates the relator, so it dies exactly when the original does."""
+    i = next(j for j, (g, _) in enumerate(runs) if g == top)
+    runs = runs[i:] + runs[:i]
+    starts = [j for j, (g, _) in enumerate(runs) if g == top] + [len(runs)]
+    return tuple((runs[a][1], runs[a + 1:b]) for a, b in zip(starts, starts[1:]))
+
+
+def _kills(relators, powers, n):
+    """True when every relator, given as (exponent, fixed permutation)
+    segments, sends every symbol back to itself.  ``powers`` maps each
+    exponent to that power of the top image.  Each symbol is followed
+    through the segments, and the first one moved decides."""
+    for segments in relators:
+        for i in range(n):
+            x = i
+            for k, fixed in segments:
+                x = fixed[powers[k][x]]
+            if x != i:
+                return False
+    return True
+
+
 def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
     """Yield each homomorphism into S_n as images, in ``itertools.product`` order.
 
@@ -453,20 +483,35 @@ def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
     ``BudgetError`` says how far the search got.  Unpruned, rank r visits
     sum_{d<=r} (n!)^d <= (n!)^r * n!/(n!-1) nodes, so beyond the (n!)^r
     assignments only S2 at rank 19 and S1 past rank 10^6 newly trip the
-    default budget.  A node costs one evaluation per relator checked:
-    an 8-letter rank-3 relator in S5 takes about 10 s to reach it."""
+    default budget.
+
+    A relator checked at depth d is cut into one segment per run of
+    generator d (``_segments``).  Each descent to depth d multiplies every
+    segment's lower runs into one permutation, so a node costs one step
+    per segment, plus one power of its image per exponent generator d
+    has there.  It follows symbol 0, 1, ... through the segments and is
+    rejected at the first symbol moved."""
     if n < 1:
         raise InputError("symbol count must be positive")
     rank, ident = pres.rank, identity_perm(n)
     if not rank:
         yield ()
         return
-    checks = [[r for r in pres._relator_runs if r and max(g for g, _ in r) == d] for d in range(rank)]
+    plans = [[_segments(r, d) for r in pres._relator_runs if r and max(g for g, _ in r) == d]
+             for d in range(rank)]
+    exponents = [{k for plan in plans[d] for k, _ in plan} for d in range(rank)]
     images = [None] * rank
+
+    def folded(d):
+        return [tuple((k, _evaluate_runs(stretch, images, n)) for k, stretch in plan)
+                for plan in plans[d]]
+
+    checks = [folded(0)] + [None] * (rank - 1)  # depth d's segments, folded at its last descent
     levels = [itertools.permutations(ident)]
     nodes = found = deepest = 0
     while levels:
         depth = len(levels) - 1
+        relators, needed = checks[depth], exponents[depth]
         for perm in levels[depth]:
             if nodes == budget:
                 raise BudgetError(
@@ -475,14 +520,14 @@ def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
                     f"({deepest + 1} of {rank})"
                 )
             nodes, deepest, images[depth] = nodes + 1, max(deepest, depth), perm
-            # every image is a permutation made here, so check_finite_hom's
-            # input checks would only repeat themselves
-            if all(_evaluate_runs(r, images, n) == ident for r in checks[depth]):
-                if depth + 1 < rank:
-                    levels.append(itertools.permutations(ident))
-                    break
-                found += 1
-                yield tuple(images)
+            if relators and not _kills(relators, {k: _perm_power(perm, k) for k in needed}, n):
+                continue
+            if depth + 1 < rank:
+                checks[depth + 1] = folded(depth + 1)
+                levels.append(itertools.permutations(ident))
+                break
+            found += 1
+            yield tuple(images)
         else:
             levels.pop()
 

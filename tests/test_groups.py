@@ -32,6 +32,7 @@ from diskfill.groups import (
 )
 
 from helpers import (
+    brute_homs,
     conjugate_relator,
     invert_relator,
     permute_relators,
@@ -325,6 +326,24 @@ class TestFiniteQuotients:
         assert count_homs(pres, 5, budget=240) == 120
         with pytest.raises(BudgetError, match="visited 239 nodes"):
             count_homs(pres, 5, budget=239)
+
+    def test_budget_error_on_a_long_relator(self):
+        # every image of x and y has one z, and the relator's 41 runs fold
+        # into one segment at z
+        pres = parse_presentation("gens: x y z\nrel: " + "x y " * 20 + "z\n").presentation
+        with pytest.raises(BudgetError, match=r"visited 100000 nodes, its budget, and found 827 "
+                                              r"homs; the deepest generator reached was z \(3 of 3\)"):
+            count_homs(pres, 5, budget=100_000)
+
+    def test_search_matches_brute_force_across_segment_boundaries(self):
+        # z's two runs leave a stretch in the middle and one that wraps
+        # round the relator's end, each mixing x and y, which do not
+        # commute in S3 or S4: a search that multiplied a stretch in the
+        # wrong order, dropped the wrapped part or followed one symbol only
+        # would yield other homs
+        pres = parse_presentation("gens: x y z\nrel: y x z y^-1 x^-1 z^2 x y\n").presentation
+        for n in (3, 4):
+            assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
 
     def test_count_tietze_invariance(self):
         rng = random.Random(25)

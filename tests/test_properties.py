@@ -331,17 +331,28 @@ def hom_searches(draw):
     """A presentation of rank 0-4 and a symbol count 1-4, with at most 24^3
     assignments so brute force stays quick.  Each relator first draws its
     highest generator, 0 for the empty relator, so relators in the early
-    generators only come up often; runs repeat a letter up to 7 times,
-    past every cycle length of S4."""
+    generators only come up often.  It then takes 1-3 runs of that
+    generator, with up to two runs of lower generators before, between and
+    after them, so up to 11 runs: the search multiplies each stretch of
+    lower runs into one permutation, and a stretch's ends are where that
+    can go wrong.  Runs repeat a letter up to 7 times, past every cycle
+    length of S4."""
     n = draw(st.integers(1, 4))
     rank = draw(st.integers(0, 3 if n == 4 else 4))
     relators = []
     for _ in range(draw(st.integers(0, 3))):
         top = draw(st.integers(0, rank))
+        gens = []
+        if top:
+            tops = draw(st.integers(1, 3))
+            for i in range(tops + 1):
+                if top > 1:  # lower runs before, between or after the top runs
+                    gens += [draw(st.integers(1, top - 1)) for _ in range(draw(st.integers(0, 2)))]
+                if i < tops:
+                    gens.append(top)
         letters = []
-        for _ in range(draw(st.integers(1, 4)) if top else 0):
-            letter = draw(st.integers(1, top)) * draw(st.sampled_from((1, -1)))
-            letters += [letter] * draw(st.integers(1, 7))
+        for g in gens:
+            letters += [g * draw(st.sampled_from((1, -1)))] * draw(st.integers(1, 7))
         relators.append(tuple(letters))
     return Presentation(tuple(f"x{i}" for i in range(1, rank + 1)), tuple(relators)), n
 
