@@ -1,14 +1,22 @@
 """Fox free differential calculus and Alexander polynomials.
 
-A group-ring element is a dict mapping freely reduced words to nonzero
-integer coefficients.  The free derivative d/dg satisfies
+The free derivative d/dg of a word satisfies
 
     d(g) = 1,   d(g^-1) = -g^-1,   d(h^±1) = 0 for h != g,
     d(uv) = d(u) + u d(v),
 
-and abelianizing a derivative through a weight map (generator -> t^w)
-turns each row of derivatives into a row of Laurent polynomials.  The
-Alexander polynomial of a presentation on n generators is the gcd of all
+and abelianizing it through a weight map (generator -> t^w) gives a
+Laurent polynomial.  ``fox_row`` gets all of a relator's abelianized
+derivatives from one walk: keep the t-exponent e of the prefix read so
+far; a letter g adds t^e to column g and then e += w_g, and a letter
+g^-1 first does e -= w_g and then subtracts t^e from column g.  That is
+the rule above with every prefix abelianized as it is read.  No free
+reduction is needed: a cancelling pair g g^-1 (or g^-1 g) leaves e where
+it was before the pair and adds +t^e and -t^e to column g, so it
+contributes nothing.
+
+Each row of the Alexander matrix is one relator's walk.  The Alexander
+polynomial of a presentation on n generators is the gcd of all
 (n-1)-minors of that matrix, taken in canonical unit form:
 ``alexander_polynomial(alexander_matrix(pres, weights))``.
 
@@ -36,17 +44,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .groups import free_reduce, validate_abelianization, word_mul
+from .groups import validate_abelianization
 from .laurent import IntLaurent, div_exact, laurent_gcd, normalize_unit
 
 __all__ = [
-    "ring_add",
-    "ring_mul",
-    "ring_scale",
-    "fox_derivative",
-    "abelianize_word",
-    "abelianize_ring",
-    "abelianized_fox",
+    "fox_row",
     "AlexanderMatrix",
     "alexander_matrix",
     "alexander_polynomial",
@@ -54,74 +56,25 @@ __all__ = [
 ]
 
 
-# -- group ring helpers -------------------------------------------------------
+def fox_row(word, weights):
+    """The abelianized Fox derivatives of ``word``, one per generator.
 
-def ring_add(a, b):
-    out = dict(a)
-    for w, c in b.items():
-        c2 = out.get(w, 0) + c
-        if c2:
-            out[w] = c2
-        else:
-            out.pop(w, None)
-    return out
-
-
-def ring_scale(a, k):
-    if not k:
-        return {}
-    return {w: c * k for w, c in a.items()}
-
-
-def ring_mul(a, b):
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = word_mul(w1, w2)
-            c = out.get(w, 0) + c1 * c2
-            if c:
-                out[w] = c
-            else:
-                out.pop(w, None)
-    return out
-
-
-# -- Fox derivatives ----------------------------------------------------------
-
-def fox_derivative(word, gen):
-    """d(word)/d(x_gen) as a group-ring element; gen is 1-based.
-
-    Every prefix of a freely reduced word w is freely reduced, so a letter
-    gen at index i contributes the prefix ``w[:i]`` and a letter -gen the
-    prefix times gen^-1, ``w[:i + 1]``.  Two terms meet only for -gen
-    followed by gen, which a reduced word never holds, so each is ±1.
+    Column g of the result is d(word)/d(x_{g+1}) with each generator sent
+    to t^weight, from one walk over the letters (see the module docstring).
+    The word need not be freely reduced.
     """
-    if gen < 1:
-        raise InputError("generator index must be 1-based and positive")
-    w = free_reduce(word)
-    out = {}
-    for i, x in enumerate(w):
-        if x == gen:
-            out[w[:i]] = 1
-        elif x == -gen:
-            out[w[:i + 1]] = -1
-    return out
-
-
-def abelianize_word(word, weights):
-    """Total t-exponent of a word under a weight map."""
-    return sum(weights[abs(x) - 1] * (1 if x > 0 else -1) for x in word)
-
-
-def abelianize_ring(elem, weights):
-    """Apply the weight map term-wise to a group-ring element."""
-    return IntLaurent(
-        [(abelianize_word(w, weights), c) for w, c in elem.items()]
-    )
-
-
-def abelianized_fox(word, gen, weights):
-    return abelianize_ring(fox_derivative(word, gen), weights)
+    cols = [{} for _ in weights]
+    e = 0
+    for x in word:
+        g = abs(x) - 1
+        col = cols[g]
+        if x > 0:
+            col[e] = col.get(e, 0) + 1
+            e += weights[g]
+        else:
+            e -= weights[g]
+            col[e] = col.get(e, 0) - 1
+    return tuple(IntLaurent(col) for col in cols)
 
 
 # -- Alexander matrices and polynomials ----------------------------------------
@@ -145,10 +98,7 @@ class AlexanderMatrix:
 def alexander_matrix(pres, weights):
     if not validate_abelianization(pres, weights):
         raise InputError("weight map does not kill every relator")
-    rows = tuple(
-        tuple(abelianized_fox(r, g + 1, weights) for g in range(pres.rank))
-        for r in pres.relators
-    )
+    rows = tuple(fox_row(r, weights) for r in pres.relators)
     return AlexanderMatrix(rows, tuple(weights))
 
 

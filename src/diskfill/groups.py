@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_HOM_BUDGET = 1_000_000  # search nodes iter_homs may visit
-MAX_EXPONENT = 1000  # x^k is stored as |k| letters, so larger powers are refused
+# x^k is stored as |k| letters, and a weight w spans |w| dense coefficients in
+# Laurent division, so larger powers and weights are refused
+MAX_EXPONENT = 1000
 MAX_SYMBOLS = 10_000  # a permutation is a tuple of this many symbols at most
 
 
@@ -177,7 +179,10 @@ def parse_presentation(text):
 
 
 def parse_weights(text, gens):
-    """Parse ``x1=1 x2=-1`` (or comma separated) into a weight tuple."""
+    """Parse ``x1=1 x2=-1`` (or comma separated) into a weight tuple.
+
+    Each weight lies in -MAX_EXPONENT..MAX_EXPONENT.
+    """
     weights = {}
     for tok in text.replace(",", " ").split():
         if "=" not in tok:
@@ -191,6 +196,10 @@ def parse_weights(text, gens):
             weights[name] = int(value)
         except ValueError:
             raise InputError(f"bad weight {value!r} for {name!r}") from None
+        if abs(weights[name]) > MAX_EXPONENT:
+            raise InputError(
+                f"weight {value!r} for {name!r} outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+            )
     missing = [g for g in gens if g not in weights]
     if missing:
         raise InputError(f"map missing generators: {' '.join(missing)}")
@@ -320,17 +329,12 @@ def z_surjection(pres):
     Requires H1 of free rank exactly 1; the map is read off from the
     Smith normal form change of basis, so its weights are primitive.
     """
-    summary = h1(pres)
-    if summary.free_rank != 1:
-        raise InputError(
-            f"free rank is {summary.free_rank}, need exactly 1 for a map onto Z"
-        )
-    m = exponent_matrix(pres)
-    if not m:
-        weights = tuple([1] + [0] * (pres.rank - 1)) if pres.rank else ()
-    else:
-        _, _, v = smith_normal_form(m)
-        weights = tuple(row[pres.rank - 1] for row in v)
+    # a zero row stands in for no relators, so v is rank x rank either way
+    d, _, v = smith_normal_form(exponent_matrix(pres) or [[0] * pres.rank])
+    free_rank = pres.rank - sum(1 for k in range(min(len(d), pres.rank)) if d[k][k])
+    if free_rank != 1:
+        raise InputError(f"free rank is {free_rank}, need exactly 1 for a map onto Z")
+    weights = tuple(row[pres.rank - 1] for row in v)
     first = next(w for w in weights if w)
     if first < 0:
         weights = tuple(-w for w in weights)

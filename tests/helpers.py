@@ -6,7 +6,8 @@ of diagrams can be computed through the group pipeline), pretzel/torus
 and braid-closure PD generators, the pretzel skein polynomial by tangle
 algebra, Tietze transformations, a plain skein evaluator with no
 simplification that caches only on the exact PD code within one call,
-the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
+the group-ring Fox calculus that abelianizes to the rows of an Alexander
+matrix, the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
 division over Q, the parity union-find that once oriented fronts,
 isotopy moves that rewrite the word and then validate all of it, a
 pinch and a death that trace their whole input every time, the
@@ -34,7 +35,7 @@ from diskfill.front import (
     validate,
 )
 from diskfill.fox import alexander_matrix, alexander_polynomial, laurent_det
-from diskfill.groups import Presentation, check_finite_hom, free_reduce
+from diskfill.groups import Presentation, check_finite_hom, free_reduce, word_mul
 from diskfill.kauffman import (
     DiagramTrace,
     LinkDiagram,
@@ -147,6 +148,65 @@ def pd_alexander(diagram):
     trimmed = Presentation(pres.gens, pres.relators[:-1])
     weights = (1,) * trimmed.rank
     return alexander_polynomial(alexander_matrix(trimmed, weights))
+
+
+# -- Fox calculus in the group ring -----------------------------------------------
+#
+# A group-ring element is a dict mapping freely reduced words to nonzero
+# integer coefficients.
+
+def ring_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        c2 = out.get(w, 0) + c
+        if c2:
+            out[w] = c2
+        else:
+            out.pop(w, None)
+    return out
+
+
+def ring_mul(a, b):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = word_mul(w1, w2)
+            c = out.get(w, 0) + c1 * c2
+            if c:
+                out[w] = c
+            else:
+                out.pop(w, None)
+    return out
+
+
+def fox_derivative(word, gen):
+    """d(word)/d(x_gen) as a group-ring element; gen is 1-based.
+
+    Every prefix of a freely reduced word w is freely reduced, so a letter
+    gen at index i contributes the prefix ``w[:i]`` and a letter -gen the
+    prefix times gen^-1, ``w[:i + 1]``.  Two terms meet only for -gen
+    followed by gen, which a reduced word never holds, so each is ±1.
+    """
+    w = free_reduce(word)
+    out = {}
+    for i, x in enumerate(w):
+        if x == gen:
+            out[w[:i]] = 1
+        elif x == -gen:
+            out[w[:i + 1]] = -1
+    return out
+
+
+def abelianize_word(word, weights):
+    """Total t-exponent of a word under a weight map."""
+    return sum(weights[abs(x) - 1] * (1 if x > 0 else -1) for x in word)
+
+
+def abelianized_fox(word, gen, weights):
+    """d(word)/d(x_gen) in the group ring, then each word sent to t^exponent."""
+    return IntLaurent(
+        [(abelianize_word(w, weights), c) for w, c in fox_derivative(word, gen).items()]
+    )
 
 
 # -- Alexander oracles ------------------------------------------------------------
@@ -624,8 +684,6 @@ def stabilize(pres, word, name="s"):
 
 
 def stabilized_weights(pres, weights, word):
-    from diskfill.fox import abelianize_word
-
     return tuple(weights) + (abelianize_word(word, weights),)
 
 

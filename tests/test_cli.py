@@ -112,6 +112,21 @@ class TestAlexanderCommands:
         code, _, err = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=1,x3=1")
         assert code == 2
 
+    def test_weight_out_of_range_rejected(self, capsys, tmp_path):
+        # Laurent division spans the weight densely, so a huge one is refused
+        comm = tmp_path / "comm.pres"
+        comm.write_text("gens: x y\nrel: x y x^-1 y^-1\n")
+        code, out, err = run(capsys, "alexander", str(comm), "--map", "x=1001,y=0", "--machine")
+        assert code == 2 and out == ""
+        assert "outside -1000..1000" in err
+        code, out, _ = run(capsys, "alexander", str(comm), "--map", "x=1000,y=0", "--machine")
+        assert code == 0
+        assert machine_dict(out)["polynomial"] == "-t^1000 + 1"
+        mapped = tmp_path / "mapped.pres"
+        mapped.write_text("gens: x y\nrel: x y x^-1 y^-1\nmap: x=0 y=-1001\n")
+        code, out, err = run(capsys, "alexander", str(mapped), "--machine")
+        assert code == 2 and "outside -1000..1000" in err
+
     def test_zero_map_rejected(self, capsys, tmp_path):
         # every weight 0 kills every relator but is not onto Z
         code, out, err = run(capsys, "alexander", "w12.pres", "--map", "x1=0,x2=0,x3=0", "--machine")

@@ -1,33 +1,28 @@
 import math
 import random
+import time
 
 import pytest
 
 from diskfill import fox
 from diskfill.errors import InputError
-from diskfill.fox import (
-    abelianize_ring,
-    abelianize_word,
-    abelianized_fox,
-    alexander_matrix,
-    alexander_polynomial,
-    fox_derivative,
-    laurent_det,
-    ring_add,
-    ring_mul,
-    ring_scale,
-)
+from diskfill.fox import alexander_matrix, alexander_polynomial, fox_row, laurent_det
 from diskfill.groups import Presentation, free_reduce, parse_presentation
 from diskfill.laurent import IntLaurent, div_exact, normalize_unit, substitute_inverse, unit_equivalent
 
 from helpers import (
+    abelianize_word,
+    abelianized_fox,
     all_minors_gcd,
     conjugate_relator,
+    fox_derivative,
     invert_relator,
     permute_relators,
     pretzel_pd,
     random_laurent,
     random_word,
+    ring_add,
+    ring_mul,
     stabilize,
     stabilized_weights,
     wirtinger_presentation,
@@ -47,6 +42,8 @@ BETA = (1, -1, -1)
 
 
 class TestFoxDerivative:
+    """The group-ring oracle in helpers, which fox_row is checked against."""
+
     def test_axioms(self):
         assert fox_derivative((1,), 1) == {(): 1}
         assert fox_derivative((-1,), 1) == {(-1,): -1}
@@ -73,44 +70,91 @@ class TestFoxDerivative:
             )
             assert lhs == rhs
 
-    def test_terms_are_prefixes_of_the_reduced_word(self, monkeypatch):
-        # no prefix is multiplied out again: each term is a slice of the
-        # freely reduced input, and an unreduced input is reduced first
-        monkeypatch.setattr(fox, "word_mul", lambda u, v: pytest.fail("word_mul called"))
-        assert fox_derivative(R1, 1) == {(): 1, (1, 2, -1): -1, (1, 2, -1, -2): 1}
-        assert fox_derivative((1, 2, -2, -1, -1, 3), 1) == {(-1,): -1}
-
     def test_ring_helpers(self):
         a = {(1,): 2, (): -1}
         b = {(-1,): 1}
         assert ring_mul(a, b) == {(): 2, (-1,): -1}
-        assert ring_scale(a, 0) == {}
-        assert ring_add(a, ring_scale(a, -1)) == {}
+        assert ring_mul(a, {}) == {}
+        assert ring_add(a, {w: -c for w, c in a.items()}) == {}
+
+
+def unreduced_word(rng, rank, length):
+    """A random word with cancelling pairs x x^-1 and x^-1 x spliced in."""
+    word = list(random_word(rng, rank, length))
+    for _ in range(rng.randint(0, 3)):
+        x = rng.choice([g for g in range(-rank, rank + 1) if g])
+        i = rng.randint(0, len(word))
+        word[i:i] = [x, -x]
+    return tuple(word)
+
+
+class TestFoxRow:
+    def test_matches_the_group_ring_oracle(self):
+        rng = random.Random(35)
+        for _ in range(400):
+            rank = rng.randint(1, 5)
+            weights = tuple(rng.randint(-3, 3) for _ in range(rank))
+            word = unreduced_word(rng, rank, rng.randint(0, 12))
+            expected = tuple(abelianized_fox(word, g, weights) for g in range(1, rank + 1))
+            assert fox_row(word, weights) == expected, (word, weights)
+
+    def test_cancelling_pairs_contribute_nothing(self):
+        for weights in ((1, -1), (3, 2), (0, 5)):
+            assert fox_row((1, -1), weights) == (IntLaurent(), IntLaurent())
+            assert fox_row((-2, 2), weights) == (IntLaurent(), IntLaurent())
+            assert fox_row((1, 2, -2, -1, -1, 2), weights) == fox_row((-1, 2), weights)
+
+    def test_inverse_letter_steps_back_first(self):
+        # d(x^-1)/dx = -x^-1, which abelianizes to -t^-w, not -1
+        assert fox_row((-1,), (2,)) == (L("-t^-2"),)
+        assert fox_row((1, -2), (1, 3)) == (L("1"), L("-t^-2"))
+
+    def test_product_rule(self):
+        # d(uv) = d(u) + u d(v), so row(uv) = row(u) + t^[u] row(v)
+        rng = random.Random(36)
+        for _ in range(200):
+            rank = rng.randint(1, 4)
+            weights = tuple(rng.randint(-3, 3) for _ in range(rank))
+            u = unreduced_word(rng, rank, rng.randint(0, 8))
+            v = unreduced_word(rng, rank, rng.randint(0, 8))
+            shift = IntLaurent.t(abelianize_word(u, weights))
+            expected = tuple(a + shift * b for a, b in zip(fox_row(u, weights), fox_row(v, weights)))
+            assert fox_row(u + v, weights) == expected
+
+    def test_long_relator_is_one_walk(self):
+        # 30,000 letters: quadratic prefix copies would take tens of seconds
+        word = ((1,) * 1000 + (-2,) * 1000 + (3,) * 1000 + (-1,) * 1000 + (2,) * 1000 + (-3,) * 1000) * 5
+        pres = Presentation(("x", "y", "z"), (word, (1, 2, -1, -3), (2, 1, -2, -3)))
+        start = time.perf_counter()
+        matrix = alexander_matrix(pres, (1, 1, 1))
+        assert time.perf_counter() - start < 1.0
+        assert matrix.entries[0] == (IntLaurent(),) * 3
+        assert alexander_polynomial(matrix) == L("-2*t + 1")
 
 
 class TestAbelianizedTable:
     def test_all_six_paper_values(self):
-        assert abelianized_fox(R1, 1, ALPHA) == L("2 - t^-1")
-        assert abelianized_fox(R1, 1, BETA) == L("2 - t^-1")
-        assert abelianized_fox(R1, 2, ALPHA) == L("2*t - 1")
-        assert abelianized_fox(R1, 2, BETA) == L("2*t - 1")
-        assert abelianized_fox(R2, 2, ALPHA) == L("2*t - 1")
-        assert abelianized_fox(R2, 3, ALPHA) == L("2 - t^-1")
-        assert abelianized_fox(R3, 2, BETA) == L("-2 + t")
-        assert abelianized_fox(R3, 3, BETA) == L("2 - t")
+        r1a, r1b, r2a, r3b = (fox_row(R1, ALPHA), fox_row(R1, BETA),
+                              fox_row(R2, ALPHA), fox_row(R3, BETA))
+        assert r1a[0] == L("2 - t^-1")
+        assert r1b[0] == L("2 - t^-1")
+        assert r1a[1] == L("2*t - 1")
+        assert r1b[1] == L("2*t - 1")
+        assert r2a[1] == L("2*t - 1")
+        assert r2a[2] == L("2 - t^-1")
+        assert r3b[1] == L("-2 + t")
+        assert r3b[2] == L("2 - t")
 
     def test_vanishing_entries(self):
-        assert abelianized_fox(R1, 3, ALPHA) == IntLaurent()
-        assert abelianized_fox(R2, 1, ALPHA) == IntLaurent()
-        assert abelianized_fox(R3, 1, BETA) == IntLaurent()
+        assert fox_row(R1, ALPHA)[2] == IntLaurent()
+        assert fox_row(R2, ALPHA)[0] == IntLaurent()
+        assert fox_row(R3, BETA)[0] == IntLaurent()
 
     def test_fundamental_identity_on_relators(self):
         for word, weights in ((R1, ALPHA), (R2, ALPHA), (R1, BETA), (R3, BETA)):
             total = IntLaurent()
-            for g, w in enumerate(weights, start=1):
-                total = total + abelianized_fox(word, g, weights) * (
-                    IntLaurent.t(w) - 1
-                )
+            for entry, w in zip(fox_row(word, weights), weights):
+                total = total + entry * (IntLaurent.t(w) - 1)
             assert total == IntLaurent()
 
     def test_fundamental_identity_on_arbitrary_words(self):
@@ -118,10 +162,10 @@ class TestAbelianizedTable:
         rng = random.Random(32)
         weights = (1, -1, 1)
         for _ in range(100):
-            w = random_word(rng, 3, rng.randint(0, 10))
+            w = unreduced_word(rng, 3, rng.randint(0, 10))
             total = IntLaurent()
-            for g, wt in enumerate(weights, start=1):
-                total = total + abelianized_fox(w, g, weights) * (IntLaurent.t(wt) - 1)
+            for entry, wt in zip(fox_row(w, weights), weights):
+                total = total + entry * (IntLaurent.t(wt) - 1)
             assert total == IntLaurent.t(abelianize_word(w, weights)) - 1
 
 

@@ -112,6 +112,9 @@ class TestPresentations:
             Presentation(("x",), ((2,),))
         with pytest.raises(InputError):
             parse_weights("x=1", ("x", "y"))
+        with pytest.raises(InputError, match="outside -1000..1000"):
+            parse_weights("x=-1001 y=0", ("x", "y"))
+        assert parse_weights("x=-1000 y=1000", ("x", "y")) == (-1000, 1000)
 
     def test_exponent_matrix(self):
         assert exponent_matrix(w22().presentation) == [[1, 1, 0], [0, 1, 1]]
@@ -244,6 +247,25 @@ class TestAbelianizationMaps:
             z_surjection(Presentation(("x",), ((1, 1),)))  # free rank 0
         with pytest.raises(InputError):
             z_surjection(Presentation(("x", "y"), ()))  # free rank 2
+
+    def test_z_surjection_takes_one_smith_normal_form(self, monkeypatch):
+        real = groups.smith_normal_form
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(groups, "smith_normal_form", counting)
+        for pres in (w22().presentation, w12().presentation, BS12, Presentation(("x",), ())):
+            del calls[:]
+            z_surjection(pres)
+            assert len(calls) == 1
+        for pres in (Presentation(("x",), ((1, 1),)), Presentation(("x", "y"), ()), Presentation((), ())):
+            del calls[:]
+            with pytest.raises(InputError, match="need exactly 1"):
+                z_surjection(pres)
+            assert len(calls) == 1
 
     def test_z_surjection_checks_raise(self, monkeypatch):
         # a unimodular change of basis never gives these maps, so fake one
