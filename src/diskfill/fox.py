@@ -90,10 +90,6 @@ class AlexanderMatrix:
     def nrows(self):
         return len(self.entries)
 
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
-
 
 def alexander_matrix(pres, weights):
     if not validate_abelianization(pres, weights):

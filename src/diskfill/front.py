@@ -14,8 +14,8 @@ below use that convention.
 
 ``validate`` checks these rules in one walk over the strand count, the
 only check of event positions.  The one tracing pass, which pairs the
-strands at their cusps for ``components`` and ``orient``, starts with
-that walk, so a caller that needs either gets validation from it.  Each
+strands at their cusps for ``orient``, starts with that walk, so a
+caller that orients a front gets validation from it.  Each
 strand meets one left and one right cusp, so a component is a cycle of
 strands that alternates the two kinds of cusp.
 
@@ -76,12 +76,8 @@ __all__ = [
     "parse_front",
     "render_front",
     "validate",
-    "strand_profile",
-    "components",
     "OrientedFront",
     "orient",
-    "thurston_bennequin",
-    "rotation",
     "classical_invariants",
     "MOVE_KINDS",
     "apply_move",
@@ -109,19 +105,11 @@ class FrontWord:
 
     events: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple((k, int(p)) for k, p in self.events))
-
     @classmethod
-    def _of(cls, events, counts=None):
-        """A word from an events tuple that is already normalized, as every
-        rewrite of a FrontWord's events and every parsed word is; skips
-        ``__post_init__``.
-        ``counts``, when given, is the word's known ``_profile``."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "events", events)
-        if counts is not None:
-            word.__dict__["_profile"] = counts
+    def _of(cls, events, counts):
+        """A word whose ``_profile`` is already known to be ``counts``."""
+        word = cls(events)
+        word.__dict__["_profile"] = counts
         return word
 
     @functools.cached_property
@@ -152,9 +140,8 @@ def parse_front(text):
         except ValueError:
             raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
         events.append((parts[0], k))
-    # the events are already (str, int) pairs, so __post_init__ is skipped;
     # the word is checked when its profile is first read
-    return FrontWord._of(tuple(events))
+    return FrontWord(tuple(events))
 
 
 def render_front(front, header=None):
@@ -168,12 +155,6 @@ def validate(front):
     the first offending index."""
     front._profile  # reading the profile checks the word
     return True
-
-
-def strand_profile(front):
-    """Strand count after each event (prefix profile, starts implicit 0);
-    raises InputError at the first event that does not fit its count."""
-    return _counts(front.events)[1:]
 
 
 def _counts(events, count=0, first=0):
@@ -298,11 +279,6 @@ def _unclosed(root, s):
     return RuntimeError(f"cusp cycle from strand {root} does not close: strand {s} is met twice")
 
 
-def components(front):
-    """Number of link components, by strand tracing."""
-    return _trace(front)[0].n_components
-
-
 @dataclass(frozen=True)
 class OrientedFront:
     """A front together with its canonical component orientations."""
@@ -355,24 +331,6 @@ def classical_invariants(oriented):
             raise RuntimeError(f"component {c + 1}: odd cusp imbalance {down[c] - up[c]}")
         out.append((writhe[c] - right_cusps[c], (down[c] - up[c]) // 2))
     return out
-
-
-def _knot_invariants(front):
-    oriented = orient(front) if isinstance(front, FrontWord) else front
-    invs = classical_invariants(oriented)
-    if len(invs) != 1:
-        raise InputError(f"front has {len(invs)} components, expected a knot")
-    return invs[0]
-
-
-def thurston_bennequin(front):
-    """tb of a single-component front (or OrientedFront)."""
-    return _knot_invariants(front)[0]
-
-
-def rotation(front):
-    """Rotation number of a single-component front, up to global sign."""
-    return _knot_invariants(front)[1]
 
 
 # -- Legendrian isotopy moves --------------------------------------------------
@@ -676,7 +634,7 @@ def check_certificate(front, cert):
     oriented = orient(front)
     if oriented.n_components != 1:
         raise InputError("certificates are checked for knots (one component)")
-    tb = thurston_bennequin(oriented)
+    tb = classical_invariants(oriented)[0][0]
     # one event list and one profile, which each step edits in place
     events, counts = list(front.events), list(front._profile)
     pinches = deaths = 0
@@ -720,7 +678,7 @@ def check_certificate(front, cert):
 
 def _knot_front(front):
     """``front`` itself, once one trace has found it to be a knot front."""
-    if components(front) != 1:
+    if orient(front).n_components != 1:
         raise InputError("connected sums need single-component fronts")
     return front
 
@@ -728,7 +686,7 @@ def _knot_front(front):
 def _splice(f1, f2):
     # a valid knot front starts with L 1 and ends with R 1 on its last two
     # strands, so the splice of two knot fronts is a valid knot front
-    return FrontWord._of(f1.events[:-1] + f2.events[1:])
+    return FrontWord(f1.events[:-1] + f2.events[1:])
 
 
 def connected_sum(f1, f2):

@@ -8,8 +8,8 @@ identity; a relation u = v is stored as u v^-1.
 The module computes the abelianization H1 through an exact integer Smith
 normal form, found by least-entry pivoting with a divisibility check,
 checks and constructs weight maps onto Z (the exponent of t assigned to
-each generator), and counts homomorphisms into small symmetric groups by
-a depth-first search.  The search checks each relator at the depth of
+each generator), and enumerates homomorphisms into small symmetric groups
+by a depth-first search.  The search checks each relator at the depth of
 its highest generator, with each stretch of lower-generator runs already
 multiplied into one permutation, and rejects an assignment at the first
 symbol the relator moves.  Everything is pure and immutable; the search
@@ -29,10 +29,7 @@ from .errors import BudgetError, InputError
 
 __all__ = [
     "free_reduce",
-    "word_mul",
-    "word_inv",
     "parse_word",
-    "word_str",
     "Presentation",
     "PresentationFile",
     "parse_presentation",
@@ -48,14 +45,12 @@ __all__ = [
     "perm_mul",
     "perm_inv",
     "perm_from_cycles",
-    "evaluate_word",
     "check_finite_hom",
     "is_image_abelian",
-    "count_homs",
     "iter_homs",
 ]
 
-DEFAULT_HOM_BUDGET = 1_000_000  # search nodes iter_homs may visit
+MAX_HOM_NODES = 1_000_000  # search nodes one iter_homs call may visit
 # x^k is stored as |k| letters, and a weight w spans |w| dense coefficients in
 # Laurent division, so larger powers and weights are refused
 MAX_EXPONENT = 1000
@@ -77,14 +72,6 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def word_mul(u, v):
-    return free_reduce(tuple(u) + tuple(v))
-
-
-def word_inv(u):
-    return tuple(-x for x in reversed(u))
-
-
 _LETTER = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(-?\d+))?$")
 
 
@@ -103,11 +90,6 @@ def parse_word(text, gens):
         k = gens.index(name) + 1
         letters.extend([k if exp > 0 else -k] * abs(exp))
     return free_reduce(letters)
-
-
-def word_str(word, gens):
-    out = [gens[x - 1] if x > 0 else f"{gens[-x - 1]}^-1" for x in word]
-    return " ".join(out) if out else "1"
 
 
 # -- presentations -----------------------------------------------------------
@@ -424,11 +406,6 @@ def _evaluate_runs(runs, images, n):
     return acc
 
 
-def evaluate_word(word, images):
-    """Evaluate a word at a tuple of permutations (one per generator)."""
-    return _evaluate_runs(_word_runs(word), images, len(images[0]) if images else 0)
-
-
 def check_finite_hom(pres, images):
     """True when the assignment kills every relator."""
     if len(images) != pres.rank:
@@ -478,16 +455,16 @@ def _kills(relators, powers, n):
     return True
 
 
-def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
+def iter_homs(pres, n):
     """Yield each homomorphism into S_n as images, in ``itertools.product`` order.
 
     A depth-first search assigns the generators in order and checks each
-    relator once its highest generator has an image.  ``budget`` counts
-    search nodes, the permutations tried at any depth; past it
-    ``BudgetError`` says how far the search got.  Unpruned, rank r visits
-    sum_{d<=r} (n!)^d <= (n!)^r * n!/(n!-1) nodes, so beyond the (n!)^r
-    assignments only S2 at rank 19 and S1 past rank 10^6 newly trip the
-    default budget.
+    relator once its highest generator has an image.  ``MAX_HOM_NODES``,
+    read once per call, counts search nodes, the permutations tried at any
+    depth; past it ``BudgetError`` says how far the search got.  Unpruned,
+    rank r visits sum_{d<=r} (n!)^d <= (n!)^r * n!/(n!-1) nodes, so beyond
+    the (n!)^r assignments only S2 at rank 19 and S1 past rank 10^6 newly
+    trip that budget.
 
     A relator checked at depth d is cut into one segment per run of
     generator d (``_segments``).  Each descent to depth d multiplies every
@@ -497,7 +474,7 @@ def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
     rejected at the first symbol moved."""
     if n < 1:
         raise InputError("symbol count must be positive")
-    rank, ident = pres.rank, identity_perm(n)
+    budget, rank, ident = MAX_HOM_NODES, pres.rank, identity_perm(n)
     if not rank:
         yield ()
         return
@@ -534,8 +511,3 @@ def iter_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
             yield tuple(images)
         else:
             levels.pop()
-
-
-def count_homs(pres, n, budget=DEFAULT_HOM_BUDGET):
-    """Exact number of homomorphisms into the symmetric group on n symbols."""
-    return sum(1 for _ in iter_homs(pres, n, budget))

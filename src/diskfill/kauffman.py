@@ -73,7 +73,6 @@ __all__ = [
     "DELTA_NUMERATOR",
     "delta_power",
     "trace_diagram",
-    "mirror",
     "switch_crossing",
     "smooth_crossing",
     "simplify",
@@ -255,13 +254,6 @@ def trace_diagram(diagram):
         tuple(first_under),
         tuple(first_visit),
         tuple(under_ins),
-    )
-
-
-def mirror(diagram):
-    """Swap over and under at every crossing."""
-    return LinkDiagram(
-        tuple([(b, c, d, a) for a, b, c, d in diagram.crossings]), diagram.loops
     )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .errors import InputError
@@ -38,7 +37,6 @@ __all__ = [
     "substitute_inverse",
     "laurent_gcd",
     "div_exact",
-    "a_mirror",
     "min_deg_a",
 ]
 
@@ -195,11 +193,6 @@ class IntLaurent(_Laurent):
     def shifted(self, k):
         """Multiply by t^k."""
         return self._make({e + k: c for e, c in self._terms.items()})
-
-    def evaluate(self, x):
-        """Evaluate at a nonzero rational point (exactly)."""
-        x = Fraction(x)
-        return sum((c * x ** e for e, c in self._terms.items()), Fraction(0))
 
 
 class BiLaurent(_Laurent):
@@ -444,11 +437,6 @@ def laurent_gcd(p, q):
 
 
 # -- BiLaurent helpers ------------------------------------------------------
-
-def a_mirror(f):
-    """Apply a -> a^-1 (the mirror rule for Kauffman polynomials)."""
-    return BiLaurent({(-ea, ez): c for (ea, ez), c in f.terms.items()})
-
 
 def min_deg_a(f):
     """Least a-exponent carrying a nonzero coefficient."""

@@ -8,7 +8,9 @@ algebra, Tietze transformations, a plain skein evaluator with no
 simplification that caches only on the exact PD code within one call,
 the group-ring Fox calculus that abelianizes to the rows of an Alexander
 matrix, the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
-division over Q, the parity union-find that once oriented fronts,
+division over Q and evaluation at a rational point, the mirror of a PD
+diagram and the a -> a^-1 rule it induces on Kauffman polynomials, the
+parity union-find that once oriented fronts,
 isotopy moves that rewrite the word and then validate all of it, a
 pinch and a death that trace their whole input every time, the
 edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
@@ -35,7 +37,7 @@ from diskfill.front import (
     validate,
 )
 from diskfill.fox import alexander_matrix, alexander_polynomial, laurent_det
-from diskfill.groups import Presentation, check_finite_hom, free_reduce, word_mul
+from diskfill.groups import Presentation, check_finite_hom, free_reduce
 from diskfill.kauffman import (
     DiagramTrace,
     LinkDiagram,
@@ -170,7 +172,7 @@ def ring_mul(a, b):
     out = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            w = word_mul(w1, w2)
+            w = free_reduce(w1 + w2)
             c = out.get(w, 0) + c1 * c2
             if c:
                 out[w] = c
@@ -217,7 +219,7 @@ def all_minors_gcd(matrix):
     The definition with no pruning: every row subset against every column
     subset, each minor through ``laurent_det``.
     """
-    n = matrix.ncols
+    n = len(matrix.weights)
     k = n - 1
     if k == 0:
         return IntLaurent.constant(1)
@@ -249,6 +251,12 @@ def fraction_div_exact(p, q):
     if any(rem) or any(f.denominator != 1 for f in quot):
         return None
     return IntLaurent({plo - qlo + i: int(f) for i, f in enumerate(quot)})
+
+
+def evaluate(p, x):
+    """An IntLaurent at a nonzero rational point, exactly."""
+    x = Fraction(x)
+    return sum((c * x ** e for e, c in p.terms.items()), Fraction(0))
 
 
 # -- pretzel and torus diagrams ---------------------------------------------------
@@ -416,6 +424,16 @@ def _skein_step(diagram, memo):
 
 def naive_F(diagram):
     return BiLaurent.a(trace_diagram(diagram).writhe) * naive_lambda(diagram)
+
+
+def mirror(diagram):
+    """Swap over and under at every crossing."""
+    return LinkDiagram(tuple([(b, c, d, a) for a, b, c, d in diagram.crossings]), diagram.loops)
+
+
+def a_mirror(f):
+    """Apply a -> a^-1, which takes F of a diagram to F of its mirror."""
+    return BiLaurent({(-ea, ez): c for (ea, ez), c in f.terms.items()})
 
 
 # -- PD walks by edge incidences ----------------------------------------------------
@@ -729,10 +747,10 @@ def random_move(rng, front, max_events=48):
     Growing moves are suppressed once the word reaches ``max_events`` so
     long random walks stay fast.
     """
-    from diskfill.front import Move, apply_move, strand_profile
+    from diskfill.front import Move, apply_move
 
     events = front.events
-    profile = [0] + strand_profile(front)
+    profile = front._profile
     top = max(profile) + 1
     growing = ("r1a+", "r1b+", "r2a+", "r2b+", "r2c+", "r2d+")
     shrinking = ("r1a-", "r1b-", "r2a-", "r2b-", "r2c-", "r2d-")

@@ -12,7 +12,7 @@ from diskfill.groups import MAX_SYMBOLS
 from diskfill.kauffman import parse_pd, render_pd, trace_diagram
 from diskfill.laurent import BiLaurent, IntLaurent
 
-from helpers import braid_pd, pretzel_lambda, pretzel_pd
+from helpers import a_mirror, braid_pd, pretzel_lambda, pretzel_pd
 
 
 def run(capsys, *argv):
@@ -109,8 +109,9 @@ class TestAlexanderCommands:
         assert "free rank" in err
 
     def test_invalid_map_rejected(self, capsys):
-        code, _, err = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=1,x3=1")
-        assert code == 2
+        code, out, err = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=1,x3=1")
+        assert code == 2 and out == ""
+        assert "weight map does not kill every relator" in err
 
     def test_weight_out_of_range_rejected(self, capsys, tmp_path):
         # Laurent division spans the weight densely, so a huge one is refused
@@ -217,8 +218,6 @@ class TestKauffmanCommands:
     def test_kauffman_mirror_pair(self, capsys):
         _, out_r, _ = run(capsys, "kauffman", "trefoil_rh.pd", "--machine")
         _, out_l, _ = run(capsys, "kauffman", "trefoil_lh.pd", "--machine")
-        from diskfill.laurent import a_mirror
-
         fr = BiLaurent.parse(machine_dict(out_r)["polynomial"])
         fl = BiLaurent.parse(machine_dict(out_l)["polynomial"])
         assert fr == a_mirror(fl)

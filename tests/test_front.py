@@ -17,7 +17,6 @@ from diskfill.front import (
     apply_move,
     check_certificate,
     classical_invariants,
-    components,
     compose_certificates,
     connect,
     connected_sum,
@@ -28,9 +27,6 @@ from diskfill.front import (
     pinch,
     render_certificate,
     render_front,
-    rotation,
-    strand_profile,
-    thurston_bennequin,
     validate,
 )
 
@@ -80,24 +76,20 @@ class TestValidation:
             parse_front("L x\n")
 
     def test_strand_profile(self):
-        assert strand_profile(TREFOIL) == [2, 4, 4, 4, 4, 2, 0]
+        assert TREFOIL._profile == [0, 2, 4, 4, 4, 4, 2, 0]
 
 
 class TestComponentsAndInvariants:
     def test_unknot(self):
-        assert components(UNKNOT) == 1
-        assert thurston_bennequin(UNKNOT) == -1
-        assert rotation(UNKNOT) == 0
+        assert classical_invariants(orient(UNKNOT)) == [(-1, 0)]
 
     def test_two_stacked_unknots(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
-        assert components(two) == 2
+        assert orient(two).n_components == 2
         assert classical_invariants(orient(two)) == [(-1, 0), (-1, 0)]
 
     def test_trefoil(self):
-        assert components(TREFOIL) == 1
-        assert thurston_bennequin(TREFOIL) == 1
-        assert rotation(TREFOIL) == 0
+        assert classical_invariants(orient(TREFOIL)) == [(1, 0)]
 
     def test_direction_conflict_raises(self):
         # no front pairs strands like this: 0 meets 2 at a right cusp, but
@@ -105,30 +97,30 @@ class TestComponentsAndInvariants:
         with pytest.raises(RuntimeError, match="cycle from strand 0 does not close: strand 0"):
             _cusp_cycles([2, 3, 1, 0])
 
+    def test_multi_component_knot_invariants_rejected(self):
+        # a replay reads tb for knots only, so it refuses a link
+        two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
+        with pytest.raises(InputError, match="certificates are checked for knots"):
+            check_certificate(two, FillingCertificate((Death(1), Death(1))))
+
     def test_odd_cusp_imbalance_raises(self):
         # no front has one cusp, so build the oriented data by hand
         lone_cusp = OrientedFront(FrontWord((("L", 1),)), (1, -1), (0, 0), ((0, 1),))
         with pytest.raises(RuntimeError, match="odd cusp imbalance"):
             classical_invariants(lone_cusp)
 
-    def test_multi_component_knot_invariants_rejected(self):
-        two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
-        with pytest.raises(InputError):
-            thurston_bennequin(two)
-
 
 class TestMoves:
     def test_swallowtails_preserve_invariants(self):
         for kind in ("r1a+", "r1b+"):
             out = apply_move(UNKNOT, Move(kind, 1, 1))
-            assert thurston_bennequin(out) == -1
-            assert rotation(out) == 0
+            assert classical_invariants(orient(out)) == [(-1, 0)]
             back = apply_move(out, Move(kind[:-1] + "-", 1, 1))
             assert back.events == UNKNOT.events
 
     def test_r2_insert_remove_roundtrip(self):
         out = apply_move(TREFOIL, Move("r2a+", 5, 1))
-        assert thurston_bennequin(out) == 1
+        assert classical_invariants(orient(out)) == [(1, 0)]
         back = apply_move(out, Move("r2a-", 5, 1))
         assert back.events == TREFOIL.events
 
@@ -211,16 +203,15 @@ class TestMoves:
         front = TREFOIL
         for _ in range(200):
             _, front = random_move(rng, front)
-            assert components(front) == 1
-        assert thurston_bennequin(front) == 1
-        assert rotation(front) == 0
+            assert orient(front).n_components == 1
+        assert classical_invariants(orient(front)) == [(1, 0)]
 
 
 class TestPinchAndDeath:
     def test_pinch_unknot(self):
         out = pinch(UNKNOT, 1, 1)
         assert out.events == (("L", 1), ("R", 1), ("L", 1), ("R", 1))
-        assert components(out) == 2
+        assert orient(out).n_components == 2
 
     def test_pinch_parallel_rejected_oriented(self):
         # trefoil strands 2,3 between the cusps run parallel
@@ -232,8 +223,8 @@ class TestPinchAndDeath:
         front = TREFOIL
         for _ in range(50):
             _, front = random_move(rng, front)
-        before = components(front)
-        profile = [0] + strand_profile(front)
+        before = orient(front).n_components
+        profile = front._profile
         done = False
         for idx in range(len(front.events) + 1):
             for k in range(1, profile[idx]):
@@ -241,7 +232,7 @@ class TestPinchAndDeath:
                     out = pinch(front, idx, k)
                 except InputError:
                     continue
-                assert abs(components(out) - before) == 1
+                assert abs(orient(out).n_components - before) == 1
                 done = True
         assert done
 
@@ -362,7 +353,7 @@ def traces_made(monkeypatch, fn, *args):
 def block_length(front, index):
     """Length of the closed block around column ``index``: the events
     between the nearest columns on either side where no strand runs."""
-    profile = [0] + strand_profile(front)
+    profile = front._profile
     start = end = index
     while profile[start]:
         start -= 1
@@ -390,7 +381,7 @@ def replay_traces(monkeypatch, front, cert):
         word = FrontWord(tuple(events))
         before = len(outside)
         real_pinch(events, counts, index, k)
-        count = ([0] + strand_profile(word))[index]
+        count = word._profile[index]
         pinches.append((count, block_length(word, index), sum(outside[before:])))
         del outside[before:]
 
@@ -495,7 +486,7 @@ class TestReplayInPlace:
         real = FrontWord._of
         built = []
 
-        def recording(cls, events, counts=None):
+        def recording(cls, events, counts):
             built.append(len(events))
             return real(events, counts)
 
@@ -544,7 +535,7 @@ class TestMovesCheckTheirWindow:
         front = TREFOIL
         for _ in range(300):
             _, front = random_move(rng, front)
-            top = max(strand_profile(front)) + 2
+            top = max(front._profile) + 2
             for _ in range(12):
                 kind = rng.choice(front_module.MOVE_KINDS)
                 move = Move(kind, rng.randint(-1, len(front) + 1), rng.randint(-1, top))
@@ -567,7 +558,7 @@ class TestConnectedSum:
     def test_unknot_sum(self):
         out = connected_sum(UNKNOT, UNKNOT)
         assert out.events == UNKNOT.events
-        assert thurston_bennequin(out) == -1
+        assert classical_invariants(orient(out)) == [(-1, 0)]
 
     def test_tb_additivity(self):
         rng = random.Random(43)
@@ -578,12 +569,9 @@ class TestConnectedSum:
         fronts.append(f)
         for f1 in fronts:
             for f2 in fronts:
-                total = connected_sum(f1, f2)
-                assert components(total) == 1
-                assert (
-                    thurston_bennequin(total)
-                    == thurston_bennequin(f1) + thurston_bennequin(f2) + 1
-                )
+                [(tb, _)] = classical_invariants(orient(connected_sum(f1, f2)))
+                [(tb1, _)], [(tb2, _)] = (classical_invariants(orient(f)) for f in (f1, f2))
+                assert tb == tb1 + tb2 + 1
 
     def test_traces_each_input_once(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())

@@ -11,7 +11,6 @@ from diskfill.kauffman import (
     canonical_key,
     delta_power,
     kauffman_F,
-    mirror,
     parse_pd,
     regular_isotopy_polynomial,
     render_pd,
@@ -21,12 +20,14 @@ from diskfill.kauffman import (
     tb_upper_bound,
     trace_diagram,
 )
-from diskfill.laurent import BiLaurent, a_mirror, min_deg_a
+from diskfill.laurent import BiLaurent, min_deg_a
 
 from helpers import (
+    a_mirror,
     all_starts_key,
     braid_pd,
     incidence_trace,
+    mirror,
     naive_F,
     naive_lambda,
     pretzel_lambda,

@@ -16,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from diskfill import groups  # noqa: E402
 from diskfill.errors import BudgetError, InputError  # noqa: E402
 from diskfill.front import (  # noqa: E402
     MOVE_KINDS,
@@ -26,7 +27,6 @@ from diskfill.front import (  # noqa: E402
     Pinch,
     _word_counts,
     apply_move,
-    components,
     death,
     orient,
     parse_certificate,
@@ -34,7 +34,6 @@ from diskfill.front import (  # noqa: E402
     pinch,
     render_certificate,
     render_front,
-    strand_profile,
     validate,
 )
 from diskfill.groups import Presentation, iter_homs  # noqa: E402
@@ -145,7 +144,7 @@ def moves_on_fronts(draw):
     front = draw(fronts())
     kind = draw(st.sampled_from(MOVE_KINDS))
     index = draw(st.integers(-2, len(front) + 2))
-    top = max(strand_profile(front), default=0)
+    top = max(front._profile)
     if 0 <= index < len(front) and draw(st.booleans()):
         pos = front.events[index][1] + draw(st.integers(-2, 1))
     else:
@@ -160,11 +159,11 @@ def deaths_on_fronts(draw):
     events = list(draw(fronts()).events)
     for _ in range(draw(st.integers(0, 3))):
         column = draw(st.integers(0, len(events)) | st.just(0))
-        count = ([0] + strand_profile(FrontWord(tuple(events))))[column]
+        count = FrontWord(tuple(events))._profile[column]
         p = draw(st.integers(1, count + 1))
         events[column:column] = [("L", p), ("R", p)]
     front = FrontWord(tuple(events))
-    return front, draw(st.integers(0, components(front) + 1))
+    return front, draw(st.integers(0, orient(front).n_components + 1))
 
 
 @st.composite
@@ -364,13 +363,14 @@ class TestHomSearch:
         pres, n = case
         assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
 
-    def test_budget_stops_on_a_brute_force_prefix(self):
+    def test_budget_stops_on_a_brute_force_prefix(self, monkeypatch):
         # the free group of rank 3 prunes nothing, so 1,000 nodes are far
         # short of the 120^3 homs into S5
+        monkeypatch.setattr(groups, "MAX_HOM_NODES", 1000)
         free3 = Presentation(("x", "y", "z"), ())
         found = []
         with pytest.raises(BudgetError):
-            for images in iter_homs(free3, 5, budget=1000):
+            for images in iter_homs(free3, 5):
                 found.append(images)
         assert found
         assert found == list(itertools.islice(brute_homs(free3, 5), len(found)))

@@ -89,6 +89,11 @@ def test_generator_tuple_detection():
     assert generator_tuples(source) == [1]
 
 
+def _names(node):
+    """Every name and attribute name read or bound under ``node``."""
+    return [_called_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
 def unreferenced_private_names(sources):
     """Module-level ``_name`` functions and classes that no code in
     ``sources`` (a list of source texts) refers to outside their own
@@ -97,13 +102,9 @@ def unreferenced_private_names(sources):
     defined = [node for tree in trees for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
-
-    def names(node):
-        return [_called_name(n) for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
-
-    used = [name for tree in trees for name in names(tree)]
+    used = [name for tree in trees for name in _names(tree)]
     return [node.name for node in defined
-            if used.count(node.name) == names(node).count(node.name)]
+            if used.count(node.name) == _names(node).count(node.name)]
 
 
 def test_every_private_helper_is_used_in_the_package():
@@ -118,3 +119,90 @@ def test_unreferenced_private_detection():
         "from m import _used\nx = _used() + m._Kept\n",
     ]
     assert unreferenced_private_names(sources) == ["_dead", "_recursive"]
+
+
+def _exported(tree):
+    """The names a module's ``__all__`` lists, or none."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)), [])
+
+
+def _bound(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unreferenced_exports(sources):
+    """(module, name) for each name in a module's ``__all__`` that no code
+    in ``sources`` (module name -> source text) refers to outside its own
+    definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = [name for tree in trees.values() for name in _names(tree)]
+    found = []
+    for module, tree in trees.items():
+        definitions = {name: node for node in tree.body for name in _bound(node)}
+        for name in _exported(tree):
+            own = _names(definitions[name]).count(name) if name in definitions else 0
+            if used.count(name) == own:
+                found.append((module, name))
+    return found
+
+
+# Public names with no caller in the package.  perfbench's tracer wraps
+# the front ones, and the CI console-script step imports render_pd to
+# write a PD file.
+ENTRY_POINTS = [
+    ("front", "validate"),
+    ("front", "apply_move"),
+    ("front", "pinch"),
+    ("front", "death"),
+    ("front", "connected_sum"),
+    ("kauffman", "render_pd"),
+]
+
+
+def test_every_public_name_is_used_in_the_package():
+    # a public function only the tests call belongs in the tests
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    assert sorted(unreferenced_exports(sources)) == sorted(ENTRY_POINTS)
+
+
+def test_unreferenced_export_detection():
+    sources = {
+        "a": '__all__ = ["used", "dead", "LIMIT", "recursive"]\n'
+             "def used(): pass\ndef dead(): pass\nLIMIT = 1\n"
+             "def recursive(n): return recursive(n - 1)\n",
+        "b": '__all__ = ["Kept"]\nfrom a import used\nclass Kept: pass\nx = used() + LIMIT\n',
+    }
+    assert unreferenced_exports(sources) == [("a", "dead"), ("a", "recursive"), ("b", "Kept")]
+
+
+def unused_imports(source):
+    """Names that a module-level import of ``source`` binds and nothing in
+    it reads; ``__future__`` imports and names in ``__all__`` are exempt."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names if alias.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read and name not in _exported(tree)]
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so a leftover import shows here
+    found = [(path.name, name) for path in SOURCES for name in unused_imports(path.read_text())]
+    assert not found, found
+
+
+def test_unused_import_detection():
+    source = (
+        "from __future__ import annotations\nimport os\nimport a.b\n"
+        "from fractions import Fraction\nfrom m import x as y, z\nfrom n import w\n"
+        '__all__ = ["w"]\nprint(a.b.c, y)\n'
+    )
+    assert unused_imports(source) == ["os", "Fraction", "z"]
