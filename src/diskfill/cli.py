@@ -96,7 +96,7 @@ class _Out:
 def _weights_for(pf, map_spec):
     """The weight map to use; ``alexander_matrix`` checks that it kills
     every relator."""
-    if map_spec:
+    if map_spec is not None:
         return parse_weights(map_spec, pf.presentation.gens)
     if pf.maps:
         return pf.maps[0]
@@ -229,12 +229,12 @@ def cmd_tb_bound(args):
 def _parse_witness(text, gens, n):
     images = {}
     for lineno, line in content_lines(text):
-        name, _, cycles = line.partition(" ")
+        name, *cycles = line.split(None, 1)
         if name not in gens:
             raise InputError(f"witness line {lineno}: unknown generator {name!r}")
         if name in images:
             raise InputError(f"witness line {lineno}: generator {name!r} listed twice")
-        images[name] = perm_from_cycles(cycles, n)
+        images[name] = perm_from_cycles("".join(cycles), n)
     missing = [g for g in gens if g not in images]
     if missing:
         raise InputError(f"witness missing generators: {' '.join(missing)}")

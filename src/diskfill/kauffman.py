@@ -28,21 +28,23 @@ is first reduced by removing kinks and parallel bigons; only the
 reduced diagram is keyed, so each memo key is the relabel-invariant
 canonical code of a diagram with no kink or cancellable bigon, and a
 reducible diagram costs one key, not two.  ``simplify`` removes them all
-on one mutable table of edge ends and builds one diagram at the end, or
-none when nothing reduces; ``smooth_crossing`` cuts its crossing on the
-same table with the same join rule (``_edit_table``, ``_splice``).  A
-keyed diagram is traced once, and that trace gives both the crossing to
-switch and, for a descending diagram, its writhe and component count.
-Evaluation is deterministic however the tree is walked.
+on crossing lists and a copy of the dart map (below) and builds one
+diagram at the end, or none when nothing reduces; ``smooth_crossing``
+cuts its crossing with the same join (``_splice``).  A keyed diagram is
+traced once, for the crossing to switch or, when it is descending, its
+writhe and component count.  Evaluation is deterministic however the
+tree is walked.
 
 The budget counts the diagrams an evaluation keys (its memo misses), not
 crossings: a 45-crossing pretzel keys 155, a closed 4-braid of T(4,6) up
-to 3,260, and one of T(4,7) passes ``MAX_KEYS``, which raises.
+to 3,278, and one of T(4,7) passes ``MAX_KEYS``, which raises.
 
-Every walk reads one dart map per diagram.  A dart ``(crossing, slot)``
-is a strand end entering a crossing along the edge at that slot, and
-``LinkDiagram.far`` sends it to the dart at the other end of the same
-edge; a strand entering at ``slot`` leaves through ``slot ^ 2``.
+Every walk and every edit reads one dart map per diagram.  A dart
+``(crossing, slot)`` is a strand end entering a crossing along the edge
+at that slot, and ``LinkDiagram.far`` sends it to the dart at the other
+end of the same edge; a strand entering at ``slot`` leaves through
+``slot ^ 2``.  Edits join darts on a copy of it and keep the edge labels
+in step, so a child diagram's labels are the parent's.
 
 The canonical code of a piece is a stream of small-int tokens, one per
 dart a traversal enters (under or over on a crossing's first visit, the
@@ -210,22 +212,23 @@ def render_pd(diagram, header=None):
 class DiagramTrace:
     components: int
     writhe: int
-    signs: tuple  # one per crossing
-    first_under: tuple  # per crossing: True when the first visit goes under
-    first_visit: tuple  # per crossing: traversal time of its earlier pass
-    under_in: tuple  # per crossing: the slot (0 or 2) the under strand enters
+    target: object  # the crossing the skein recursion switches, or None
 
 
 def trace_diagram(diagram):
-    """Orient the diagram by edge tracing; writhe and signs follow.
+    """Orient the diagram by edge tracing: its component count, writhe and
+    the crossing the skein recursion switches.
 
     Components are traversed starting from their least edge label, so the
     result is deterministic.  Crossing signs between different components
-    depend on the traced orientations, as usual for unoriented input.
+    depend on the traced orientations, as usual for unoriented input.  The
+    target is the earliest crossing, in traversal order, whose first
+    entered dart is an under dart (slot 0 or 2); it is None when the
+    diagram is descending.
     """
     crossings, far = diagram.crossings, diagram.far
-    entered = {}  # dart -> order in which traversal entered
-    ncomp = diagram.loops
+    entered = set()
+    ncomp, target = diagram.loops, None
     # each label's first dart comes first among its two
     starts = sorted((e, (ci, slot)) for ci, c in enumerate(crossings) for slot, e in enumerate(c))
     for _, dart in starts:
@@ -233,67 +236,45 @@ def trace_diagram(diagram):
             continue  # the edge is on a component already walked
         ncomp += 1
         while dart not in entered:
-            entered[dart] = len(entered)
+            entered.add(dart)
             ci, slot = dart
+            # an under dart entered while the over strand (slots 1, 3) is not
+            if target is None and not slot & 1 and (ci, 1) not in entered and (ci, 3) not in entered:
+                target = ci
             dart = far[ci, slot ^ 2]
-    signs = []
-    first_under = []
-    first_visit = []
-    under_ins = []
-    for ci, c in enumerate(crossings):
+    # positive when the over strand enters at under_in + 3
+    writhe = 0
+    for ci in range(len(crossings)):
         under_in = 0 if (ci, 0) in entered else 2
-        over_in = 1 if (ci, 1) in entered else 3
-        signs.append(1 if over_in == (under_in + 3) % 4 else -1)
-        first_under.append(entered[(ci, under_in)] < entered[(ci, over_in)])
-        first_visit.append(min(entered[(ci, under_in)], entered[(ci, over_in)]))
-        under_ins.append(under_in)
-    return DiagramTrace(
-        ncomp,
-        sum(signs),
-        tuple(signs),
-        tuple(first_under),
-        tuple(first_visit),
-        tuple(under_ins),
-    )
+        writhe += 1 if (ci, (under_in + 3) % 4) in entered else -1
+    return DiagramTrace(ncomp, writhe, target)
 
 
 # -- local surgery ------------------------------------------------------------
 
-def _edit_table(crossings):
-    """One list per crossing, to edit in place, and the table edge label
-    -> the darts at its ends; smoothings and ``simplify`` edit both only
-    through ``_splice``."""
-    table = [list(c) for c in crossings]
-    ends = {}
-    for ci, c in enumerate(table):
-        for slot, e in enumerate(c):
-            ends.setdefault(e, []).append((ci, slot))
-    return table, ends
+def _splice(crossings, far, removed, joins):
+    """Delete crossings by index (each becomes None) and join the dart
+    pairs ``joins`` of the strand ends they leave open, on the mutable
+    crossing lists and the copy ``far`` of their dart map.
 
-
-def _splice(crossings, ends, removed, joins):
-    """Delete crossings by index (each becomes None) and join the label
-    pairs ``joins`` of the strand ends they leave open, each under its
-    first label; a label an earlier join of the call renamed is read as
-    its new name (calls join at most two pairs, so one step back does).
-    A join of a label with itself closes a loop with no crossing on it.
-    Returns the loops closed and the least crossing that took a new
-    label, where a kink may now sit."""
-    for ci in removed:
-        for slot, e in enumerate(crossings[ci]):
-            ends[e].remove((ci, slot))
-        crossings[ci] = None
-    renamed, closed, touched = {}, 0, len(crossings)
-    for pair in joins:
-        keep, gone = [renamed.get(e, e) for e in pair]
-        if keep == gone:
+    For a join (d1, d2) with x = far[d1] and y = far[d2], x == d2 closes
+    a loop with no crossing on it; otherwise x and y become the two ends
+    of one edge and y takes d1's label.  Removed crossings keep their
+    lists until every join is made, so a later join reads the labels and
+    partners an earlier one gave.  Returns the loops closed and the least
+    crossing that took a new label, where a kink may now sit."""
+    closed, touched = 0, len(crossings)
+    for d1, d2 in joins:
+        x, y = far[d1], far[d2]
+        if x == d2:
             closed += 1
             continue
-        for cj, slot in ends[gone]:
-            crossings[cj][slot] = keep
-            touched = min(touched, cj)
-        ends[keep] += ends.pop(gone)
-        renamed[gone] = keep
+        far[x], far[y] = y, x
+        cy, sy = y
+        crossings[cy][sy] = crossings[d1[0]][d1[1]]
+        touched = min(touched, cy)
+    for ci in removed:
+        crossings[ci] = None
     return closed, touched
 
 
@@ -314,10 +295,9 @@ def smooth_crossing(diagram, i, which):
     (0,3) and (1,2).  Together with the switch these are the four skein
     terms.
     """
-    c = diagram.crossings[i]
-    joins = [(c[0], c[1]), (c[2], c[3])] if which == 0 else [(c[0], c[3]), (c[1], c[2])]
-    crossings, ends = _edit_table(diagram.crossings)
-    closed, _ = _splice(crossings, ends, (i,), joins)
+    pairs = ((0, 1), (2, 3)) if which == 0 else ((0, 3), (1, 2))
+    crossings = [list(c) for c in diagram.crossings]
+    closed, _ = _splice(crossings, dict(diagram.far), (i,), [((i, s), (i, t)) for s, t in pairs])
     return LinkDiagram(tuple([c for c in crossings if c is not None]), diagram.loops + closed)
 
 
@@ -334,36 +314,30 @@ def simplify(diagram):
 
     Returns (reduced diagram, unit) with unit = a^e collecting the kink
     factors: lam(input) = unit * lam(reduced).  An input with nothing to
-    remove is returned itself; otherwise the removals run on one mutable
-    table, edge label -> the darts at its ends, and one ``LinkDiagram``
+    remove is returned itself; otherwise the removals edit one list per
+    crossing and a copy of the dart map ``far``, and one ``LinkDiagram``
     is built at the end.  The first kink (by crossing, then slot) goes
     first, then, with no kink left, the first cancellable bigon.  A
     removal is one ``_splice``, the edit ``smooth_crossing`` makes too.
     """
-    if (_find_kink(diagram.crossings) is None
-            and _find_reducible_bigon(diagram.crossings, diagram.far.__getitem__) is None):
+    crossings, far = diagram.crossings, diagram.far
+    if _find_kink(crossings) is None and _find_reducible_bigon(crossings, far) is None:
         return diagram, BiLaurent.a(0)
-    crossings, ends = _edit_table(diagram.crossings)
-    loops, exponent = diagram.loops, 0
-
-    def far(dart):
-        first, second = ends[crossings[dart[0]][dart[1]]]
-        return second if first == dart else first
-
-    ci = 0
+    crossings, far = [list(c) for c in crossings], dict(far)
+    loops, exponent, ci = diagram.loops, 0, 0
     while True:
         kink = _find_kink(crossings, ci)
         if kink is not None:
             ci, s = kink
-            c = crossings[ci]
             exponent -= _KINK_SIGN[s]
-            closed, touched = _splice(crossings, ends, (ci,), [(c[(s + 2) % 4], c[(s + 3) % 4])])
+            join = ((ci, (s + 2) % 4), (ci, (s + 3) % 4))
+            closed, touched = _splice(crossings, far, (ci,), [join])
             loops, ci = loops + closed, min(ci, touched)
             continue
         bigon = _find_reducible_bigon(crossings, far)
         if bigon is None:
             break
-        closed, ci = _splice(crossings, ends, *bigon)
+        closed, ci = _splice(crossings, far, *bigon)
         loops += closed
     return LinkDiagram(tuple([c for c in crossings if c is not None]), loops), BiLaurent.a(exponent)
 
@@ -381,26 +355,19 @@ def _find_kink(crossings, start=0):
 
 
 def _find_reducible_bigon(crossings, far):
-    """The crossings of a cancellable bigon and the joins of its strands'
-    outer ends, or None; ``far(dart)`` is the dart at the other end of
-    the dart's edge, and removed crossings are None."""
-    for ci, a in enumerate(crossings):
-        if a is None:
+    """The crossings of a cancellable bigon and the dart joins of its
+    strands' outer ends, or None; removed crossings are None."""
+    for ci, c in enumerate(crossings):
+        if c is None:
             continue
         for s in range(4):
             # the edges at slots s and s + 1 must run to one other crossing,
-            # adjacently there; a kink's edge runs back to ci itself
-            (cx, sx), (cy, sy) = far((ci, s)), far((ci, (s + 1) % 4))
-            if cx != cy or cx == ci:
-                continue
-            if (sx - sy) % 4 not in (1, 3):
-                continue
-            # over iff the slot is odd; the bigon pulls apart exactly when
-            # the strand through slot s is on the same level at both crossings
-            if (s % 2 == 1) != (sx % 2 == 1):
-                continue
-            b = crossings[cx]
-            return (ci, cx), [(a[s ^ 2], b[sx ^ 2]), (a[(s + 3) % 4], b[sy ^ 2])]
+            # adjacently there (a kink's edge runs back to ci itself); over
+            # iff the slot is odd, and the bigon pulls apart exactly when the
+            # strand through slot s is on the same level at both crossings
+            (cx, sx), (cy, sy) = far[ci, s], far[ci, (s + 1) % 4]
+            if cx == cy != ci and (sx - sy) % 4 in (1, 3) and s % 2 == sx % 2:
+                return (ci, cx), [((ci, s ^ 2), (cx, sx ^ 2)), ((ci, (s + 3) % 4), (cx, sy ^ 2))]
     return None
 
 
@@ -546,13 +513,12 @@ def _lam(diagram, memo, keyed):
         # that strictly grows the descending prefix of the traversal (the
         # traversal itself does not change), so the recursion terminates
         tr = trace_diagram(diagram)
-        ascending = [ci for ci in range(diagram.n) if tr.first_under[ci]]
-        if not ascending:
+        target = tr.target
+        if target is None:
             # descending diagrams are unlinks; their value is the writhe
             # normalization times the split-unlink value
             value = BiLaurent.a(-tr.writhe) * delta_power(tr.components - 1)
         else:
-            target = min(ascending, key=tr.first_visit.__getitem__)
             z = BiLaurent.z(1)
             value = (
                 z * (_lam(smooth_crossing(diagram, target, 0), memo, keyed)

@@ -22,6 +22,7 @@ homomorphism count by brute force over every assignment.
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from diskfill.errors import InputError
@@ -39,11 +40,11 @@ from diskfill.front import (
 from diskfill.fox import alexander_matrix, alexander_polynomial, laurent_det
 from diskfill.groups import Presentation, check_finite_hom, free_reduce
 from diskfill.kauffman import (
-    DiagramTrace,
     LinkDiagram,
     _connected_pieces,
     delta_power,
-    trace_diagram,
+    smooth_crossing,
+    switch_crossing,
 )
 from diskfill.laurent import BiLaurent, IntLaurent, laurent_gcd, normalize_unit
 
@@ -110,7 +111,7 @@ def wirtinger_presentation(diagram):
     """Arc generators and one conjugation relator per crossing."""
     if not diagram.crossings:
         raise InputError("crossingless diagrams have free Wirtinger groups")
-    tr = trace_diagram(diagram)
+    tr = incidence_trace(diagram)
     parent = {}
 
     def find(x):
@@ -403,17 +404,10 @@ def naive_lambda(diagram, memo=None):
 
 
 def _skein_step(diagram, memo):
-    tr = trace_diagram(diagram)
-    target = None
-    best = None
-    for ci in range(diagram.n):
-        if tr.first_under[ci] and (best is None or tr.first_visit[ci] < best):
-            best = tr.first_visit[ci]
-            target = ci
+    tr = incidence_trace(diagram)
+    target = tr.target
     if target is None:
         return BiLaurent.a(-tr.writhe) * delta_power(tr.components - 1)
-    from diskfill.kauffman import smooth_crossing, switch_crossing
-
     z = BiLaurent.z(1)
     return (
         z * (naive_lambda(smooth_crossing(diagram, target, 0), memo)
@@ -423,7 +417,7 @@ def _skein_step(diagram, memo):
 
 
 def naive_F(diagram):
-    return BiLaurent.a(trace_diagram(diagram).writhe) * naive_lambda(diagram)
+    return BiLaurent.a(incidence_trace(diagram).writhe) * naive_lambda(diagram)
 
 
 def mirror(diagram):
@@ -447,10 +441,30 @@ def _incidences(crossings):
     return inc
 
 
+@dataclass(frozen=True)
+class IncidenceTrace:
+    components: int
+    writhe: int
+    signs: tuple  # one per crossing
+    first_under: tuple  # per crossing: True when the first visit goes under
+    first_visit: tuple  # per crossing: traversal time of its earlier pass
+    under_in: tuple  # per crossing: the slot (0 or 2) the under strand enters
+
+    @property
+    def target(self):
+        """The crossing to switch: the earliest first visit among the
+        crossings first visited on the under strand, or None."""
+        ascending = [ci for ci, under in enumerate(self.first_under) if under]
+        return min(ascending, key=self.first_visit.__getitem__, default=None)
+
+
 def incidence_trace(diagram):
-    """``kauffman.trace_diagram`` as it was before the dart map: components
-    start at their least edge label, entered at its first incidence, and
-    each step looks the next crossing up in the incidence lists."""
+    """``kauffman.trace_diagram`` as it was before the dart map, with the
+    per-crossing records it kept then: components start at their least
+    edge label, entered at its first incidence, and each step looks the
+    next crossing up in the incidence lists.  Wirtinger presentations
+    read its signs and under slots, and the plain skein oracle its
+    target."""
     crossings = diagram.crossings
     inc = _incidences(crossings)
     entered = {}
@@ -483,7 +497,7 @@ def incidence_trace(diagram):
         first_under.append(entered[(ci, under_in)] < entered[(ci, over_in)])
         first_visit.append(min(entered[(ci, under_in)], entered[(ci, over_in)]))
         under_ins.append(under_in)
-    return DiagramTrace(
+    return IncidenceTrace(
         ncomp, sum(signs), tuple(signs), tuple(first_under), tuple(first_visit), tuple(under_ins)
     )
 
@@ -632,18 +646,20 @@ def _remove_and_join(crossings, loops, removed, joins):
 
 
 def union_find_smoothing(diagram, i, which):
-    """``kauffman.smooth_crossing`` as it was before it shared
-    ``simplify``'s edit table: the same joins through the union-find."""
+    """``kauffman.smooth_crossing`` as it was before it joined darts with
+    ``simplify``'s ``_splice``: the same joins, as label pairs, through
+    the union-find."""
     c = diagram.crossings[i]
     joins = [(c[0], c[1]), (c[2], c[3])] if which == 0 else [(c[0], c[3]), (c[1], c[2])]
     return _remove_and_join(diagram.crossings, diagram.loops, {i}, joins)
 
 
 def stepwise_simplify(diagram):
-    """``kauffman.simplify`` as it was before it worked on one mutable
-    table: remove the first kink (by crossing, then slot), else the first
-    cancellable bigon, build a whole ``LinkDiagram`` and rescan from
-    crossing 0; the unit multiplies one a^-+1 per kink."""
+    """``kauffman.simplify`` as it was before it edited crossing lists and
+    a copy of the dart map in place: remove the first kink (by crossing,
+    then slot), else the first cancellable bigon, build a whole
+    ``LinkDiagram`` and rescan from crossing 0; the unit multiplies one
+    a^-+1 per kink."""
     unit = BiLaurent.constant(1)
     while True:
         crossings, far = diagram.crossings, diagram.far

@@ -112,6 +112,11 @@ class TestAlexanderCommands:
         code, out, err = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=1,x3=1")
         assert code == 2 and out == ""
         assert "weight map does not kill every relator" in err
+        # an empty --map is a map with no entries, not a missing option
+        for spec in ("", " "):
+            code, out, err = run(capsys, "alexander", "w22.pres", "--map", spec)
+            assert code == 2 and out == ""
+            assert "map missing generators: x1 x2 x3" in err
 
     def test_weight_out_of_range_rejected(self, capsys, tmp_path):
         # Laurent division spans the weight densely, so a huge one is refused
@@ -319,13 +324,16 @@ class TestHomsCommand:
         assert values["nonabelian_witness"] != "none"
 
     def test_witness_validation(self, capsys, tmp_path):
+        # a generator and its cycles split at any whitespace, as in every
+        # other input format
         witness = tmp_path / "affine.witness"
-        witness.write_text("x (1 2 3 4 5 6 7)\ny (2 3 5)(4 7 6)\n")
-        code, out, _ = run(capsys, "homs", "bs12.pres", "7", "--witness", str(witness), "--machine")
-        assert code == 0
-        values = machine_dict(out)
-        assert values["witness_valid"] == "yes"
-        assert values["image_abelian"] == "no"
+        for sep in (" ", "\t", " \t "):
+            witness.write_text(f"x{sep}(1 2 3 4 5 6 7)\ny{sep}(2 3 5)(4 7 6)\n")
+            code, out, _ = run(capsys, "homs", "bs12.pres", "7", "--witness", str(witness), "--machine")
+            assert code == 0
+            values = machine_dict(out)
+            assert values["witness_valid"] == "yes"
+            assert values["image_abelian"] == "no"
 
     @pytest.mark.parametrize(
         "text, message",

@@ -7,6 +7,7 @@ from diskfill import data_path, kauffman
 from diskfill.errors import BudgetError, InputError
 from diskfill.kauffman import (
     DELTA_NUMERATOR,
+    DiagramTrace,
     LinkDiagram,
     canonical_key,
     delta_power,
@@ -454,6 +455,19 @@ class TestRecursion:
         kauffman_F(parse_pd(data_path("9_46.pd").read_text()))
         assert len(keys) == 22
 
+    @pytest.mark.parametrize("strands, word, keys, mirror_keys", [
+        (3, [1, 2] * 7, 88, 142),  # T(3,7)
+        (4, [1, 2, 3] * 5, 366, 780),  # T(4,5)
+    ])
+    def test_key_counts_on_both_mirrors(self, strands, word, keys, mirror_keys):
+        # the shape of the recursion: a change to the switch rule or to the
+        # trace order moves these counts, and the two mirrors differ
+        d = braid_pd(strands, word)
+        for diagram, expected in ((d, keys), (mirror(d), mirror_keys)):
+            memo = {}
+            regular_isotopy_polynomial(diagram, memo)
+            assert len(memo) == expected
+
     def test_one_trace_per_memo_miss(self, monkeypatch):
         # each newly keyed diagram is traced once, for the crossing to
         # switch or a descending leaf's value; F traces its input once more
@@ -470,8 +484,11 @@ class TestRecursion:
 
 class TestDartMap:
     def test_trace_matches_incidence_walk(self, keyed):
+        # the target is the old rule: the least first visit among the
+        # crossings first visited on the under strand
         for d in keyed:
-            assert trace_diagram(d) == incidence_trace(d), render_pd(d)
+            old = incidence_trace(d)
+            assert trace_diagram(d) == DiagramTrace(old.components, old.writhe, old.target), render_pd(d)
 
     def test_far_pairs_the_two_ends_of_each_edge(self):
         d = pretzel_pd([3, 4, -4])
