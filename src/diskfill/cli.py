@@ -6,9 +6,9 @@ verification failure).  ``--machine`` switches every command to stable
 line-oriented ``key: value`` output whose polynomial values round-trip
 through the parsers in this package.
 
-Input paths are used as given when the file exists; otherwise the name
-is looked up among the bundled data files, so ``diskfill alexander
-w22.pres`` works from anywhere.
+Input paths are used as given when the file exists; otherwise a bare
+file name is looked up among the bundled data files, so ``diskfill
+alexander w22.pres`` works from anywhere.
 """
 
 from __future__ import annotations
@@ -187,6 +187,11 @@ def cmd_connect(args):
     report = check_certificate(total, cert)
     front_path = Path(args.out_front)
     cert_path = Path(args.out_cert)
+    # both targets are checked before either is written, so that a bad one
+    # leaves no half of the output behind
+    for path in (front_path, cert_path):
+        if path.is_dir() or not path.parent.is_dir():
+            raise InputError(f"cannot write {path}: not a file in an existing directory")
     front_path.write_text(render_front(total, header="connected sum front"))
     cert_path.write_text(render_certificate(cert, header="composed filling certificate"))
     out.field("front", front_path)

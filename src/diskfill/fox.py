@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError
 from .groups import validate_abelianization
@@ -79,12 +79,11 @@ def fox_row(word, weights):
 
 # -- Alexander matrices and polynomials ----------------------------------------
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Abelianized Fox derivatives: rows are relators, columns generators."""
+class AlexanderMatrix(namedtuple("AlexanderMatrix", "entries weights")):
+    """Abelianized Fox derivatives: rows are relators, columns generators;
+    ``entries`` is a tuple of tuples of IntLaurent."""
 
-    entries: tuple  # tuple of tuples of IntLaurent
-    weights: tuple
+    __slots__ = ()
 
     @property
     def nrows(self):

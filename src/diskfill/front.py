@@ -66,9 +66,9 @@ against tb.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import comment_header, content_lines
+from . import Frozen, comment_header, content_lines
 from .errors import CertificateError, InputError
 
 __all__ = [
@@ -99,11 +99,13 @@ __all__ = [
 _EVENT_KINDS = ("L", "R", "X")
 
 
-@dataclass(frozen=True)
-class FrontWord:
+class FrontWord(Frozen):
     """An immutable event word; ``events`` is a tuple of (kind, position)."""
 
-    events: tuple
+    _fields = ("events",)
+
+    def __init__(self, events):
+        self.__dict__["events"] = events
 
     @classmethod
     def _of(cls, events, counts):
@@ -279,14 +281,13 @@ def _unclosed(root, s):
     return RuntimeError(f"cusp cycle from strand {root} does not close: strand {s} is met twice")
 
 
-@dataclass(frozen=True)
-class OrientedFront:
+# directions: per strand id, +1 rightward / -1 leftward
+# component_of: per strand id, 0-based component index
+# event_strands: per event, the strand ids involved (pre-transposition)
+class OrientedFront(namedtuple("OrientedFront", "front directions component_of event_strands")):
     """A front together with its canonical component orientations."""
 
-    front: FrontWord
-    directions: tuple  # per strand id, +1 rightward / -1 leftward
-    component_of: tuple  # per strand id, 0-based component index
-    event_strands: tuple  # per event, the strand ids involved (pre-transposition)
+    __slots__ = ()
 
     @property
     def n_components(self):
@@ -354,11 +355,9 @@ MOVE_KINDS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    index: int  # 0-based position in the event word
-    pos: int  # strand position parameter p (unused by slide)
+# index: 0-based position in the event word
+# pos: strand position parameter p (unused by slide)
+Move = namedtuple("Move", "kind index pos")
 
 
 def _instantiate(pattern, p):
@@ -553,33 +552,20 @@ def _death(events, counts, component_index):
 
 # -- certificates ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pinch:
-    index: int
-    pos: int
+Pinch = namedtuple("Pinch", "index pos")
+Death = namedtuple("Death", "component")
 
 
-@dataclass(frozen=True)
-class Death:
-    component: int
-
-
-@dataclass(frozen=True)
-class FillingCertificate:
+# declared_surface: (pinches, deaths) or None
+class FillingCertificate(namedtuple("FillingCertificate", "steps declared_surface",
+                                    defaults=(None,))):
     """A move sequence witnessing a decomposable Lagrangian filling."""
 
-    steps: tuple
-    declared_surface: tuple = None  # (pinches, deaths) or None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FillingReport:
-    pinches: int
-    deaths: int
-    euler: int
-    genus: int  # None when the Euler characteristic is even
-    tb: int
-    tb_matches: bool
+# genus: None when the Euler characteristic is even
+FillingReport = namedtuple("FillingReport", "pinches deaths euler genus tb tb_matches")
 
 
 def parse_certificate(text):

@@ -22,9 +22,9 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import content_lines
+from . import Frozen, content_lines
 from .errors import BudgetError, InputError
 
 __all__ = [
@@ -94,25 +94,21 @@ def parse_word(text, gens):
 
 # -- presentations -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """A finite group presentation with named generators."""
 
-    gens: tuple
-    relators: tuple
+    _fields = ("gens", "relators")
 
-    def __post_init__(self):
-        if len(set(self.gens)) != len(self.gens):
+    def __init__(self, gens, relators):
+        if len(set(gens)) != len(gens):
             raise InputError("generator names must be distinct")
-        object.__setattr__(self, "gens", tuple(self.gens))
-        object.__setattr__(
-            self, "relators", tuple(free_reduce(r) for r in self.relators)
-        )
-        n = len(self.gens)
-        for r in self.relators:
+        relators = tuple(free_reduce(r) for r in relators)
+        n = len(gens)
+        for r in relators:
             for x in r:
                 if not 1 <= abs(x) <= n:
                     raise InputError(f"letter {x} outside generator range 1..{n}")
+        self.__dict__.update(gens=tuple(gens), relators=relators)
 
     @property
     def rank(self):
@@ -125,12 +121,10 @@ class Presentation:
         return tuple(_word_runs(r) for r in self.relators)
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(namedtuple("PresentationFile", "presentation maps")):
     """A parsed presentation file: the presentation plus any weight maps."""
 
-    presentation: Presentation
-    maps: tuple
+    __slots__ = ()
 
 
 def parse_presentation(text):
@@ -274,12 +268,10 @@ def invariant_factors(matrix):
     return [d[k][k] for k in range(min(len(d), len(d[0]) if d else 0)) if d[k][k]]
 
 
-@dataclass(frozen=True)
-class H1Summary:
+class H1Summary(namedtuple("H1Summary", "free_rank torsion")):
     """An abelian group: free rank plus torsion coefficients > 1."""
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ()
 
     def __str__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]

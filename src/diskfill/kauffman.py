@@ -61,10 +61,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
-from . import comment_header, content_lines
+from . import Frozen, comment_header, content_lines
 from .errors import BudgetError, InputError
 from .laurent import BiLaurent, min_deg_a
 
@@ -102,21 +102,21 @@ def delta_power(k):
     return DELTA_NUMERATOR ** k * BiLaurent.z(-k)
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
-    """An unoriented link diagram: PD crossings plus crossingless loops."""
+class LinkDiagram(Frozen):
+    """An unoriented link diagram: PD crossings plus crossingless loops.
 
-    crossings: tuple  # of 4-tuples of edge labels, under strand at slots 0, 2
-    loops: int = 0
-    # each dart (crossing, slot) -> the dart at the other end of its edge
-    far: dict = field(init=False, repr=False, compare=False)
+    ``crossings`` holds 4-tuples of edge labels, under strand at slots 0
+    and 2.  ``far`` sends each dart (crossing, slot) to the dart at the
+    other end of its edge; it is derived, so equality ignores it.
+    """
 
-    def __post_init__(self):
+    _fields = ("crossings", "loops")
+
+    def __init__(self, crossings, loops=0):
         # tuples here and in the surgeries come from lists: CPython builds a
         # generator's tuple by resizing, so each one freed grows the per-size
         # tuple free list, by about 2 MB over a thousand evaluations
-        crossings = tuple([tuple(c) for c in self.crossings])
-        object.__setattr__(self, "crossings", crossings)
+        crossings = tuple([tuple(c) for c in crossings])
         far, first = {}, {}  # first: edge label -> the dart that met it first
         for ci, c in enumerate(crossings):
             if len(c) != 4:
@@ -130,11 +130,11 @@ class LinkDiagram:
         once = [e for e, dart in first.items() if dart not in far]
         if once:
             raise InputError(f"edge labels must occur exactly twice, {once} occur once")
-        object.__setattr__(self, "far", far)
-        if self.loops < 0:
+        if loops < 0:
             raise InputError("negative loop count")
-        if not self.crossings and not self.loops:
+        if not crossings and not loops:
             raise InputError("empty diagram (no crossings, no loops)")
+        self.__dict__.update(crossings=crossings, loops=loops, far=far)
 
     @property
     def n(self):
@@ -208,11 +208,8 @@ def render_pd(diagram, header=None):
 
 # -- tracing -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagramTrace:
-    components: int
-    writhe: int
-    target: object  # the crossing the skein recursion switches, or None
+# target: the crossing the skein recursion switches, or None
+DiagramTrace = namedtuple("DiagramTrace", "components writhe target")
 
 
 def trace_diagram(diagram):

@@ -209,6 +209,24 @@ class TestFrontCommands:
         report = check_certificate(front, cert)
         assert report.euler == 1 and report.tb_matches
 
+    @pytest.mark.parametrize("bad", ["front", "cert"])
+    def test_connect_bad_target_writes_neither_file(self, capsys, tmp_path, bad):
+        targets = {"front": tmp_path / "sum.front", "cert": tmp_path / "sum.cert"}
+        targets[bad] = tmp_path / "missing" / "x"
+        code, out, err = run(
+            capsys, "connect", "9_46.front", "9_46.front", "--certs", "d1.cert", "d2.cert",
+            "--out-front", str(targets["front"]), "--out-cert", str(targets["cert"]), "--machine",
+        )
+        assert (code, out) == (2, "")
+        assert f"cannot write {targets[bad]}" in err
+        assert list(tmp_path.iterdir()) == []
+        targets[bad] = tmp_path  # a directory in place of the file
+        code, _, _ = run(
+            capsys, "connect", "9_46.front", "9_46.front", "--certs", "d1.cert", "d2.cert",
+            "--out-front", str(targets["front"]), "--out-cert", str(targets["cert"]),
+        )
+        assert code == 2 and list(tmp_path.iterdir()) == []
+
     def test_connect_usage_errors(self, capsys):
         code, _, err = run(capsys, "connect", "9_46.front", "--certs", "d1.cert")
         assert code == 1
@@ -443,6 +461,16 @@ class TestBundledData:
                 parse_pd(text)
             elif name.endswith(".cert"):
                 parse_certificate(text)
+
+    def test_bundled_lookup_takes_bare_names_only(self, capsys, tmp_path, monkeypatch):
+        # ../cli.py from inside diskfill/data is the package's own source
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "tb", "../cli.py", "--machine")
+        assert (code, out, err) == (2, "", "input error: no such file: ../cli.py\n")
+        for name in ("../cli.py", "./9_46.front", "data/9_46.front", "..", ".", ""):
+            with pytest.raises(FileNotFoundError):
+                data_path(name)
+        assert data_path("9_46.front").name == "9_46.front"
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []

@@ -350,8 +350,9 @@ class TestSimplify:
 
     def test_one_diagram_build_per_call(self, keyed, monkeypatch):
         builds = []
-        real = LinkDiagram.__post_init__
-        monkeypatch.setattr(LinkDiagram, "__post_init__", lambda d: builds.append(d) or real(d))
+        real = LinkDiagram.__init__
+        monkeypatch.setattr(LinkDiagram, "__init__",
+                            lambda d, *args: builds.append(d) or real(d, *args))
         reduced = 0
         for d in keyed:
             builds.clear()

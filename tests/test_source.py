@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import diskfill
@@ -206,3 +208,15 @@ def test_unused_import_detection():
         '__all__ = ["w"]\nprint(a.b.c, y)\n'
     )
     assert unused_imports(source) == ["os", "Fraction", "z"]
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # each command is a fresh process, so what importing the CLI drags in
+    # is paid on every call; -S keeps site's .pth files from loading these
+    # modules first
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import diskfill.cli; "
+             "print(*sorted({'dataclasses', 'importlib.resources'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SOURCES[0].parent.parent)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
