@@ -192,6 +192,8 @@ def cmd_connect(args):
     for path in (front_path, cert_path):
         if path.is_dir() or not path.parent.is_dir():
             raise InputError(f"cannot write {path}: not a file in an existing directory")
+    if front_path.resolve() == cert_path.resolve():
+        raise InputError(f"--out-front {front_path} and --out-cert {cert_path} are one file")
     front_path.write_text(render_front(total, header="connected sum front"))
     cert_path.write_text(render_certificate(cert, header="composed filling certificate"))
     out.field("front", front_path)

@@ -34,14 +34,12 @@ unless the death is of component 1, which is born at event 0 and so is
 the standard unknot exactly when the word starts with L 1, R 1.
 
 A word keeps its strand-count profile once it is known.  A replay copies
-its start word's events and profile into one pair of lists and edits
-them in place, by slice assignment: each move, pinch or death runs all
-its checks before it changes anything, and changes the profile only
-around the events it inserts or deletes.  So a replay walks the count of
-its start word once, afterwards only the events each move inserts, and
-copies no whole word.  The public ``apply_move``, ``pinch`` and ``death``
-run the same in-place step on a copy of their input's lists, so they
-leave their input as it was.
+its start word's events and profile into one pair of lists, and
+``apply_move``, ``pinch`` and ``death`` edit that pair in place, by slice
+assignment: each runs all its checks before it changes anything, and
+changes the profile only around the events it inserts or deletes.  So a
+replay walks the count of its start word once, afterwards only the
+events each move inserts, and copies no whole word.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -208,12 +206,12 @@ def _word_counts(events):
 
 
 def _trace(front, column=-1):
-    """The one strand walk over a front.  It checks the word by reading
-    its profile first, then records the strands each event acts on
+    """The one strand walk over a front.  It checks the word with
+    ``validate`` first, then records the strands each event acts on
     and pairs strands at right cusps; ``_cusp_cycles`` then finds and
     orients the components.  Also returns the strands, top to bottom,
     just before event ``column``, where ``pinch`` puts its saddle."""
-    front._profile  # reading the profile checks the word
+    validate(front)
     event_strands = []
     mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
@@ -398,31 +396,17 @@ def _slide(events, index):
     raise InputError(f"slide at {index}: events overlap ({a_kind} {a} / {b_kind} {b})")
 
 
-def _stepped(step, front, *args):
-    """``front`` after ``step``, run on a copy of its events and profile."""
-    events, counts = list(front.events), list(front._profile)
-    step(events, counts, *args)
-    return FrontWord._of(tuple(events), counts)
-
-
-def apply_move(front, move):
-    """Apply one isotopy move to a valid front.
+def apply_move(events, counts, move):
+    """Apply one isotopy move in place to a valid word's event list and
+    strand-count profile.
 
     The move's pattern must lie inside the word: a negative index, or one
     whose pattern would run past the end, is rejected before any slicing.
-    Only the rewritten window is checked (see the module docstring); a
-    rejection reads as a full ``validate`` of the rewritten word would.
-    """
-    return _stepped(_move, front, move)
-
-
-def _move(events, counts, move):
-    """``apply_move`` in place on a valid word's event list and profile.
-
     The word is valid, so the result is valid when each new event fits the
     running strand count and the window keeps its net change of the strand
     count; the events after it then see the counts they saw before, and
-    only the window's counts change.  Nothing is changed on a rejection.
+    only the window's counts change.  A rejection reads as a full
+    ``validate`` of the rewritten word would, and changes nothing.
     """
     kind = move.kind
     index = move.index
@@ -463,27 +447,21 @@ def _move(events, counts, move):
 
 # -- filling moves -------------------------------------------------------------
 
-def pinch(front, index, k):
-    """Insert an oriented saddle: a right cusp then a left cusp at position k.
+def pinch(events, counts, index, k):
+    """Insert an oriented saddle in place: a right cusp then a left cusp at
+    position k, in a valid word's event list and strand-count profile.
 
     The two strands at positions k, k+1 of column ``index`` must exist,
     and strands of one component must be anti-parallel (strands of
-    different components can always be oriented to be).
+    different components can always be oriented to be).  Nothing is
+    changed on a rejection.
 
-    The word's profile validates it: a replay carries it forward, and a
-    word from the constructor is walked once.  Where the count is 0 the
-    word splits, and no component crosses such a column, so only the closed
-    block around ``index`` is traced.  A column of two strands needs no
-    trace: a closed curve meets a vertical line an even number of times,
-    once in each direction, so the two strands are one component and run
-    anti-parallel.
+    Where the count is 0 the word splits, and no component crosses such a
+    column, so only the closed block around ``index`` is traced.  A column
+    of two strands needs no trace: a closed curve meets a vertical line an
+    even number of times, once in each direction, so the two strands are
+    one component and run anti-parallel.
     """
-    return _stepped(_pinch, front, index, k)
-
-
-def _pinch(events, counts, index, k):
-    """``pinch`` in place on a valid word's event list and profile;
-    nothing is changed on a rejection."""
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
     count = counts[index]
@@ -511,19 +489,15 @@ def _pinch(events, counts, index, k):
     counts[index + 1:index + 1] = (count - 2, count)
 
 
-def death(front, component_index):
-    """Remove a component that is literally the two-event word [L k, R k].
+def death(events, counts, component_index):
+    """Remove in place, from a valid word's event list and strand-count
+    profile, a component that is literally the two-event word [L k, R k].
 
-    ``component_index`` is 1-based in order of component creation, and
-    ``front`` must be valid.  Component 1, born at event 0, is the standard
-    unknot exactly when the word starts with L 1, R 1: that needs no trace.
+    ``component_index`` is 1-based in order of component creation.
+    Component 1, born at event 0, is the standard unknot exactly when the
+    word starts with L 1, R 1: that needs no trace.  Nothing is changed on
+    a rejection.
     """
-    return _stepped(_death, front, component_index)
-
-
-def _death(events, counts, component_index):
-    """``death`` in place on a valid word's event list and profile;
-    nothing is changed on a rejection."""
     if component_index == 1 and events[0:2] == [("L", 1), ("R", 1)]:
         i = 0
     else:
@@ -627,12 +601,12 @@ def check_certificate(front, cert):
     for i, step in enumerate(cert.steps):
         try:
             if isinstance(step, Move):
-                _move(events, counts, step)
+                apply_move(events, counts, step)
             elif isinstance(step, Pinch):
-                _pinch(events, counts, step.index, step.pos)
+                pinch(events, counts, step.index, step.pos)
                 pinches += 1
             elif isinstance(step, Death):
-                _death(events, counts, step.component)
+                death(events, counts, step.component)
                 deaths += 1
             else:
                 raise InputError(f"unknown step type {step!r}")

@@ -11,6 +11,7 @@ matrix, the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
 division over Q and evaluation at a rational point, the mirror of a PD
 diagram and the a -> a^-1 rule it induces on Kauffman polynomials, the
 parity union-find that once oriented fronts,
+the front steps run on a copy of a word instead of in place,
 isotopy moves that rewrite the word and then validate all of it, a
 pinch and a death that trace their whole input every time, the
 edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
@@ -785,7 +786,7 @@ def random_move(rng, front, max_events=48):
         else:
             move = Move(kind, i, p)
         try:
-            return move, apply_move(front, move)
+            return move, stepped(apply_move, front, move)
         except InputError:
             continue
     raise AssertionError("no applicable move found")
@@ -897,10 +898,19 @@ def rewrite_then_validate(front, move):
     return out
 
 
-def move_outcome(apply, front, *args):
-    """The result of ``apply(front, *args)``, or the type and text of what it raised."""
+def stepped(step, front, *args):
+    """``front`` after the in-place ``step`` (``apply_move``, ``pinch`` or
+    ``death``), run on a copy of its events and profile; reading the
+    profile validates ``front`` first."""
+    events, counts = list(front.events), list(front._profile)
+    step(events, counts, *args)
+    return FrontWord._of(tuple(events), counts)
+
+
+def move_outcome(apply, *args):
+    """The result of ``apply(*args)``, or the type and text of what it raised."""
     try:
-        return apply(front, *args).events
+        return apply(*args).events
     except (InputError, RuntimeError) as exc:
         return type(exc), str(exc)
 

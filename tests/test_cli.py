@@ -227,6 +227,18 @@ class TestFrontCommands:
         )
         assert code == 2 and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("cert_target", ["X", "./X"])
+    def test_connect_refuses_one_file_for_both_outputs(self, capsys, tmp_path, monkeypatch,
+                                                         cert_target):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "connect", "9_46.front", "9_46.front", "--certs", "d1.cert", "d2.cert",
+            "--out-front", "X", "--out-cert", cert_target, "--machine",
+        )
+        assert (code, out) == (2, "")
+        assert "--out-front X and --out-cert X are one file" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_connect_usage_errors(self, capsys):
         code, _, err = run(capsys, "connect", "9_46.front", "--certs", "d1.cert")
         assert code == 1

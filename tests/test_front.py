@@ -30,7 +30,7 @@ from diskfill.front import (
     validate,
 )
 
-from helpers import move_outcome, random_move, rewrite_then_validate
+from helpers import move_outcome, random_move, rewrite_then_validate, stepped
 
 UNKNOT = FrontWord((("L", 1), ("R", 1)))
 TREFOIL = FrontWord(
@@ -113,37 +113,37 @@ class TestComponentsAndInvariants:
 class TestMoves:
     def test_swallowtails_preserve_invariants(self):
         for kind in ("r1a+", "r1b+"):
-            out = apply_move(UNKNOT, Move(kind, 1, 1))
+            out = stepped(apply_move, UNKNOT, Move(kind, 1, 1))
             assert classical_invariants(orient(out)) == [(-1, 0)]
-            back = apply_move(out, Move(kind[:-1] + "-", 1, 1))
+            back = stepped(apply_move, out, Move(kind[:-1] + "-", 1, 1))
             assert back.events == UNKNOT.events
 
     def test_r2_insert_remove_roundtrip(self):
-        out = apply_move(TREFOIL, Move("r2a+", 5, 1))
+        out = stepped(apply_move, TREFOIL, Move("r2a+", 5, 1))
         assert classical_invariants(orient(out)) == [(1, 0)]
-        back = apply_move(out, Move("r2a-", 5, 1))
+        back = stepped(apply_move, out, Move("r2a-", 5, 1))
         assert back.events == TREFOIL.events
 
     def test_pattern_mismatch_reports_expected_and_found(self):
         with pytest.raises(InputError, match="expected .* found"):
-            apply_move(UNKNOT, Move("r2a-", 0, 1))
+            stepped(apply_move, UNKNOT, Move("r2a-", 0, 1))
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
-            apply_move(UNKNOT, Move("zigzag", 0, 1))
+            stepped(apply_move, UNKNOT, Move("zigzag", 0, 1))
 
     def test_slide_distant_events(self):
         # crossing slides past a left cusp two positions away
         front = FrontWord((("L", 1), ("L", 3), ("X", 1), ("R", 1), ("R", 1)))
         validate(front)
-        slid = apply_move(front, Move("slide", 1, 0))
+        slid = stepped(apply_move, front, Move("slide", 1, 0))
         assert slid.events == (("L", 1), ("X", 1), ("L", 3), ("R", 1), ("R", 1))
         assert classical_invariants(orient(slid)) == classical_invariants(orient(front))
-        assert apply_move(slid, Move("slide", 1, 0)).events == front.events
+        assert stepped(apply_move, slid, Move("slide", 1, 0)).events == front.events
 
     def test_slide_overlap_rejected(self):
         with pytest.raises(InputError, match="overlap"):
-            apply_move(TREFOIL, Move("slide", 4, 0))  # X2 then R1 share strands
+            stepped(apply_move, TREFOIL, Move("slide", 4, 0))  # X2 then R1 share strands
 
     @pytest.mark.parametrize("a_kind", "LRX")
     @pytest.mark.parametrize("b_kind", "LRX")
@@ -194,9 +194,9 @@ class TestMoves:
              ("X", 2), ("R", 1), ("R", 1))
         )
         validate(front)
-        out = apply_move(front, Move("r3", 2, 1))
+        out = stepped(apply_move, front, Move("r3", 2, 1))
         assert out.events[2:5] == (("X", 2), ("X", 1), ("X", 2))
-        assert apply_move(out, Move("r3", 2, 1)).events == front.events
+        assert stepped(apply_move, out, Move("r3", 2, 1)).events == front.events
 
     def test_invariance_under_random_rewrites(self):
         rng = random.Random(41)
@@ -209,14 +209,14 @@ class TestMoves:
 
 class TestPinchAndDeath:
     def test_pinch_unknot(self):
-        out = pinch(UNKNOT, 1, 1)
+        out = stepped(pinch, UNKNOT, 1, 1)
         assert out.events == (("L", 1), ("R", 1), ("L", 1), ("R", 1))
         assert orient(out).n_components == 2
 
     def test_pinch_parallel_rejected_oriented(self):
         # trefoil strands 2,3 between the cusps run parallel
         with pytest.raises(InputError, match="parallel"):
-            pinch(TREFOIL, 2, 2)
+            stepped(pinch, TREFOIL, 2, 2)
 
     def test_pinch_changes_component_count_by_one(self):
         rng = random.Random(42)
@@ -229,7 +229,7 @@ class TestPinchAndDeath:
         for idx in range(len(front.events) + 1):
             for k in range(1, profile[idx]):
                 try:
-                    out = pinch(front, idx, k)
+                    out = stepped(pinch, front, idx, k)
                 except InputError:
                     continue
                 assert abs(orient(out).n_components - before) == 1
@@ -240,39 +240,39 @@ class TestPinchAndDeath:
         # no strands run before the first event or after the last one
         for index in (0, len(TREFOIL)):
             with pytest.raises(InputError, match=f"column {index}, only 0 present"):
-                pinch(TREFOIL, index, 1)
+                stepped(pinch, TREFOIL, index, 1)
         with pytest.raises(InputError, match="pinch column 8 out of range 0..7"):
-            pinch(TREFOIL, 8, 1)
+            stepped(pinch, TREFOIL, 8, 1)
 
     def test_pinch_traces_only_its_block(self, monkeypatch):
         # two strands at the column: one component, anti-parallel, no trace
-        assert traces_made(monkeypatch, pinch, TREFOIL, 1, 1) == 0
+        assert traces_made(monkeypatch, stepped, pinch, TREFOIL, 1, 1) == 0
         # four strands: only the trefoil's block is traced, not the unknots
         split = FrontWord(UNKNOT.events + TREFOIL.events + UNKNOT.events)
-        assert traces_made(monkeypatch, pinch, split, 4, 1) == len(TREFOIL)
+        assert traces_made(monkeypatch, stepped, pinch, split, 4, 1) == len(TREFOIL)
         with pytest.raises(InputError, match="parallel"):
-            pinch(split, 4, 2)
+            stepped(pinch, split, 4, 2)
 
     def test_pinch_still_validates_its_input(self):
         with pytest.raises(InputError, match="final strand count 2"):
-            pinch(FrontWord((("L", 1), ("L", 1), ("R", 1))), 1, 1)
+            stepped(pinch, FrontWord((("L", 1), ("L", 1), ("R", 1))), 1, 1)
 
     def test_death(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))
-        assert death(two, 1).events == (("L", 1), ("R", 1))
-        assert death(two, 2).events == (("L", 1), ("R", 1))
+        assert stepped(death, two, 1).events == (("L", 1), ("R", 1))
+        assert stepped(death, two, 2).events == (("L", 1), ("R", 1))
 
     def test_death_rejects_nonstandard_component(self):
         with pytest.raises(InputError, match="not a standard unknot"):
-            death(TREFOIL, 1)
+            stepped(death, TREFOIL, 1)
 
     def test_death_of_component_one_needs_no_trace(self, monkeypatch):
         two = FrontWord(UNKNOT.events * 2)
-        assert traces_made(monkeypatch, death, two, 1) == 0
-        assert traces_made(monkeypatch, death, two, 2) == len(two)
+        assert traces_made(monkeypatch, stepped, death, two, 1) == 0
+        assert traces_made(monkeypatch, stepped, death, two, 2) == len(two)
         # here component 1 is the trefoil, so the word does not start L 1, R 1
         trefoil_first = FrontWord(TREFOIL.events + UNKNOT.events)
-        assert traces_made(monkeypatch, death, trefoil_first, 2) == len(trefoil_first)
+        assert traces_made(monkeypatch, stepped, death, trefoil_first, 2) == len(trefoil_first)
 
 
 class TestCertificates:
@@ -329,7 +329,7 @@ class TestCertificates:
     )
     def test_every_move_kind_checks_its_window(self, move):
         with pytest.raises(InputError, match="out of range"):
-            apply_move(UNKNOT, move)
+            stepped(apply_move, UNKNOT, move)
 
 
 def traces_made(monkeypatch, fn, *args):
@@ -368,9 +368,9 @@ def replay_traces(monkeypatch, front, cert):
     Returns the lengths of the words traced outside any pinch, and for
     each pinch in step order its column's strand count, the length of the
     block around its column, and the events it traced.  Replay pinches
-    through the in-place step ``front._pinch``, so that is what is
-    recorded; the count and block come from a fresh walk of the word."""
-    real_trace, real_pinch = front_module._trace, front_module._pinch
+    through ``front.pinch``, so that is what is recorded; the count and
+    block come from a fresh walk of the word."""
+    real_trace, real_pinch = front_module._trace, front_module.pinch
     outside, pinches = [], []
 
     def counting(word, *column):
@@ -386,12 +386,12 @@ def replay_traces(monkeypatch, front, cert):
         del outside[before:]
 
     monkeypatch.setattr(front_module, "_trace", counting)
-    monkeypatch.setattr(front_module, "_pinch", recording)
+    monkeypatch.setattr(front_module, "pinch", recording)
     try:
         check_certificate(front, cert)
     finally:
         monkeypatch.setattr(front_module, "_trace", real_trace)
-        monkeypatch.setattr(front_module, "_pinch", real_pinch)
+        monkeypatch.setattr(front_module, "pinch", real_pinch)
     return outside, pinches
 
 
@@ -450,7 +450,7 @@ class TestCarriedProfile:
 
     def check(self, monkeypatch, front, cert):
         results = []
-        for name in ("_move", "_pinch", "_death"):
+        for name in ("apply_move", "pinch", "death"):
             real = getattr(front_module, name)
 
             def step(events, counts, *args, real=real):
@@ -495,34 +495,71 @@ class TestReplayInPlace:
         assert built and max(built) <= len(f946), built
 
     def test_public_steps_leave_their_input_as_it_was(self):
+        # run through ``stepped``, each step edits a copy of the word's lists
         word = parse_front(data_path("9_46.front").read_text())
         for step in parse_certificate(data_path("d1.cert").read_text()).steps:
             events, profile = word.events, list(word._profile)
             if isinstance(step, Move):
-                out = apply_move(word, step)
+                out = stepped(apply_move, word, step)
             elif isinstance(step, Pinch):
-                out = pinch(word, step.index, step.pos)
+                out = stepped(pinch, word, step.index, step.pos)
             else:
-                out = death(word, step.component)
+                out = stepped(death, word, step.component)
             assert word.events == events and word._profile == profile
             word = out
         assert word.events == ()
 
     @pytest.mark.parametrize("step, args", [
-        ("_move", (Move("r2a-", 0, 1),)),  # pattern mismatch
-        ("_move", (Move("slide", 2, 0),)),  # overlapping events
-        ("_move", (Move("r1a+", 0, 1),)),  # a new event on too few strands
-        ("_pinch", (3, 2)),  # parallel strands
-        ("_pinch", (3, 4)),  # too few strands
-        ("_pinch", (9, 1)),  # column outside the word
-        ("_death", (1,)),  # not a standard unknot
-        ("_death", (2,)),  # no such component
+        ("apply_move", (Move("r2a-", 0, 1),)),  # pattern mismatch
+        ("apply_move", (Move("slide", 2, 0),)),  # overlapping events
+        ("apply_move", (Move("r1a+", 0, 1),)),  # a new event on too few strands
+        ("pinch", (3, 2)),  # parallel strands
+        ("pinch", (3, 4)),  # too few strands
+        ("pinch", (9, 1)),  # column outside the word
+        ("death", (1,)),  # not a standard unknot
+        ("death", (2,)),  # no such component
     ])
     def test_rejected_steps_change_nothing(self, step, args):
         events, counts = list(TREFOIL.events), list(TREFOIL._profile)
         with pytest.raises(InputError):
             getattr(front_module, step)(events, counts, *args)
         assert events == list(TREFOIL.events) and counts == TREFOIL._profile
+
+
+class TestReplayCallsThePublicSteps:
+    """Replay runs each step through the module-level ``apply_move``,
+    ``pinch`` and ``death``, so a wrapper installed on those names, as
+    perfbench's tracer installs its timers, sees every step."""
+
+    def calls(self, monkeypatch, front, cert):
+        calls = {"apply_move": 0, "pinch": 0, "death": 0}
+        for name in calls:
+            real = getattr(front_module, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(front_module, name, counting)
+        check_certificate(front, cert)
+        return calls
+
+    def expected(self, cert):
+        return {name: sum(isinstance(step, kind) for step in cert.steps)
+                for name, kind in (("apply_move", Move), ("pinch", Pinch), ("death", Death))}
+
+    def test_bundled_d1_certificate(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        cert = parse_certificate(data_path("d1.cert").read_text())
+        assert self.calls(monkeypatch, f946, cert) == self.expected(cert)
+
+    def test_composed_l8_certificate(self, monkeypatch):
+        f946 = parse_front(data_path("9_46.front").read_text())
+        d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
+        total, cert = connect([f946] * 8, [d1, d2] * 4)
+        expected = self.expected(cert)
+        assert expected["pinch"] == 7 + 8 and all(expected.values())
+        assert self.calls(monkeypatch, total, cert) == expected
 
 
 class TestMovesCheckTheirWindow:
@@ -539,7 +576,7 @@ class TestMovesCheckTheirWindow:
             for _ in range(12):
                 kind = rng.choice(front_module.MOVE_KINDS)
                 move = Move(kind, rng.randint(-1, len(front) + 1), rng.randint(-1, top))
-                got = move_outcome(apply_move, front, move)
+                got = move_outcome(stepped, apply_move, front, move)
                 assert got == move_outcome(rewrite_then_validate, front, move), move
                 text = got[1] if isinstance(got[0], type) else "accepted"
                 for key in outcomes:
@@ -551,7 +588,7 @@ class TestMovesCheckTheirWindow:
         # a table entry that loses a right cusp no longer ends at 0 strands
         monkeypatch.setitem(front_module.MOVE_TABLE, "r2a", ((("R", +1),), (("X", +2),)))
         with pytest.raises(RuntimeError, match="changes the strand count by 0"):
-            apply_move(TREFOIL, Move("r2a+", 5, 1))
+            stepped(apply_move, TREFOIL, Move("r2a+", 5, 1))
 
 
 class TestConnectedSum:

@@ -294,11 +294,11 @@ class TestNormalizedF:
 class TestSimplify:
     def test_kinked_unknot_reduces(self):
         from diskfill.front import FrontWord, Move, apply_move
-        from helpers import front_to_pd
+        from helpers import front_to_pd, stepped
 
         front = FrontWord((("L", 1), ("R", 1)))
         for _ in range(3):
-            front = apply_move(front, Move("r1a+", 1, 1))
+            front = stepped(apply_move, front, Move("r1a+", 1, 1))
         d = front_to_pd(front)
         assert d.n == 3
         red, unit = simplify(d)

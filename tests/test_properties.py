@@ -55,6 +55,7 @@ from helpers import (  # noqa: E402
     parity_orient,
     pretzel_pd,
     rewrite_then_validate,
+    stepped,
     token_key,
     traced_death,
     traced_pinch,
@@ -208,7 +209,7 @@ class TestFronts:
     @given(moves_on_fronts())
     def test_apply_move_matches_rewrite_then_validate(self, front_and_move):
         front, move = front_and_move
-        assert move_outcome(apply_move, front, move) == move_outcome(
+        assert move_outcome(stepped, apply_move, front, move) == move_outcome(
             rewrite_then_validate, front, move
         )
 
@@ -216,20 +217,22 @@ class TestFronts:
     @given(deaths_on_fronts())
     def test_death_matches_traced_death(self, front_and_component):
         front, c = front_and_component
-        assert move_outcome(death, front, c) == move_outcome(traced_death, front, c)
+        assert move_outcome(stepped, death, front, c) == move_outcome(traced_death, front, c)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(pinches_on_fronts())
     def test_pinch_matches_traced_pinch(self, case):
         front, index, k = case
-        assert move_outcome(pinch, front, index, k) == move_outcome(traced_pinch, front, index, k)
+        assert move_outcome(stepped, pinch, front, index, k) == move_outcome(
+            traced_pinch, front, index, k
+        )
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(pinches_on_fronts())
     def test_pinch_carries_the_profile(self, case):
         front, index, k = case
         try:
-            out = pinch(front, index, k)
+            out = stepped(pinch, front, index, k)
         except InputError:
             return
         assert vars(out)["_profile"] == _word_counts(out.events)

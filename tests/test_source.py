@@ -155,13 +155,9 @@ def unreferenced_exports(sources):
 
 
 # Public names with no caller in the package.  perfbench's tracer wraps
-# the front ones, and the CI console-script step imports render_pd to
+# connected_sum, and the CI console-script step imports render_pd to
 # write a PD file.
 ENTRY_POINTS = [
-    ("front", "validate"),
-    ("front", "apply_move"),
-    ("front", "pinch"),
-    ("front", "death"),
     ("front", "connected_sum"),
     ("kauffman", "render_pd"),
 ]
