@@ -73,7 +73,10 @@ def _resolve(path):
 
 
 def _read(path):
-    return _resolve(path).read_text()
+    try:
+        return _resolve(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 class _Out:
@@ -261,11 +264,6 @@ def cmd_homs(args):
         if ok:
             out.field("image_abelian", "yes" if is_image_abelian(images) else "no")
         return 0 if ok else EXIT_VERIFY
-    if args.symbols > 5:
-        raise BudgetError(
-            "exhaustive enumeration is limited to 5 symbols; "
-            "validate an explicit assignment with --witness instead"
-        )
     count = 0
     witness = None
     for images in iter_homs(pres, args.symbols):

@@ -50,7 +50,7 @@ __all__ = [
     "iter_homs",
 ]
 
-MAX_HOM_NODES = 1_000_000  # search nodes one iter_homs call may visit
+MAX_HOM_STEPS = 20_000_000  # symbol steps one iter_homs call may take
 # x^k is stored as |k| letters, and a weight w spans |w| dense coefficients in
 # Laurent division, so larger powers and weights are refused
 MAX_EXPONENT = 1000
@@ -416,8 +416,9 @@ def check_finite_hom(pres, images):
 
 
 def is_image_abelian(images):
-    """True when all image permutations pairwise commute."""
-    return all(perm_mul(p, q) == perm_mul(q, p) for p, q in itertools.combinations(images, 2))
+    """True when all images pairwise commute; each distinct pair is compared once."""
+    return all(perm_mul(p, q) == perm_mul(q, p)
+               for p, q in itertools.combinations(dict.fromkeys(images), 2))
 
 
 def _segments(runs, top):
@@ -451,52 +452,57 @@ def iter_homs(pres, n):
     """Yield each homomorphism into S_n as images, in ``itertools.product`` order.
 
     A depth-first search assigns the generators in order and checks each
-    relator once its highest generator has an image.  ``MAX_HOM_NODES``,
-    read once per call, counts search nodes, the permutations tried at any
-    depth; past it ``BudgetError`` says how far the search got.  Unpruned,
-    rank r visits sum_{d<=r} (n!)^d <= (n!)^r * n!/(n!-1) nodes, so beyond
-    the (n!)^r assignments only S2 at rank 19 and S1 past rank 10^6 newly
-    trip that budget.
+    relator once its highest generator has an image, cut into one segment
+    per run of that generator (``_segments``).  A descent to depth d
+    multiplies each segment's lower runs into one permutation; a node there
+    takes one power of its image per exponent generator d has, follows
+    symbol 0, 1, ... through the segments and stops at the first one moved.
 
-    A relator checked at depth d is cut into one segment per run of
-    generator d (``_segments``).  Each descent to depth d multiplies every
-    segment's lower runs into one permutation, so a node costs one step
-    per segment, plus one power of its image per exponent generator d
-    has there.  It follows symbol 0, 1, ... through the segments and is
-    rejected at the first symbol moved."""
+    ``MAX_HOM_STEPS``, read once per call, bounds the symbol steps, each
+    charged before it is taken: n for a node's permutation, for each power
+    it takes and for each segment it follows, n for each run a descent
+    folds, and the rank for each hom.  So it bounds time at every n and
+    relator length; past it ``BudgetError`` says how far the search got."""
     if n < 1:
         raise InputError("symbol count must be positive")
-    budget, rank, ident = MAX_HOM_NODES, pres.rank, identity_perm(n)
+    budget, rank, ident = MAX_HOM_STEPS, pres.rank, identity_perm(n)
     if not rank:
         yield ()
         return
     plans = [[_segments(r, d) for r in pres._relator_runs if r and max(g for g, _ in r) == d]
              for d in range(rank)]
     exponents = [{k for plan in plans[d] for k, _ in plan} for d in range(rank)]
+    node_steps = [n * (1 + len(exponents[d]) + sum(map(len, plans[d]))) for d in range(rank)]
+    # a node that passes its checks then folds the next depth's runs or yields its hom
+    pass_steps = [n * sum(len(s) for p in plans[d] for _, s in p) for d in range(1, rank)] + [rank]
     images = [None] * rank
 
     def folded(d):
         return [tuple((k, _evaluate_runs(stretch, images, n)) for k, stretch in plan)
                 for plan in plans[d]]
 
+    def spent():
+        return BudgetError(f"hom search into S{n} stopped at {steps} steps, past its limit of "
+                           f"{budget}, and found {found} homs; the deepest generator reached was "
+                           f"{pres.gens[deepest]} ({deepest + 1} of {rank})")
+
     checks = [folded(0)] + [None] * (rank - 1)  # depth d's segments, folded at its last descent
     levels = [itertools.permutations(ident)]
-    nodes = found = deepest = 0
+    steps = found = deepest = 0
     while levels:
         depth = len(levels) - 1
-        relators, needed = checks[depth], exponents[depth]
+        relators, needed, cost = checks[depth], exponents[depth], node_steps[depth]
         for perm in levels[depth]:
-            if nodes == budget:
-                raise BudgetError(
-                    f"hom search into S{n} visited {nodes} nodes, its budget, and found "
-                    f"{found} homs; the deepest generator reached was {pres.gens[deepest]} "
-                    f"({deepest + 1} of {rank})"
-                )
-            nodes, deepest, images[depth] = nodes + 1, max(deepest, depth), perm
+            steps, images[depth] = steps + cost, perm
+            if steps > budget:
+                raise spent()
             if relators and not _kills(relators, {k: _perm_power(perm, k) for k in needed}, n):
                 continue
+            steps += pass_steps[depth]
+            if steps > budget:
+                raise spent()
             if depth + 1 < rank:
-                checks[depth + 1] = folded(depth + 1)
+                deepest, checks[depth + 1] = max(deepest, depth + 1), folded(depth + 1)
                 levels.append(itertools.permutations(ident))
                 break
             found += 1

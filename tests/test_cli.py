@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from diskfill import cli, data_path, fox, kauffman
+from diskfill import cli, data_path, fox, groups, kauffman
 from diskfill.cli import main
 from diskfill.front import parse_certificate, parse_front
-from diskfill.groups import MAX_SYMBOLS
+from diskfill.groups import MAX_SYMBOLS, parse_presentation
 from diskfill.kauffman import parse_pd, render_pd, trace_diagram
 from diskfill.laurent import BiLaurent, IntLaurent
 
-from helpers import a_mirror, braid_pd, pretzel_lambda, pretzel_pd
+from helpers import a_mirror, braid_pd, brute_homs, pretzel_lambda, pretzel_pd
 
 
 def run(capsys, *argv):
@@ -382,15 +382,27 @@ class TestHomsCommand:
         assert code == 2
         assert message in err and not out
 
-    def test_s5_count_within_the_node_budget(self, capsys):
-        # 120^3 assignments, but the search visits 57,600 nodes
+    def test_s5_count_within_the_step_budget(self, capsys):
+        # 120^3 assignments, but the search takes 1,740,840 symbol steps
         code, out, _ = run(capsys, "homs", "w22.pres", "5", "--machine")
         assert code == 0
         assert machine_dict(out)["count"] == "1680"
 
-    def test_large_symbol_count_needs_witness(self, capsys):
-        code, _, err = run(capsys, "homs", "bs12.pres", "7")
-        assert code == 3
+    def test_s6_count_matches_brute_force(self, capsys, tmp_path):
+        # no symbol cap: S6 is counted as S5 is, within the step budget
+        path = tmp_path / "cube.pres"
+        path.write_text("gens: x\nrel: x^3\n")
+        code, out, _ = run(capsys, "homs", str(path), "6", "--machine")
+        assert code == 0
+        pres = parse_presentation(path.read_text()).presentation
+        assert machine_dict(out)["count"] == str(sum(1 for _ in brute_homs(pres, 6))) == "81"
+
+    def test_large_symbol_count_trips_the_step_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 100_000)
+        code, out, err = run(capsys, "homs", "bs12.pres", "7")
+        assert code == 3 and not out
+        assert "hom search into S7 stopped at" in err
+        assert "past its limit of 100000" in err
 
     @pytest.mark.parametrize("symbols", ["0", "-3", str(10**15)])
     def test_symbol_count_out_of_range(self, capsys, tmp_path, symbols):
@@ -483,6 +495,20 @@ class TestBundledData:
             with pytest.raises(FileNotFoundError):
                 data_path(name)
         assert data_path("9_46.front").name == "9_46.front"
+
+    @pytest.mark.parametrize("argv", [
+        ("tb", "{}"),
+        ("check-filling", "9_46.front", "{}"),
+        ("alexander", "{}"),
+        ("kauffman", "{}"),
+        ("homs", "bs12.pres", "3", "--witness", "{}"),
+    ], ids=["front", "certificate", "presentation", "pd", "witness"])
+    def test_non_utf8_input_is_an_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(a.format(path) for a in argv))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []

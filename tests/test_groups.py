@@ -289,6 +289,13 @@ class TestFiniteQuotients:
         assert check_finite_hom(BS12, (ident, ident))
         assert is_image_abelian((ident, ident))
 
+    def test_image_abelian_compares_distinct_images_once(self):
+        # 3,000 images are 4.5M pairs, but two distinct images are one
+        a, b = perm_from_cycles("(1 2)", 5), perm_from_cycles("(3 4 5)", 5)
+        assert is_image_abelian((a, b) * 1500)
+        c = perm_from_cycles("(2 3)", 5)
+        assert not is_image_abelian((a, b) * 1500 + (c,))
+
     def test_failing_assignment(self):
         swap = perm_from_cycles("(1 2)", 3)
         assert not check_finite_hom(BS12, (swap, swap))
@@ -322,46 +329,76 @@ class TestFiniteQuotients:
         assert len(list(iter_homs(Presentation(("x",), ((1,),)), 4))) == 1
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 1000)
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 1000)
         with pytest.raises(BudgetError):
             list(iter_homs(Presentation(("x", "y", "z"), ()), 5))
 
     def test_budget_error_says_how_far_the_search_got(self, monkeypatch):
-        # S3 has 6 elements: x and y take their first image (2 nodes), z
-        # all six (6 homs), y its second (the 9th node), and the budget
-        # trips at z, which the search reached before
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 9)
+        # with no relators a node costs 3 steps in S3 and a hom 3 more: x
+        # and y take their first image (6 steps), z all six (6 homs, 42
+        # steps), y its second (45), and the limit trips at z, which the
+        # search reached before
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 47)
         free3 = Presentation(("x", "y", "z"), ())
-        with pytest.raises(BudgetError, match=r"visited 9 nodes, its budget, and found 6 homs; "
-                                              r"the deepest generator reached was z \(3 of 3\)"):
+        with pytest.raises(BudgetError, match=r"stopped at 48 steps, past its limit of 47, and "
+                                              r"found 6 homs; the deepest generator reached was "
+                                              r"z \(3 of 3\)"):
             list(iter_homs(free3, 3))
 
-    def test_budget_counts_search_nodes(self, monkeypatch):
+    def test_budget_counts_symbol_steps(self, monkeypatch):
         # the relator x fails at every image of x but the identity, so the
-        # search tries 120 images of x and then 120 of y, not 120^2 pairs
+        # search tries 120 images of x and then 120 of y, not 120^2 pairs:
+        # 15 steps for each x (the image, its first power and one segment,
+        # 5 symbols each), 5 for each y and 2 for each hom
         pres = Presentation(("x", "y"), ((1,),))
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 240)
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 120 * 15 + 120 * 5 + 120 * 2)
         assert len(list(iter_homs(pres, 5))) == 120
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 239)
-        with pytest.raises(BudgetError, match="visited 239 nodes"):
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 2639)
+        with pytest.raises(BudgetError, match="stopped at 2640 steps, past its limit of 2639"):
             list(iter_homs(pres, 5))
 
     def test_budget_error_on_a_long_relator(self, monkeypatch):
         # every image of x and y has one z, and the relator's 41 runs fold
         # into one segment at z
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 100_000)
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 1_000_000)
         pres = parse_presentation("gens: x y z\nrel: " + "x y " * 20 + "z\n").presentation
-        with pytest.raises(BudgetError, match=r"visited 100000 nodes, its budget, and found 827 "
-                                              r"homs; the deepest generator reached was z \(3 of 3\)"):
+        with pytest.raises(BudgetError, match=r"stopped at 1000009 steps, past its limit of "
+                                              r"1000000, and found 498 homs; the deepest "
+                                              r"generator reached was z \(3 of 3\)"):
             list(iter_homs(pres, 5))
+
+    def test_budget_charges_each_segment_of_an_alternating_relator(self, monkeypatch):
+        # z alternates with x 1000 times, so z's relator has 1000 segments
+        # and 1001 lower runs; in S5 reaching z costs 5 steps for x, 5 for y
+        # and 5 * 1001 for the fold, and each image of z costs 5 * 1002
+        pres = parse_presentation("gens: x y z\nrel: " + "x z " * 1000 + "y\n").presentation
+        fold, node = 5 + 5 + 5 * 1001, 5 * 1002
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", fold - 1)
+        with pytest.raises(BudgetError, match=rf"stopped at {fold} steps, .* found 0 homs; the "
+                                              r"deepest generator reached was y \(2 of 3\)"):
+            list(iter_homs(pres, 5))
+        # the identity at z is a hom, costing 3 steps, and the next image trips
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", fold + node + 3)
+        with pytest.raises(BudgetError, match=rf"stopped at {fold + 2 * node + 3} steps, .* "
+                                              r"found 1 homs; the deepest generator reached was "
+                                              r"z \(3 of 3\)"):
+            list(iter_homs(pres, 5))
+
+    def test_budget_trips_at_ten_thousand_symbols(self):
+        # an image of S10000 costs 10,000 steps, so the limit stops the
+        # search after 1999 of its 10000! homs (not kept: each is 80 kB)
+        with pytest.raises(BudgetError, match=r"into S10000 stopped at 20001999 steps, past its "
+                                              r"limit of 20000000, and found 1999 homs"):
+            for _ in iter_homs(Presentation(("x",), ()), 10_000):
+                pass
 
     def test_budget_is_read_once_per_call(self, monkeypatch):
         # a search started under one limit keeps it to its end
         search = iter_homs(Presentation(("x", "y"), ((1,),)), 5)
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 239)
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 2639)
         next(search)
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 10**6)
-        with pytest.raises(BudgetError, match="visited 239 nodes"):
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 10**9)
+        with pytest.raises(BudgetError, match="stopped at 2640 steps"):
             list(search)
 
     def test_search_matches_brute_force_across_segment_boundaries(self):

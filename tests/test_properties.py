@@ -367,9 +367,9 @@ class TestHomSearch:
         assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
 
     def test_budget_stops_on_a_brute_force_prefix(self, monkeypatch):
-        # the free group of rank 3 prunes nothing, so 1,000 nodes are far
-        # short of the 120^3 homs into S5
-        monkeypatch.setattr(groups, "MAX_HOM_NODES", 1000)
+        # the free group of rank 3 prunes nothing, so 1,000 steps, 8 for
+        # each hom, are far short of the 120^3 homs into S5
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 1000)
         free3 = Presentation(("x", "y", "z"), ())
         found = []
         with pytest.raises(BudgetError):
