@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
-from . import content_lines, data_path
+from . import data_path
 from .errors import BudgetError, CertificateError, DiskfillError, InputError
 from .front import (
     check_certificate,
@@ -40,7 +41,8 @@ from .groups import (
     iter_homs,
     parse_presentation,
     parse_weights,
-    perm_from_cycles,
+    parse_witness,
+    render_cycles,
     smith_normal_form,
     z_surjection,
 )
@@ -51,6 +53,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
+# CPython's default limit on the digits of an int it converts to text
+MAX_PRINTED_DIGITS = 4300
 
 
 class UsageError(Exception):
@@ -62,38 +66,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve(path):
-    p = Path(path)
-    if p.is_file():
-        return p
-    try:
-        return data_path(path)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}") from None
-
-
 def _read(path):
+    p = Path(path)
+    if not p.is_file():
+        try:
+            p = data_path(path)
+        except FileNotFoundError:
+            raise InputError(f"no such file: {path}") from None
     try:
-        return _resolve(path).read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-class _Out:
-    """Uniform printer for the two output modes."""
-
-    def __init__(self, machine):
-        self.machine = machine
-
-    def field(self, key, value, label=None):
-        if self.machine:
-            print(f"{key}: {value}")
-        else:
-            print(f"{label or key}: {value}")
-
-    def note(self, text):
-        if not self.machine:
-            print(text)
+def _field(args, key, value, label=None):
+    """Print one output line: ``key`` with ``--machine``, else ``label`` or ``key``."""
+    print(f"{key if args.machine else label or key}: {value}")
 
 
 def _weights_for(pf, map_spec):
@@ -106,30 +94,24 @@ def _weights_for(pf, map_spec):
     return z_surjection(pf.presentation)
 
 
-def _render_weights(gens, weights):
-    return " ".join(f"{g}={w}" for g, w in zip(gens, weights))
-
-
 # -- commands -----------------------------------------------------------------
 
 def cmd_alexander(args):
-    out = _Out(args.machine)
     pf = parse_presentation(_read(args.presentation))
     weights = _weights_for(pf, args.map)
     pres = pf.presentation
     # compute before printing, so a rejected input leaves stdout empty
     matrix = alexander_matrix(pres, weights)
     polynomial = alexander_polynomial(matrix)
-    out.field("h1", h1(pres))
-    out.field("map", _render_weights(pres.gens, weights))
+    _field(args, "h1", h1(pres))
+    _field(args, "map", " ".join(f"{g}={w}" for g, w in zip(pres.gens, weights)))
     for i, row in enumerate(matrix.entries, start=1):
-        out.field(f"matrix_row_{i}", "[" + ", ".join(str(e) for e in row) + "]")
-    out.field("polynomial", polynomial, "alexander polynomial")
+        _field(args, f"matrix_row_{i}", "[" + ", ".join(str(e) for e in row) + "]")
+    _field(args, "polynomial", polynomial, "alexander polynomial")
     return 0
 
 
 def cmd_compare(args):
-    out = _Out(args.machine)
     polys = []
     for path in (args.presentation_a, args.presentation_b):
         pf = parse_presentation(_read(path))
@@ -137,40 +119,38 @@ def cmd_compare(args):
         if free_rank != 1:
             raise InputError(f"{path}: H1 free rank is {free_rank}, need 1")
         polys.append(alexander_polynomial(alexander_matrix(pf.presentation, _weights_for(pf, None))))
-    out.field("polynomial_a", polys[0])
-    out.field("polynomial_b", polys[1])
+    _field(args, "polynomial_a", polys[0])
+    _field(args, "polynomial_b", polys[1])
     allow = not args.units_only
-    out.field("equivalence", "units and inversion" if allow else "units only")
+    _field(args, "equivalence", "units and inversion" if allow else "units only")
     distinct = not unit_equivalent(polys[0], polys[1], allow_inversion=allow)
-    out.field("verdict", "DISTINCT" if distinct else "INDISTINGUISHABLE")
-    if distinct:
-        out.note("the groups (and the disk exteriors) are not isomorphic")
+    _field(args, "verdict", "DISTINCT" if distinct else "INDISTINGUISHABLE")
+    if distinct and not args.machine:
+        print("the groups (and the disk exteriors) are not isomorphic")
     return 0
 
 
 def cmd_tb(args):
-    out = _Out(args.machine)
     front = parse_front(_read(args.front))
     invariants = classical_invariants(orient(front))
-    out.field("components", len(invariants))
+    _field(args, "components", len(invariants))
     for i, (tb, rot) in enumerate(invariants, start=1):
-        out.field(f"tb_{i}", tb, f"tb (component {i})")
-        out.field(f"rot_{i}", rot, f"rot (component {i})")
+        _field(args, f"tb_{i}", tb, f"tb (component {i})")
+        _field(args, f"rot_{i}", rot, f"rot (component {i})")
     return 0
 
 
 def cmd_check_filling(args):
-    out = _Out(args.machine)
     front = parse_front(_read(args.front))
     cert = parse_certificate(_read(args.certificate))
     report = check_certificate(front, cert)
-    out.field("result", "ACCEPT")
-    out.field("pinches", report.pinches)
-    out.field("deaths", report.deaths)
-    out.field("euler", report.euler, "euler characteristic")
-    out.field("genus", report.genus if report.genus is not None else "undefined")
-    out.field("tb", report.tb)
-    out.field("tb_check", "ok" if report.tb_matches else "MISMATCH")
+    _field(args, "result", "ACCEPT")
+    _field(args, "pinches", report.pinches)
+    _field(args, "deaths", report.deaths)
+    _field(args, "euler", report.euler, "euler characteristic")
+    _field(args, "genus", report.genus if report.genus is not None else "undefined")
+    _field(args, "tb", report.tb)
+    _field(args, "tb_check", "ok" if report.tb_matches else "MISMATCH")
     if not report.tb_matches:
         raise CertificateError(
             f"tb {report.tb} != -euler {-report.euler}: front and surface disagree"
@@ -179,7 +159,6 @@ def cmd_check_filling(args):
 
 
 def cmd_connect(args):
-    out = _Out(args.machine)
     if len(args.fronts) < 2:
         raise UsageError("connect needs at least two fronts")
     if len(args.certs or ()) != len(args.fronts):
@@ -199,11 +178,11 @@ def cmd_connect(args):
         raise InputError(f"--out-front {front_path} and --out-cert {cert_path} are one file")
     front_path.write_text(render_front(total, header="connected sum front"))
     cert_path.write_text(render_certificate(cert, header="composed filling certificate"))
-    out.field("front", front_path)
-    out.field("certificate", cert_path)
-    out.field("tb", report.tb)
-    out.field("euler", report.euler)
-    out.field("result", "ACCEPT")
+    _field(args, "front", front_path)
+    _field(args, "certificate", cert_path)
+    _field(args, "tb", report.tb)
+    _field(args, "euler", report.euler)
+    _field(args, "result", "ACCEPT")
     return 0
 
 
@@ -222,47 +201,28 @@ def _bounded_pd(args):
 
 
 def cmd_kauffman(args):
-    out = _Out(args.machine)
     value = kauffman_F(_bounded_pd(args))
-    out.field("polynomial", value, "kauffman polynomial F")
+    _field(args, "polynomial", value, "kauffman polynomial F")
     if value:
-        out.field("min_deg_a", min_deg_a(value))
+        _field(args, "min_deg_a", min_deg_a(value))
     return 0
 
 
 def cmd_tb_bound(args):
-    out = _Out(args.machine)
-    out.field("bound", tb_upper_bound(_bounded_pd(args)), "tb upper bound")
+    _field(args, "bound", tb_upper_bound(_bounded_pd(args)), "tb upper bound")
     return 0
 
 
-def _parse_witness(text, gens, n):
-    images = {}
-    for lineno, line in content_lines(text):
-        name, *cycles = line.split(None, 1)
-        if name not in gens:
-            raise InputError(f"witness line {lineno}: unknown generator {name!r}")
-        if name in images:
-            raise InputError(f"witness line {lineno}: generator {name!r} listed twice")
-        images[name] = perm_from_cycles("".join(cycles), n)
-    missing = [g for g in gens if g not in images]
-    if missing:
-        raise InputError(f"witness missing generators: {' '.join(missing)}")
-    return tuple(images[g] for g in gens)
-
-
 def cmd_homs(args):
-    out = _Out(args.machine)
-    pf = parse_presentation(_read(args.presentation))
-    pres = pf.presentation
+    pres = parse_presentation(_read(args.presentation)).presentation
     if not 1 <= args.symbols <= MAX_SYMBOLS:
         raise InputError(f"symbol count {args.symbols} outside 1..{MAX_SYMBOLS}")
     if args.witness:
-        images = _parse_witness(_read(args.witness), pres.gens, args.symbols)
+        images = parse_witness(_read(args.witness), pres.gens, args.symbols)
         ok = check_finite_hom(pres, images)
-        out.field("witness_valid", "yes" if ok else "no")
+        _field(args, "witness_valid", "yes" if ok else "no")
         if ok:
-            out.field("image_abelian", "yes" if is_image_abelian(images) else "no")
+            _field(args, "image_abelian", "yes" if is_image_abelian(images) else "no")
         return 0 if ok else EXIT_VERIFY
     count = 0
     witness = None
@@ -270,46 +230,33 @@ def cmd_homs(args):
         count += 1
         if witness is None and not is_image_abelian(images):
             witness = images
-    out.field("count", count)
-    if witness is None:
-        out.field("nonabelian_witness", "none")
-    else:
-        rendered = " ".join(
-            f"{g}={_cycles(p)}" for g, p in zip(pres.gens, witness)
-        )
-        out.field("nonabelian_witness", rendered)
+    _field(args, "count", count)
+    _field(args, "nonabelian_witness", "none" if witness is None else
+           " ".join(f"{g}={render_cycles(p)}" for g, p in zip(pres.gens, witness)))
     return 0
 
 
-def _cycles(perm):
-    seen = set()
-    parts = []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cycle = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cycle.append(j)
-            seen.add(j)
-            j = perm[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
-    return "".join(parts) if parts else "()"
-
-
 def cmd_snf(args):
-    out = _Out(args.machine)
-    pf = parse_presentation(_read(args.presentation))
-    matrix = exponent_matrix(pf.presentation)
+    matrix = exponent_matrix(parse_presentation(_read(args.presentation)).presentation)
     if not matrix:
-        out.field("matrix", "empty")
+        _field(args, "matrix", "empty")
         return 0
     d, u, v = smith_normal_form(matrix)
+    # every row is rendered before any is printed, so a refusal leaves stdout
+    # empty; an entry's size comes from its bit length, never from str(), so
+    # the interpreter's own digit limit does not decide the refusal
+    lines = []
     for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
-        for i, row in enumerate(rows, start=1):
-            out.field(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
+        top = max(abs(x) for row in rows for x in row)
+        digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
+        digits += top >= 10**digits
+        if digits > MAX_PRINTED_DIGITS:
+            raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
+                              f"{MAX_PRINTED_DIGITS} that snf prints")
+        lines += [(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
+                  for i, row in enumerate(rows, start=1)]
+    for key, value in lines:
+        _field(args, key, value)
     return 0
 
 

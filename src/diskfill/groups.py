@@ -14,6 +14,8 @@ its highest generator, with each stretch of lower-generator runs already
 multiplied into one permutation, and rejects an assignment at the first
 symbol the relator moves.  Everything is pure and immutable; the search
 yields in ``itertools.product`` order, so its results are deterministic.
+Permutations are read from and written to cycle notation here, and so
+are witness files, one generator's image in cycles per line.
 """
 
 from __future__ import annotations
@@ -45,12 +47,17 @@ __all__ = [
     "perm_mul",
     "perm_inv",
     "perm_from_cycles",
+    "render_cycles",
+    "parse_witness",
     "check_finite_hom",
     "is_image_abelian",
     "iter_homs",
 ]
 
 MAX_HOM_STEPS = 20_000_000  # symbol steps one iter_homs call may take
+# a descent folds each run with a call that costs about this many symbol steps
+# whatever n is, so each folded run is charged n + FOLD_RUN_STEPS
+FOLD_RUN_STEPS = 32
 # x^k is stored as |k| letters, and a weight w spans |w| dense coefficients in
 # Laurent division, so larger powers and weights are refused
 MAX_EXPONENT = 1000
@@ -362,6 +369,40 @@ def perm_from_cycles(text, n):
     return tuple(perm)
 
 
+def render_cycles(perm):
+    """Cycle notation of a permutation of 0..n-1 on symbols 1..n, as
+    ``perm_from_cycles`` reads it: each cycle once, from its least symbol,
+    with fixed points left out, and ``()`` for the identity."""
+    seen = set()
+    parts = []
+    for i in range(len(perm)):
+        if i in seen or perm[i] == i:
+            continue
+        cycle = [i]
+        while perm[cycle[-1]] != i:
+            cycle.append(perm[cycle[-1]])
+        seen.update(cycle)
+        parts.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
+    return "".join(parts) or "()"
+
+
+def parse_witness(text, gens, n):
+    """Parse a witness file: one ``gen (cycles)`` line per generator, in
+    any order, into a tuple of permutations of n symbols in ``gens`` order."""
+    images = {}
+    for lineno, line in content_lines(text):
+        name, *cycles = line.split(None, 1)
+        if name not in gens:
+            raise InputError(f"witness line {lineno}: unknown generator {name!r}")
+        if name in images:
+            raise InputError(f"witness line {lineno}: generator {name!r} listed twice")
+        images[name] = perm_from_cycles("".join(cycles), n)
+    missing = [g for g in gens if g not in images]
+    if missing:
+        raise InputError(f"witness missing generators: {' '.join(missing)}")
+    return tuple(images[g] for g in gens)
+
+
 def _perm_power(p, k):
     """p^k for any integer k, walking each cycle of p once; p and p^-1,
     the most common powers, skip the walk."""
@@ -460,9 +501,10 @@ def iter_homs(pres, n):
 
     ``MAX_HOM_STEPS``, read once per call, bounds the symbol steps, each
     charged before it is taken: n for a node's permutation, for each power
-    it takes and for each segment it follows, n for each run a descent
-    folds, and the rank for each hom.  So it bounds time at every n and
-    relator length; past it ``BudgetError`` says how far the search got."""
+    it takes and for each segment it follows, n + ``FOLD_RUN_STEPS`` for
+    each run a descent folds, and the rank for each hom.  So it bounds time
+    at every n and relator length; past it ``BudgetError`` says how far the
+    search got."""
     if n < 1:
         raise InputError("symbol count must be positive")
     budget, rank, ident = MAX_HOM_STEPS, pres.rank, identity_perm(n)
@@ -474,7 +516,8 @@ def iter_homs(pres, n):
     exponents = [{k for plan in plans[d] for k, _ in plan} for d in range(rank)]
     node_steps = [n * (1 + len(exponents[d]) + sum(map(len, plans[d]))) for d in range(rank)]
     # a node that passes its checks then folds the next depth's runs or yields its hom
-    pass_steps = [n * sum(len(s) for p in plans[d] for _, s in p) for d in range(1, rank)] + [rank]
+    pass_steps = [(n + FOLD_RUN_STEPS) * sum(len(s) for p in plans[d] for _, s in p)
+                  for d in range(1, rank)] + [rank]
     images = [None] * rank
 
     def folded(d):

@@ -27,7 +27,7 @@ import operator
 import re
 from math import gcd as _int_gcd
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 __all__ = [
     "IntLaurent",
@@ -39,6 +39,8 @@ __all__ = [
     "div_exact",
     "min_deg_a",
 ]
+
+MAX_DENSE_SPAN = 1_000_000  # exponents one dense coefficient list may span
 
 
 def _clean(items):
@@ -350,8 +352,14 @@ def unit_equivalent(p, q, allow_inversion=False):
 # gcd of the two inputs' contents is the gcd in Z[t].
 
 def _dense(p):
-    """Return (min_exp, coefficient list low->high) for a nonzero p."""
+    """Return (min_exp, coefficient list low->high) for a nonzero p.
+
+    The list holds one entry per exponent in the span, so a span past
+    ``MAX_DENSE_SPAN`` is refused before anything is allocated."""
     lo, hi = p.min_exp(), p.max_exp()
+    if hi - lo > MAX_DENSE_SPAN:
+        raise BudgetError(f"a polynomial spans {hi - lo} exponents, past the "
+                          f"{MAX_DENSE_SPAN} that exact division and gcd handle")
     return lo, [p.coefficient(e) for e in range(lo, hi + 1)]
 
 

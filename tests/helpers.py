@@ -17,8 +17,9 @@ pinch and a death that trace their whole input every time, the
 edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
 memo key minimized over every start dart, the token key built in full
 for every under-strand start, the simplify that rebuilt the diagram
-after every kink or bigon, the union-find smoothing it used, and the
-homomorphism count by brute force over every assignment.
+after every kink or bigon, the union-find smoothing it used, the
+homomorphism count by brute force over every assignment, and wide
+generated presentations.
 """
 
 import itertools
@@ -964,3 +965,15 @@ def traced_pinch(front, index, k):
             "an oriented saddle needs anti-parallel strands"
         )
     return FrontWord(events[:index] + (("R", k), ("L", k)) + events[index:])
+
+
+# -- wide generated presentations ------------------------------------------------
+
+def wide_presentation(k, gens):
+    """Presentation text on ``gens`` with k relators of k factors ``g^e``,
+    each g drawn from ``gens`` and e from -30..30 (0 read as 1), seeded
+    by k; a dense, many-exponent input for every presentation command."""
+    r = random.Random(k)
+    relators = ["rel: " + " ".join(f"{r.choice(gens)}^{r.randint(-30, 30) or 1}" for _ in range(k))
+                for _ in range(k)]
+    return "\n".join(["gens: " + " ".join(gens), *relators]) + "\n"

@@ -383,7 +383,7 @@ class TestHomsCommand:
         assert message in err and not out
 
     def test_s5_count_within_the_step_budget(self, capsys):
-        # 120^3 assignments, but the search takes 1,740,840 symbol steps
+        # 120^3 assignments, but the search takes 1,786,920 symbol steps
         code, out, _ = run(capsys, "homs", "w22.pres", "5", "--machine")
         assert code == 0
         assert machine_dict(out)["count"] == "1680"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,10 +18,12 @@ from diskfill.groups import (
     iter_homs,
     parse_presentation,
     parse_weights,
+    parse_witness,
     parse_word,
     perm_from_cycles,
     perm_inv,
     perm_mul,
+    render_cycles,
     smith_normal_form,
     validate_abelianization,
     z_surjection,
@@ -321,6 +324,20 @@ class TestFiniteQuotients:
             perm_from_cycles("(1 2)(2 3)", 3)
         assert perm_from_cycles("(1 2)(3)", 3) == (1, 0, 2)
 
+    def test_cycles_round_trip(self):
+        # each cycle starts at its least symbol and fixed points are left out
+        assert render_cycles((1, 2, 0, 3, 5, 4)) == "(1 2 3)(5 6)"
+        assert render_cycles(identity_perm(4)) == "()"
+        for perm in itertools.permutations(range(5)):
+            assert perm_from_cycles(render_cycles(perm), 5) == perm
+
+    def test_witness_lines_in_any_order(self):
+        text = "# y^-1 x y = x^2\ny (2 3)\nx (1 2 3)\n"
+        assert parse_witness(text, ("x", "y"), 3) == (perm_from_cycles("(1 2 3)", 3),
+                                                     perm_from_cycles("(2 3)", 3))
+        with pytest.raises(InputError, match="witness missing generators: y"):
+            parse_witness("x ()\n", ("x", "y"), 3)
+
     def test_counts(self):
         x_squared = Presentation(("x",), ((1, 1),))
         assert len(list(iter_homs(x_squared, 3))) == 4
@@ -358,21 +375,27 @@ class TestFiniteQuotients:
             list(iter_homs(pres, 5))
 
     def test_budget_error_on_a_long_relator(self, monkeypatch):
-        # every image of x and y has one z, and the relator's 41 runs fold
-        # into one segment at z
+        # every image of x and y has one z, and the relator's 40 lower runs
+        # fold into one segment at z, each charged 5 + 32 steps: a y costs 5
+        # and the fold, and the 120 images of z cost 15 each and the hom 3
         monkeypatch.setattr(groups, "MAX_HOM_STEPS", 1_000_000)
         pres = parse_presentation("gens: x y z\nrel: " + "x y " * 20 + "z\n").presentation
-        with pytest.raises(BudgetError, match=r"stopped at 1000009 steps, past its limit of "
-                                              r"1000000, and found 498 homs; the deepest "
+        fold = 37 * 40
+        pair = 5 + fold + 120 * 15 + 3
+        # 304 pairs finish, under three images of x, and the next fold trips
+        steps = 3 * 5 + 304 * pair + 5 + fold
+        assert steps == 1_001_052
+        with pytest.raises(BudgetError, match=rf"stopped at {steps} steps, past its limit of "
+                                              r"1000000, and found 304 homs; the deepest "
                                               r"generator reached was z \(3 of 3\)"):
             list(iter_homs(pres, 5))
 
     def test_budget_charges_each_segment_of_an_alternating_relator(self, monkeypatch):
         # z alternates with x 1000 times, so z's relator has 1000 segments
         # and 1001 lower runs; in S5 reaching z costs 5 steps for x, 5 for y
-        # and 5 * 1001 for the fold, and each image of z costs 5 * 1002
+        # and (5 + 32) * 1001 for the fold, and each image of z costs 5 * 1002
         pres = parse_presentation("gens: x y z\nrel: " + "x z " * 1000 + "y\n").presentation
-        fold, node = 5 + 5 + 5 * 1001, 5 * 1002
+        fold, node = 5 + 5 + 37 * 1001, 5 * 1002
         monkeypatch.setattr(groups, "MAX_HOM_STEPS", fold - 1)
         with pytest.raises(BudgetError, match=rf"stopped at {fold} steps, .* found 0 homs; the "
                                               r"deepest generator reached was y \(2 of 3\)"):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from diskfill.errors import InputError
+from diskfill import laurent
+from diskfill.errors import BudgetError, InputError
 from diskfill.laurent import (
     BiLaurent,
     IntLaurent,
@@ -346,6 +347,16 @@ class TestDivExact:
         assert div_exact(L("3"), L("t + 1")) is None
         with pytest.raises(ZeroDivisionError):
             div_exact(L("t"), IntLaurent())
+
+    def test_dense_span_refused_before_allocation(self, monkeypatch):
+        # the span, not the term count, sizes the dense list, so t^1001 - 1
+        # is refused at a limit of 1000 while t^1000 - 1 is divided
+        monkeypatch.setattr(laurent, "MAX_DENSE_SPAN", 1000)
+        assert div_exact(L("t^1000 - 1"), L("t - 1")) is not None
+        with pytest.raises(BudgetError, match="a polynomial spans 1001 exponents"):
+            div_exact(L("t^1001 - 1"), L("t - 1"))
+        with pytest.raises(BudgetError, match="spans 1001"):
+            laurent_gcd(L("t + 1"), L("t^-1 + t^1000"))
 
 
 class TestSubstitutionsAndBiLaurent:
