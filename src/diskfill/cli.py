@@ -243,18 +243,24 @@ def cmd_snf(args):
         return 0
     d, u, v = smith_normal_form(matrix)
     # every row is rendered before any is printed, so a refusal leaves stdout
-    # empty; an entry's size comes from its bit length, never from str(), so
-    # the interpreter's own digit limit does not decide the refusal
+    # empty; sizes come from bit lengths and str() runs with the interpreter's
+    # digit limit lifted, so that limit decides neither the refusal nor a row
     lines = []
-    for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
-        top = max(abs(x) for row in rows for x in row)
-        digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
-        digits += top >= 10**digits
-        if digits > MAX_PRINTED_DIGITS:
-            raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
-                              f"{MAX_PRINTED_DIGITS} that snf prints")
-        lines += [(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
-                  for i, row in enumerate(rows, start=1)]
+    if limit := getattr(sys, "get_int_max_str_digits", lambda: 0)():  # 0: none to lift
+        sys.set_int_max_str_digits(0)
+    try:
+        for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
+            top = max(abs(x) for row in rows for x in row)
+            digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
+            digits += top >= 10**digits
+            if digits > MAX_PRINTED_DIGITS:
+                raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
+                                  f"{MAX_PRINTED_DIGITS} that snf prints")
+            lines += [(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
+                      for i, row in enumerate(rows, start=1)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     for key, value in lines:
         _field(args, key, value)
     return 0

@@ -43,7 +43,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .errors import InputError
+from .errors import BudgetError, InputError
 from .groups import validate_abelianization
 from .laurent import IntLaurent, div_exact, laurent_gcd, normalize_unit
 
@@ -54,6 +54,8 @@ __all__ = [
     "alexander_polynomial",
     "laurent_det",
 ]
+
+MAX_DET_STEPS = 1_000_000  # Bareiss entry updates one alexander_polynomial call may make
 
 
 def fox_row(word, weights):
@@ -133,6 +135,8 @@ def alexander_polynomial(matrix):
     Requires a nonzero weight map and at least n-1 relators; when there are
     more, every row subset of size n-1 contributes one minor (see the
     module docstring).  A zero ideal comes back as the zero polynomial.
+    Each k x k minor is first charged its Bareiss entry updates, the sum
+    of j^2 over j < k; past ``MAX_DET_STEPS``, read once per call, it stops.
     """
     weights = matrix.weights
     n = len(weights)
@@ -149,7 +153,13 @@ def alexander_polynomial(matrix):
     cols = [j for j in range(n) if j != j0]
     acc = IntLaurent()
     one = IntLaurent.constant(1)
-    for rows in itertools.combinations(range(matrix.nrows), k):
+    budget, steps, cost = MAX_DET_STEPS, 0, sum(j * j for j in range(k))
+    for done, rows in enumerate(itertools.combinations(range(matrix.nrows), k)):
+        steps += cost
+        if steps > budget:
+            raise BudgetError(f"alexander polynomial stopped at {steps} steps, past its limit "
+                              f"of {budget}, after {done} of the C({matrix.nrows}, {k}) = "
+                              f"{math.comb(matrix.nrows, k)} row subsets of {k}x{k} minors")
         minor = laurent_det([[matrix.entries[i][j] for j in cols] for i in rows])
         if minor:
             acc = laurent_gcd(acc, minor)

@@ -13,11 +13,11 @@ over/under is not stored: in a front the strand of more negative slope
 below use that convention.
 
 ``validate`` checks these rules in one walk over the strand count, the
-only check of event positions.  The one tracing pass, which pairs the
-strands at their cusps for ``orient``, starts with that walk, so a
-caller that orients a front gets validation from it.  Each
-strand meets one left and one right cusp, so a component is a cycle of
-strands that alternates the two kinds of cusp.
+only check of event positions.  ``orient`` validates a front and then
+traces it: the one tracing pass walks a plain event sequence already
+known to be valid and pairs the strands at their cusps.  Each strand
+meets one left and one right cusp, so a component is a cycle of strands
+that alternates the two kinds of cusp.
 
 Validity depends only on each event's position, checked against the
 strand count just before it.  So a rewrite of the window at ``index`` of
@@ -37,9 +37,10 @@ A word keeps its strand-count profile once it is known.  A replay copies
 its start word's events and profile into one pair of lists, and
 ``apply_move``, ``pinch`` and ``death`` edit that pair in place, by slice
 assignment: each runs all its checks before it changes anything, and
-changes the profile only around the events it inserts or deletes.  So a
-replay walks the count of its start word once, afterwards only the
-events each move inserts, and copies no whole word.
+changes the profile only around the events it inserts or deletes; a
+pinch traces a slice of the event list, and a death the list itself.
+So a replay walks the count of its start word once, afterwards only the
+events each move inserts, and builds no word and copies no whole word.
 
 With an orientation (a horizontal direction per strand, opposite at the
 two branches of every cusp) the classical invariants are
@@ -105,22 +106,15 @@ class FrontWord(Frozen):
     def __init__(self, events):
         self.__dict__["events"] = events
 
-    @classmethod
-    def _of(cls, events, counts):
-        """A word whose ``_profile`` is already known to be ``counts``."""
-        word = cls(events)
-        word.__dict__["_profile"] = counts
-        return word
-
     @functools.cached_property
     def _profile(self):
-        """The strand count before each event and after the last.
-
-        Reading it checks the word, so a word from the constructor is
-        validated on first use; a rewrite carries its input's profile
-        forward instead of walking the whole word again.
-        """
-        return _word_counts(self.events)
+        """The strand count before each event and after the last, which
+        must be 0.  Reading it checks the word, so a word is validated on
+        first use."""
+        counts = _counts(self.events)
+        if counts[-1]:
+            raise InputError(f"event {len(self)}: final strand count {counts[-1]}, expected 0")
+        return counts
 
     def __len__(self):
         return len(self.events)
@@ -197,26 +191,18 @@ def _misplaced(i, kind, p, count):
     return InputError(f"event {i}: unknown kind {kind!r}")
 
 
-def _word_counts(events):
-    """``_counts`` of a whole word, which must also end on no strands."""
-    counts = _counts(events)
-    if counts[-1]:
-        raise InputError(f"event {len(events)}: final strand count {counts[-1]}, expected 0")
-    return counts
-
-
-def _trace(front, column=-1):
-    """The one strand walk over a front.  It checks the word with
-    ``validate`` first, then records the strands each event acts on
-    and pairs strands at right cusps; ``_cusp_cycles`` then finds and
-    orients the components.  Also returns the strands, top to bottom,
-    just before event ``column``, where ``pinch`` puts its saddle."""
-    validate(front)
+def _trace(events, column=-1):
+    """The one strand walk over a valid event sequence, which its caller
+    has checked.  It records the strands each event acts on and pairs
+    strands at right cusps; ``_cusp_cycles`` then finds and orients the
+    components.  Returns (directions, component_of, event_strands) and
+    the strands, top to bottom, just before event ``column``, where
+    ``pinch`` puts its saddle."""
     event_strands = []
     mate = []  # mate[s]: the strand that s meets at its right cusp
     active = []
     at_column = []
-    for i, (kind, p) in enumerate(front.events):
+    for i, (kind, p) in enumerate(events):
         if i == column:
             at_column = active[:]
         if kind == "L":
@@ -234,8 +220,7 @@ def _trace(front, column=-1):
                 active[p - 1] = v
                 active[p] = u
         event_strands.append((u, v))
-    directions, component_of = _cusp_cycles(mate)
-    return OrientedFront(front, directions, component_of, tuple(event_strands)), at_column
+    return (*_cusp_cycles(mate), tuple(event_strands)), at_column
 
 
 def _cusp_cycles(mate):
@@ -293,8 +278,9 @@ class OrientedFront(namedtuple("OrientedFront", "front directions component_of e
 
 
 def orient(front):
-    """The front with its canonical orientation, from one trace."""
-    return _trace(front)[0]
+    """The front, validated, with its canonical orientation from one trace."""
+    validate(front)
+    return OrientedFront(front, *_trace(front.events)[0])
 
 
 def classical_invariants(oriented):
@@ -474,10 +460,8 @@ def pinch(events, counts, index, k):
         while counts[start]:
             start -= 1
         end = counts.index(0, index)
-        block = FrontWord._of(tuple(events[start:end]), counts[start:end + 1])
-        oriented, active = _trace(block, index - start)
+        (dirs, comp, _), active = _trace(events[start:end], index - start)
         u, v = active[k - 1], active[k]
-        comp, dirs = oriented.component_of, oriented.directions
         if comp[u] == comp[v] and dirs[u] == dirs[v]:
             raise InputError(
                 f"pinch at column {index} position {k}: strands are parallel; "
@@ -501,15 +485,15 @@ def death(events, counts, component_index):
     if component_index == 1 and events[0:2] == [("L", 1), ("R", 1)]:
         i = 0
     else:
-        oriented = orient(FrontWord._of(tuple(events), counts))
-        ncomp = oriented.n_components
+        _, component_of, event_strands = _trace(events)[0]
+        ncomp = max(component_of) + 1 if component_of else 0
         if not 1 <= component_index <= ncomp:
             raise InputError(f"component {component_index} out of range 1..{ncomp}")
         target = component_index - 1
         indices = [
             i
-            for i, strands in enumerate(oriented.event_strands)
-            if oriented.component_of[strands[0]] == target
+            for i, strands in enumerate(event_strands)
+            if component_of[strands[0]] == target
         ]
         # a component's only two events, if adjacent, are an L k and its R k
         if len(indices) != 2 or indices[1] != indices[0] + 1:

@@ -902,10 +902,13 @@ def rewrite_then_validate(front, move):
 def stepped(step, front, *args):
     """``front`` after the in-place ``step`` (``apply_move``, ``pinch`` or
     ``death``), run on a copy of its events and profile; reading the
-    profile validates ``front`` first."""
+    profile validates ``front`` first.  The result carries the profile
+    that the step left, unchecked, as a replay would."""
     events, counts = list(front.events), list(front._profile)
     step(events, counts, *args)
-    return FrontWord._of(tuple(events), counts)
+    word = FrontWord(tuple(events))
+    word.__dict__["_profile"] = counts
+    return word
 
 
 def move_outcome(apply, *args):
@@ -949,7 +952,8 @@ def traced_pinch(front, index, k):
     """``front.pinch`` as it was before it traced only the block around
     its column: one trace of the whole input validates it and gives the
     strands at the column."""
-    oriented, active = _trace(front, index)
+    validate(front)
+    (dirs, comp, _), active = _trace(front.events, index)
     events = front.events
     if not 0 <= index <= len(events):
         raise InputError(f"pinch column {index} out of range 0..{len(events)}")
@@ -958,7 +962,6 @@ def traced_pinch(front, index, k):
             f"pinch needs strands {k},{k + 1} at column {index}, only {len(active)} present"
         )
     u, v = active[k - 1], active[k]
-    comp, dirs = oriented.component_of, oriented.directions
     if comp[u] == comp[v] and dirs[u] == dirs[v]:
         raise InputError(
             f"pinch at column {index} position {k}: strands are parallel; "

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from diskfill import fox
-from diskfill.errors import InputError
+from diskfill.errors import BudgetError, InputError
 from diskfill.fox import alexander_matrix, alexander_polynomial, fox_row, laurent_det
 from diskfill.groups import Presentation, free_reduce, parse_presentation
 from diskfill.laurent import IntLaurent, div_exact, normalize_unit, substitute_inverse, unit_equivalent
@@ -452,3 +452,54 @@ class TestOneMinorPerRowSubset:
         pres, weights = torus_presentation(2, 3)  # a 1x1 minor: no Bareiss division
         with pytest.raises(ArithmeticError, match="must divide"):
             alexander_polynomial(alexander_matrix(pres, weights))
+
+
+def padded_pretzel_333(extra):
+    """The Wirtinger presentation of P(3,3,3), 9 relators on 9 generators,
+    plus ``extra`` relators: relator i mod 9 conjugated by one generator
+    drawn by ``random.Random(1)``."""
+    pres = wirtinger_presentation(pretzel_pd([3, 3, 3]))
+    rng = random.Random(1)
+    rels = list(pres.relators)
+    for i in range(extra):
+        g = rng.randint(1, pres.rank)
+        rels.append(free_reduce((g,) + pres.relators[i % 9] + (-g,)))
+    return Presentation(pres.gens, tuple(rels))
+
+
+class TestDeterminantBudget:
+    """Each 8x8 minor is charged its 7^2 + ... + 1^2 = 140 Bareiss entry
+    updates before it is computed; one extra relator gives C(10, 8) = 45
+    row subsets."""
+
+    def polynomial(self, monkeypatch, limit):
+        monkeypatch.setattr(fox, "MAX_DET_STEPS", limit)
+        pres = padded_pretzel_333(1)
+        return alexander_polynomial(alexander_matrix(pres, (1,) * pres.rank))
+
+    def test_answers_at_its_exact_total(self, monkeypatch):
+        calls = counting_det(monkeypatch)
+        assert self.polynomial(monkeypatch, 45 * 140) == L("7*t^2 - 13*t + 7")
+        assert calls == [8] * 45
+
+    def test_trips_at_the_first_minor_past_the_limit(self, monkeypatch):
+        calls = counting_det(monkeypatch)
+        with pytest.raises(BudgetError) as exc:
+            self.polynomial(monkeypatch, 45 * 140 - 1)
+        assert str(exc.value) == (
+            "alexander polynomial stopped at 6300 steps, past its limit of 6299, "
+            "after 44 of the C(10, 8) = 45 row subsets of 8x8 minors"
+        )
+        assert calls == [8] * 44
+        del calls[:]
+        with pytest.raises(BudgetError, match="stopped at 840 steps, .* after 5 of"):
+            self.polynomial(monkeypatch, 5 * 140 + 139)
+        assert calls == [8] * 5
+
+    def test_limit_is_read_once_per_call(self, monkeypatch):
+        def det(rows):
+            monkeypatch.setattr(fox, "MAX_DET_STEPS", 0)
+            return laurent_det(rows)
+
+        monkeypatch.setattr(fox, "laurent_det", det)
+        assert self.polynomial(monkeypatch, 45 * 140) == L("7*t^2 - 13*t + 7")

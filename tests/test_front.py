@@ -13,7 +13,6 @@ from diskfill.front import (
     OrientedFront,
     Pinch,
     _cusp_cycles,
-    _word_counts,
     apply_move,
     check_certificate,
     classical_invariants,
@@ -461,7 +460,7 @@ class TestCarriedProfile:
         check_certificate(front, cert)
         assert len(results) == len(cert.steps)
         for events, counts in results:
-            assert counts == _word_counts(events)
+            assert counts == FrontWord(tuple(events))._profile
 
     @pytest.mark.parametrize("name", ["d1.cert", "d2.cert"])
     def test_bundled_disk_certificates(self, monkeypatch, name):
@@ -476,23 +475,19 @@ class TestCarriedProfile:
 
 
 class TestReplayInPlace:
-    """A replay edits one event list and one profile list: the only words
-    it builds are the blocks its pinches trace, never the whole sum."""
+    """A replay edits one event list and one profile list, and traces
+    slices of that list: it builds no word at all."""
 
-    def test_composed_l32_builds_no_word_longer_than_a_summand(self, monkeypatch):
+    def test_composed_l32_replay_builds_no_word(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
         d1, d2 = (parse_certificate(data_path(name).read_text()) for name in ("d1.cert", "d2.cert"))
         total, cert = connect([f946] * 32, [d1, d2] * 16)
-        real = FrontWord._of
         built = []
-
-        def recording(cls, events, counts):
-            built.append(len(events))
-            return real(events, counts)
-
-        monkeypatch.setattr(FrontWord, "_of", classmethod(recording))
+        real = FrontWord.__init__
+        monkeypatch.setattr(FrontWord, "__init__",
+                            lambda word, events: built.append(len(events)) or real(word, events))
         assert check_certificate(total, cert).euler == 1
-        assert built and max(built) <= len(f946), built
+        assert built == []
 
     def test_public_steps_leave_their_input_as_it_was(self):
         # run through ``stepped``, each step edits a copy of the word's lists

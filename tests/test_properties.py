@@ -25,7 +25,6 @@ from diskfill.front import (  # noqa: E402
     FrontWord,
     Move,
     Pinch,
-    _word_counts,
     apply_move,
     death,
     orient,
@@ -235,7 +234,7 @@ class TestFronts:
             out = stepped(pinch, front, index, k)
         except InputError:
             return
-        assert vars(out)["_profile"] == _word_counts(out.events)
+        assert vars(out)["_profile"] == FrontWord(tuple(out.events))._profile
 
 
 @st.composite
