@@ -404,12 +404,18 @@ def parse_witness(text, gens, n):
 
 
 def _perm_power(p, k):
-    """p^k for any integer k, walking each cycle of p once; p and p^-1,
-    the most common powers, skip the walk."""
+    """p^k for any integer k.  p^1 is p and p^-1 one inversion; p^2 and
+    p^3 take one composition pass (one and two lookups per symbol), and
+    p^-2 and p^-3 one inversion of those.  Any other k walks each cycle of
+    p once and shifts it by k mod the cycle's length, so a large |k| costs
+    no more than a small one."""
     if k == 1:
         return p
     if k == -1:
         return perm_inv(p)
+    if k in (2, -2, 3, -3):
+        q = tuple([p[x] for x in p]) if k in (2, -2) else tuple([p[p[x]] for x in p])
+        return q if k > 0 else perm_inv(q)
     out = [None] * len(p)
     for i in range(len(p)):
         if out[i] is None:

@@ -18,8 +18,9 @@ edge-incidence walk that once traced PD diagrams, the PD-shaped Kauffman
 memo key minimized over every start dart, the token key built in full
 for every under-strand start, the simplify that rebuilt the diagram
 after every kink or bigon, the union-find smoothing it used, the
-homomorphism count by brute force over every assignment, and wide
-generated presentations.
+homomorphism count by brute force over every assignment, the cycle walk
+that once took every power of a permutation, and wide generated
+presentations.
 """
 
 import itertools
@@ -732,6 +733,20 @@ def brute_homs(pres, n):
     for images in itertools.product(perms, repeat=pres.rank):
         if check_finite_hom(pres, images):
             yield images
+
+
+def walk_power(p, k):
+    """p^k for any integer k, walking each cycle of p once."""
+    out = [None] * len(p)
+    for i in range(len(p)):
+        if out[i] is None:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            s = k % len(cycle)
+            for x, y in zip(cycle, cycle[s:] + cycle[:s]):
+                out[x] = y
+    return tuple(out)
 
 
 # -- randomized inputs ---------------------------------------------------------------

@@ -36,6 +36,7 @@ from helpers import (
     permute_relators,
     random_word,
     stabilize,
+    walk_power,
 )
 
 W22_TEXT = """
@@ -311,6 +312,35 @@ class TestFiniteQuotients:
             assert perm_mul(p, perm_inv(p)) == identity_perm(5)
             assert perm_mul(p, q)[0] == q[p[0]]
 
+    def test_powers_match_the_cycle_walk_and_repeated_products(self):
+        # every exponent path: p, p^-1, squares and cubes and their
+        # inverses, the walk for the rest, and k = 0
+        def products(p, ks):
+            # p^k for each k in ks, multiplying by p or p^-1 one at a time
+            found, top = {0: identity_perm(len(p))}, max(map(abs, ks))
+            for sign, q in ((1, p), (-1, perm_inv(p))):
+                acc = identity_perm(len(p))
+                for m in range(1, top + 1):
+                    acc = perm_mul(acc, q)
+                    if sign * m in ks:
+                        found[sign * m] = acc
+            return found
+
+        small = range(-40, 41)
+        for n in range(1, 6):
+            for p in itertools.permutations(range(n)):
+                expected = products(p, small)
+                for k in small:
+                    assert groups._perm_power(p, k) == walk_power(p, k) == expected[k], (p, k)
+        rng = random.Random(27)
+        large = {s * k for k in (999, 2000, 30000) for s in (1, -1)}
+        for n in (6, 7, 8):
+            for _ in range(3):
+                p = tuple(rng.sample(range(n), n))
+                expected = products(p, large)
+                for k in large:
+                    assert groups._perm_power(p, k) == walk_power(p, k) == expected[k], (p, k)
+
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(InputError):
             check_finite_hom(BS12, (identity_perm(3), identity_perm(4)))
@@ -374,6 +404,26 @@ class TestFiniteQuotients:
         with pytest.raises(BudgetError, match="stopped at 2640 steps, past its limit of 2639"):
             list(iter_homs(pres, 5))
 
+    def test_budget_charges_powers_of_two_and_three_like_any_other(self, monkeypatch):
+        # y's runs y^2 and y^-3 make two segments, so in S3 an image of y
+        # costs 3 steps for itself, 3 for each of its two powers and 3 for
+        # each segment; an image of x costs 3 and then 2 * (3 + 32) for
+        # folding the two stretches x and x^-1, and a hom 2.  With x the
+        # identity only y = () survives, so x's first subtree costs
+        # 73 + 6 * 15 + 2 = 165, and the next x and its first y reach 253
+        pres = parse_presentation("gens: x y\nrel: y^2 x y^-3 x^-1\n").presentation
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 252)
+        with pytest.raises(BudgetError, match=r"stopped at 253 steps, past its limit of 252, and "
+                                              r"found 1 homs; the deepest generator reached was "
+                                              r"y \(2 of 2\)"):
+            list(iter_homs(pres, 3))
+        # all six images of x cost 163 each and the six homs 2 each
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 6 * 163 + 6 * 2)
+        assert len(list(iter_homs(pres, 3))) == 6
+        monkeypatch.setattr(groups, "MAX_HOM_STEPS", 6 * 163 + 6 * 2 - 1)
+        with pytest.raises(BudgetError, match="stopped at 990 steps, .* found 6 homs"):
+            list(iter_homs(pres, 3))
+
     def test_budget_error_on_a_long_relator(self, monkeypatch):
         # every image of x and y has one z, and the relator's 40 lower runs
         # fold into one segment at z, each charged 5 + 32 steps: a y costs 5
@@ -429,10 +479,14 @@ class TestFiniteQuotients:
         # round the relator's end, each mixing x and y, which do not
         # commute in S3 or S4: a search that multiplied a stretch in the
         # wrong order, dropped the wrapped part or followed one symbol only
-        # would yield other homs
-        pres = parse_presentation("gens: x y z\nrel: y x z y^-1 x^-1 z^2 x y\n").presentation
-        for n in (3, 4):
-            assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
+        # would yield other homs.  The other two take squares and cubes and
+        # their inverses, at a node and in a fold
+        for text in ("gens: x y z\nrel: y x z y^-1 x^-1 z^2 x y\n",
+                     "gens: a b\nrel: a^2 b^-3\n",
+                     "gens: x y\nrel: x^2 y^-3 x^-3 y^2 x y\n"):
+            pres = parse_presentation(text).presentation
+            for n in (3, 4):
+                assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
 
     def test_count_tietze_invariance(self):
         rng = random.Random(25)

@@ -4,11 +4,11 @@ that limits its own address space to 1 GiB, under a 10 s timeout.
 ``helpers.wide_presentation`` seeds each file by its relator count k, so
 every run sees the same files.  They are small but wide: many generators,
 many relators, and many distinct exponents.  The other inputs are wide in
-one way each: 2,000 generators, a 4-braid closure whose skein recursion
-keys thousands of diagrams, and a connected sum of 200 fronts.  Each case
-names the exit code it must end in, 0, 2 or 3, and a fragment of its
-stdout or stderr; no case may end in a traceback, an exhausted address
-space or the timeout.
+one way each: 2,000 generators, a relator with a run of 30,000 letters,
+a 4-braid closure whose skein recursion keys thousands of diagrams, and a
+connected sum of 200 fronts.  Each case names the exit code it must end
+in, 0, 2 or 3, and a fragment of its stdout or stderr; no case may end in
+a traceback, an exhausted address space or the timeout.
 """
 
 import os
@@ -39,6 +39,7 @@ def wide(k, rank):
 GENS_2000 = ("gens2000.pres",
              lambda: "gens: " + " ".join(f"g{i}" for i in range(2000)) + "\nrel: g0\n")
 T47 = ("t47.pd", lambda: render_pd(braid_pd(4, [1, 2, 3] * 7)))
+Y30000 = ("y30000.pres", lambda: "gens: x y\nrel: x" + " y^1000" * 30 + "\n")
 
 # (command, input files, extra arguments, environment, exit code, stream, fragment)
 CASES = {
@@ -64,6 +65,8 @@ CASES = {
     # the search keeps its own stack, so depth 2,000 is no recursion
     "homs_2000_gens_s2": ("homs", [GENS_2000], ["2"], {}, 3, "stderr",
                           "the deepest generator reached was g1999 (2000 of 2000)"),
+    # one run of 30,000 letters, whose power walks the cycles of y once
+    "homs_y30000_s5": ("homs", [Y30000], ["5"], {}, 0, "stdout", "count: 120\n"),
     # T(4,7) as a closed 4-braid keys more diagrams than the budget allows
     "kauffman_t47": ("kauffman", [T47], [], {}, 3, "stderr", "keyed 5001 diagrams, more than 5000"),
 }
