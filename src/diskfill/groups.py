@@ -12,8 +12,12 @@ each generator), and enumerates homomorphisms into small symmetric groups
 by a depth-first search.  The search checks each relator at the depth of
 its highest generator, with each stretch of lower-generator runs already
 multiplied into one permutation, and rejects an assignment at the first
-symbol the relator moves.  Everything is pure and immutable; the search
-yields in ``itertools.product`` order, so its results are deterministic.
+symbol the relator moves.  A node follows each symbol through its image,
+or through its inverse for a negative run, once per letter of a run of up
+to three letters, and takes a power of its image only for a longer run;
+it is still charged n steps per exponent.  Everything is pure and
+immutable; the search yields in ``itertools.product`` order, so its
+results are deterministic.
 Permutations are read from and written to cycle notation here, and so
 are witness files, one generator's image in cycles per line.
 """
@@ -472,24 +476,44 @@ def _segments(runs, top):
     """A relator's runs cut into segments, one per run of its highest
     generator ``top``: (exponent, the stretch of lower runs after it).
 
-    The runs are first rotated to start with a run of ``top``.  That
-    conjugates the relator, so it dies exactly when the original does."""
+    When every run of ``top`` is negative the relator is read as its
+    inverse, which dies exactly when it does, so that a node needs no
+    inverse of its image.  The runs are then rotated to start with a run
+    of ``top``.  That conjugates the relator, which again keeps whether it
+    dies."""
+    if all(k < 0 for g, k in runs if g == top):
+        runs = tuple((g, -k) for g, k in reversed(runs))
     i = next(j for j, (g, _) in enumerate(runs) if g == top)
     runs = runs[i:] + runs[:i]
     starts = [j for j, (g, _) in enumerate(runs) if g == top] + [len(runs)]
     return tuple((runs[a][1], runs[a + 1:b]) for a, b in zip(starts, starts[1:]))
 
 
-def _kills(relators, powers, n):
+def _kills(relators, perm, inv, powers, n):
     """True when every relator, given as (exponent, fixed permutation)
-    segments, sends every symbol back to itself.  ``powers`` maps each
-    exponent to that power of the top image.  Each symbol is followed
-    through the segments, and the first one moved decides."""
+    segments, sends every symbol back to itself.  Each symbol is followed
+    through the segments, and the first one moved decides.  An exponent k
+    of 1 to 3 is k lookups in the top image ``perm``, of -1 to -3 as many
+    in its inverse ``inv``, and any other one lookup in ``powers[k]``, that
+    power of ``perm``."""
     for segments in relators:
         for i in range(n):
             x = i
             for k, fixed in segments:
-                x = fixed[powers[k][x]]
+                if k == 1:
+                    x = fixed[perm[x]]
+                elif k == -1:
+                    x = fixed[inv[x]]
+                elif k == 2:
+                    x = fixed[perm[perm[x]]]
+                elif k == -2:
+                    x = fixed[inv[inv[x]]]
+                elif k == 3:
+                    x = fixed[perm[perm[perm[x]]]]
+                elif k == -3:
+                    x = fixed[inv[inv[inv[x]]]]
+                else:
+                    x = fixed[powers[k][x]]
             if x != i:
                 return False
     return True
@@ -502,25 +526,35 @@ def iter_homs(pres, n):
     relator once its highest generator has an image, cut into one segment
     per run of that generator (``_segments``).  A descent to depth d
     multiplies each segment's lower runs into one permutation; a node there
-    takes one power of its image per exponent generator d has, follows
-    symbol 0, 1, ... through the segments and stops at the first one moved.
+    follows symbol 0, 1, ... through the segments and stops at the first one
+    moved.  It looks a run of up to three letters up in its image, or in its
+    inverse when the run is negative, taken once per node when a segment
+    needs it, and takes a power of its image only for a longer run.
 
     ``MAX_HOM_STEPS``, read once per call, bounds the symbol steps, each
-    charged before it is taken: n for a node's permutation, for each power
-    it takes and for each segment it follows, n + ``FOLD_RUN_STEPS`` for
-    each run a descent folds, and the rank for each hom.  So it bounds time
-    at every n and relator length; past it ``BudgetError`` says how far the
-    search got."""
+    charged before it is taken: n for a node's permutation, for each
+    exponent generator d has and for each segment it follows, n +
+    ``FOLD_RUN_STEPS`` for each run a descent folds, and the rank for each
+    hom.  An exponent's n stands for the inverse or power it may take, or
+    for the extra lookups of a short run, so each step is at most a few
+    lookups and the limit bounds time at every n and relator length; past
+    it ``BudgetError`` says how far the search got."""
     if n < 1:
         raise InputError("symbol count must be positive")
     budget, rank, ident = MAX_HOM_STEPS, pres.rank, identity_perm(n)
     if not rank:
         yield ()
         return
-    plans = [[_segments(r, d) for r in pres._relator_runs if r and max(g for g, _ in r) == d]
-             for d in range(rank)]
-    exponents = [{k for plan in plans[d] for k, _ in plan} for d in range(rank)]
+    tops = [[r for r in pres._relator_runs if r and max(g for g, _ in r) == d]
+            for d in range(rank)]
+    plans = [[_segments(r, d) for r in rels] for d, rels in enumerate(tops)]
+    # a node is charged n per exponent as written, before _segments inverts a relator
+    exponents = [{k for r in rels for g, k in r if g == d} for d, rels in enumerate(tops)]
     node_steps = [n * (1 + len(exponents[d]) + sum(map(len, plans[d]))) for d in range(rank)]
+    # a node takes its image's inverse for exponents -1..-3, and its powers beyond +-3
+    followed = [{k for plan in p for k, _ in plan} for p in plans]
+    inverted = [any(-4 < k < 0 for k in ks) for ks in followed]
+    walked = [{k for k in ks if not -4 < k < 4} for ks in followed]
     # a node that passes its checks then folds the next depth's runs or yields its hom
     pass_steps = [(n + FOLD_RUN_STEPS) * sum(len(s) for p in plans[d] for _, s in p)
                   for d in range(1, rank)] + [rank]
@@ -540,12 +574,14 @@ def iter_homs(pres, n):
     steps = found = deepest = 0
     while levels:
         depth = len(levels) - 1
-        relators, needed, cost = checks[depth], exponents[depth], node_steps[depth]
+        relators, cost = checks[depth], node_steps[depth]
+        inverse, walks = inverted[depth], walked[depth]
         for perm in levels[depth]:
             steps, images[depth] = steps + cost, perm
             if steps > budget:
                 raise spent()
-            if relators and not _kills(relators, {k: _perm_power(perm, k) for k in needed}, n):
+            if relators and not _kills(relators, perm, inverse and perm_inv(perm),
+                                       walks and {k: _perm_power(perm, k) for k in walks}, n):
                 continue
             steps += pass_steps[depth]
             if steps > budget:

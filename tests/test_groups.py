@@ -406,11 +406,13 @@ class TestFiniteQuotients:
 
     def test_budget_charges_powers_of_two_and_three_like_any_other(self, monkeypatch):
         # y's runs y^2 and y^-3 make two segments, so in S3 an image of y
-        # costs 3 steps for itself, 3 for each of its two powers and 3 for
-        # each segment; an image of x costs 3 and then 2 * (3 + 32) for
-        # folding the two stretches x and x^-1, and a hom 2.  With x the
-        # identity only y = () survives, so x's first subtree costs
-        # 73 + 6 * 15 + 2 = 165, and the next x and its first y reach 253
+        # costs 3 steps for itself, 3 for each of its two exponents (it
+        # follows symbols through the image and its inverse and takes no
+        # power, but is charged as if it took both) and 3 for each segment;
+        # an image of x costs 3 and then 2 * (3 + 32) for folding the two
+        # stretches x and x^-1, and a hom 2.  With x the identity only
+        # y = () survives, so x's first subtree costs 73 + 6 * 15 + 2 = 165,
+        # and the next x and its first y reach 253
         pres = parse_presentation("gens: x y\nrel: y^2 x y^-3 x^-1\n").presentation
         monkeypatch.setattr(groups, "MAX_HOM_STEPS", 252)
         with pytest.raises(BudgetError, match=r"stopped at 253 steps, past its limit of 252, and "
@@ -479,14 +481,25 @@ class TestFiniteQuotients:
         # round the relator's end, each mixing x and y, which do not
         # commute in S3 or S4: a search that multiplied a stretch in the
         # wrong order, dropped the wrapped part or followed one symbol only
-        # would yield other homs.  The other two take squares and cubes and
-        # their inverses, at a node and in a fold
-        for text in ("gens: x y z\nrel: y x z y^-1 x^-1 z^2 x y\n",
-                     "gens: a b\nrel: a^2 b^-3\n",
-                     "gens: x y\nrel: x^2 y^-3 x^-3 y^2 x y\n"):
+        # would yield other homs.  The next two take squares and cubes and
+        # their inverses, at a node and in a fold.  The top generator's runs
+        # are all negative in the next two, so a node checks the inverted
+        # relator: one takes y^5 as a power, and the other yields other homs
+        # if the runs are negated but not reversed.  They have both signs in
+        # the last two, so a node follows symbols through its image's
+        # inverse, once, twice or three times
+        for text, counts in (("gens: x y z\nrel: y x z y^-1 x^-1 z^2 x y\n", None),
+                             ("gens: a b\nrel: a^2 b^-3\n", None),
+                             ("gens: x y\nrel: x^2 y^-3 x^-3 y^2 x y\n", None),
+                             ("gens: x y\nrel: x y^-2 x^2 y^-5\n", (6, 24)),
+                             ("gens: x y z\nrel: x z^-1 y z^-2\n", None),
+                             ("gens: x y\nrel: y x y^-3 x^-1 y^2\n", (24, 288)),
+                             ("gens: x y\nrel: y^-2 x^-1 y x^2 y^-1 x\n", None)):
             pres = parse_presentation(text).presentation
-            for n in (3, 4):
-                assert list(iter_homs(pres, n)) == list(brute_homs(pres, n))
+            for i, n in enumerate((3, 4)):
+                homs = list(iter_homs(pres, n))
+                assert homs == list(brute_homs(pres, n))
+                assert counts is None or len(homs) == counts[i]
 
     def test_count_tietze_invariance(self):
         rng = random.Random(25)

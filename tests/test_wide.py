@@ -5,6 +5,7 @@ that limits its own address space to 1 GiB, under a 10 s timeout.
 every run sees the same files.  They are small but wide: many generators,
 many relators, and many distinct exponents.  The other inputs are wide in
 one way each: 2,000 generators, a relator with a run of 30,000 letters,
+a relator whose runs of one generator have both signs, searched in S10000,
 a 4-braid closure whose skein recursion keys thousands of diagrams, and a
 connected sum of 200 fronts.  Each case names the exit code it must end
 in, 0, 2 or 3, and a fragment of its stdout or stderr; no case may end in
@@ -40,6 +41,7 @@ GENS_2000 = ("gens2000.pres",
              lambda: "gens: " + " ".join(f"g{i}" for i in range(2000)) + "\nrel: g0\n")
 T47 = ("t47.pd", lambda: render_pd(braid_pd(4, [1, 2, 3] * 7)))
 Y30000 = ("y30000.pres", lambda: "gens: x y\nrel: x" + " y^1000" * 30 + "\n")
+MIXED = ("mixed.pres", lambda: "gens: x y\nrel: y x y^-2 x^-1\n")
 
 # (command, input files, extra arguments, environment, exit code, stream, fragment)
 CASES = {
@@ -65,6 +67,10 @@ CASES = {
     # the search keeps its own stack, so depth 2,000 is no recursion
     "homs_2000_gens_s2": ("homs", [GENS_2000], ["2"], {}, 3, "stderr",
                           "the deepest generator reached was g1999 (2000 of 2000)"),
+    # y's runs have both signs, so each image of y is inverted once and
+    # symbols are followed through that inverse, never searched for
+    "homs_mixed_signs_s10000": ("homs", [MIXED], ["10000"], {}, 3, "stderr",
+                                "hom search into S10000 stopped at 20030066 steps"),
     # one run of 30,000 letters, whose power walks the cycles of y once
     "homs_y30000_s5": ("homs", [Y30000], ["5"], {}, 0, "stdout", "count: 120\n"),
     # T(4,7) as a closed 4-braid keys more diagrams than the budget allows
