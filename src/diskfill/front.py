@@ -65,6 +65,8 @@ against tb.
 from __future__ import annotations
 
 import functools
+import re
+import sys
 from collections import namedtuple
 
 from . import Frozen, comment_header, content_lines
@@ -123,7 +125,23 @@ class FrontWord(Frozen):
         return iter(self.events)
 
 
+# What ``render_front`` writes: its ``#`` header lines, with none of the
+# line breaks of ``str.splitlines`` inside, then one ``K n`` line per
+# event, n of at most 640 digits (the least limit an interpreter may set
+# on ``int``).  The repeats are possessive where Python (3.11+) has them,
+# so the match keeps no state per line.
+_RENDERED = re.compile(
+    r"((?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*+)(?:[LRX] [0-9]{1,640}\n)*+"
+    .replace("*+", "*+" if sys.version_info >= (3, 11) else "*")
+)
+
+
 def parse_front(text):
+    rendered = _RENDERED.fullmatch(text)
+    if rendered is not None:
+        tokens = text[rendered.end(1):].split()
+        # the word is checked when its profile is first read
+        return FrontWord(tuple(zip(tokens[::2], map(int, tokens[1::2]))))
     events = []
     for lineno, line in content_lines(text):
         parts = line.split()
@@ -134,7 +152,6 @@ def parse_front(text):
         except ValueError:
             raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
         events.append((parts[0], k))
-    # the word is checked when its profile is first read
     return FrontWord(tuple(events))
 
 
@@ -334,18 +351,16 @@ MOVE_TABLE = {
     "r2d": ((("L", +2),), (("L", +1), ("X", +2), ("X", +1))),
 }
 
-MOVE_KINDS = tuple(
-    [k + "+" for k in MOVE_TABLE] + [k + "-" for k in MOVE_TABLE] + ["r3", "slide"]
-)
+# kind -> (lhs, rhs): MOVE_TABLE's rewrites, each in both directions
+_REWRITES = {base + "+": rule for base, rule in MOVE_TABLE.items()}
+_REWRITES.update({base + "-": (rhs, lhs) for base, (lhs, rhs) in MOVE_TABLE.items()})
+
+MOVE_KINDS = (*_REWRITES, "r3", "slide")
 
 
 # index: 0-based position in the event word
 # pos: strand position parameter p (unused by slide)
 Move = namedtuple("Move", "kind index pos")
-
-
-def _instantiate(pattern, p):
-    return tuple([(kind, p + off - 1) for kind, off in pattern])
 
 
 def _window(events, index, width):
@@ -356,14 +371,6 @@ def _window(events, index, width):
             f"inside 0..{len(events)}, found {index}..{index + width}"
         )
     return events[index:index + width]
-
-
-def _match(events, index, pattern):
-    got = tuple(_window(events, index, len(pattern)))
-    if got != pattern:
-        raise InputError(
-            f"pattern mismatch at index {index}: expected {list(pattern)}, found {list(got)}"
-        )
 
 
 # strands each kind of event consumes from the column before it and
@@ -396,7 +403,19 @@ def apply_move(events, counts, move):
     """
     kind = move.kind
     index = move.index
-    if kind == "slide":
+    rewrite = _REWRITES.get(kind)
+    if rewrite is not None:
+        lhs, rhs = rewrite
+        p = move.pos - 1
+        width = len(lhs)
+        got = _window(events, index, width)
+        expected = [(k, p + off) for k, off in lhs]
+        if got != expected:
+            raise InputError(
+                f"pattern mismatch at index {index}: expected {expected}, found {got}"
+            )
+        new = [(k, p + off) for k, off in rhs]
+    elif kind == "slide":
         width, new = 2, _slide(events, index)
     elif kind == "r3":
         p = move.pos
@@ -412,15 +431,7 @@ def apply_move(events, counts, move):
                 f"pattern mismatch at index {index}: expected a braid triple at {p}, found {list(got)}"
             )
     else:
-        base, direction = kind[:-1], kind[-1]
-        if base not in MOVE_TABLE or direction not in "+-":
-            raise InputError(f"unknown move kind {kind!r}")
-        lhs, rhs = MOVE_TABLE[base]
-        if direction == "-":
-            lhs, rhs = rhs, lhs
-        lhs = _instantiate(lhs, move.pos)
-        _match(events, index, lhs)
-        width, new = len(lhs), _instantiate(rhs, move.pos)
+        raise InputError(f"unknown move kind {kind!r}")
     inner = _counts(new, counts[index], index)
     if inner[-1] != counts[index + width]:
         raise RuntimeError(
@@ -528,27 +539,42 @@ FillingReport = namedtuple("FillingReport", "pinches deaths euler genus tb tb_ma
 
 def parse_certificate(text):
     steps = []
-    declared = None
-    for lineno, line in content_lines(text):
-        parts = line.split()
+    append = steps.append
+    new = tuple.__new__  # a record without the Python frame of its __new__
+    declared = expect_line = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
+            continue
+        head, n = parts[0], len(parts)
         try:
-            if parts[0] == "EXPECT" and len(parts) == 3:
-                declared = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "MOVE" and len(parts) == 3 and parts[1] == "slide":
-                steps.append(Move("slide", int(parts[2]), 0))
-            elif parts[0] == "MOVE" and len(parts) == 4:
+            if head == "MOVE" and n == 4:
                 if parts[1] not in MOVE_KINDS:
                     raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
-                steps.append(Move(parts[1], int(parts[2]), int(parts[3])))
-            elif parts[0] == "PINCH" and len(parts) == 3:
-                steps.append(Pinch(int(parts[1]), int(parts[2])))
-            elif parts[0] == "DEATH" and len(parts) == 2:
-                steps.append(Death(int(parts[1])))
+                append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))
+            elif head == "MOVE" and n == 3 and parts[1] == "slide":
+                append(new(Move, ("slide", int(parts[2]), 0)))
+            elif head == "PINCH" and n == 3:
+                append(new(Pinch, (int(parts[1]), int(parts[2]))))
+            elif head == "DEATH" and n == 2:
+                append(new(Death, (int(parts[1]),)))
+            elif head == "EXPECT" and n == 3:
+                surface = (int(parts[1]), int(parts[2]))
+                if expect_line is not None:
+                    raise InputError(
+                        f"line {lineno}: a second EXPECT line; the first is line {expect_line}"
+                    )
+                declared, expect_line = surface, lineno
             else:
-                raise InputError(f"line {lineno}: unrecognized step {line!r}")
+                raise InputError(f"line {lineno}: unrecognized step {_content(raw)!r}")
         except ValueError:
-            raise InputError(f"line {lineno}: bad integer in {line!r}") from None
+            raise InputError(f"line {lineno}: bad integer in {_content(raw)!r}") from None
     return FillingCertificate(tuple(steps), declared)
+
+
+def _content(raw):
+    """A line as ``content_lines`` gives it: its comment cut, then stripped."""
+    return raw.split("#", 1)[0].strip()
 
 
 def render_certificate(cert, header=None):

@@ -19,8 +19,8 @@ memo key minimized over every start dart, the token key built in full
 for every under-strand start, the simplify that rebuilt the diagram
 after every kink or bigon, the union-find smoothing it used, the
 homomorphism count by brute force over every assignment, the cycle walk
-that once took every power of a permutation, and wide generated
-presentations.
+that once took every power of a permutation, the front and certificate
+parsers that loop over content lines, and wide generated presentations.
 """
 
 import itertools
@@ -28,12 +28,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from diskfill import content_lines
 from diskfill.errors import InputError
 from diskfill.front import (
+    MOVE_KINDS,
     MOVE_TABLE,
+    Death,
+    FillingCertificate,
     FrontWord,
-    _instantiate,
-    _match,
+    Move,
+    Pinch,
     _slide,
     _trace,
     _window,
@@ -879,6 +883,18 @@ def parity_orient(front):
     return tuple(directions), tuple(component_of), tuple(event_strands)
 
 
+def _instantiate(pattern, p):
+    return tuple([(kind, p + off - 1) for kind, off in pattern])
+
+
+def _match(events, index, pattern):
+    got = tuple(_window(events, index, len(pattern)))
+    if got != pattern:
+        raise InputError(
+            f"pattern mismatch at index {index}: expected {list(pattern)}, found {list(got)}"
+        )
+
+
 def rewrite_then_validate(front, move):
     """One isotopy move: rewrite the word, then validate all of it."""
     events = list(front.events)
@@ -983,6 +999,57 @@ def traced_pinch(front, index, k):
             "an oriented saddle needs anti-parallel strands"
         )
     return FrontWord(events[:index] + (("R", k), ("L", k)) + events[index:])
+
+
+# -- front and certificate files by a loop over content lines ---------------------
+
+def line_loop_front(text):
+    """``front.parse_front`` as it was before it read rendered fronts in
+    bulk: one ``content_lines`` entry per event."""
+    events = []
+    for lineno, line in content_lines(text):
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in ("L", "R", "X"):
+            raise InputError(f"line {lineno}: expected 'L k', 'R k' or 'X k', got {line!r}")
+        try:
+            k = int(parts[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
+        events.append((parts[0], k))
+    return FrontWord(tuple(events))
+
+
+def line_loop_certificate(text):
+    """``front.parse_certificate`` as it was before its one pass over
+    ``splitlines``, with the one later change: a second EXPECT line is
+    refused."""
+    steps = []
+    declared = expect_line = None
+    for lineno, line in content_lines(text):
+        parts = line.split()
+        try:
+            if parts[0] == "EXPECT" and len(parts) == 3:
+                surface = (int(parts[1]), int(parts[2]))
+                if expect_line is not None:
+                    raise InputError(
+                        f"line {lineno}: a second EXPECT line; the first is line {expect_line}"
+                    )
+                declared, expect_line = surface, lineno
+            elif parts[0] == "MOVE" and len(parts) == 3 and parts[1] == "slide":
+                steps.append(Move("slide", int(parts[2]), 0))
+            elif parts[0] == "MOVE" and len(parts) == 4:
+                if parts[1] not in MOVE_KINDS:
+                    raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
+                steps.append(Move(parts[1], int(parts[2]), int(parts[3])))
+            elif parts[0] == "PINCH" and len(parts) == 3:
+                steps.append(Pinch(int(parts[1]), int(parts[2])))
+            elif parts[0] == "DEATH" and len(parts) == 2:
+                steps.append(Death(int(parts[1])))
+            else:
+                raise InputError(f"line {lineno}: unrecognized step {line!r}")
+        except ValueError:
+            raise InputError(f"line {lineno}: bad integer in {line!r}") from None
+    return FillingCertificate(tuple(steps), declared)
 
 
 # -- wide generated presentations ------------------------------------------------

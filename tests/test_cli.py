@@ -169,6 +169,15 @@ class TestFrontCommands:
         assert code == 4
         assert "step 0" in err
 
+    def test_check_filling_second_expect_line_is_refused(self, capsys, tmp_path):
+        # d1.cert declares EXPECT 1 2 on its line 4; the last declaration
+        # used to win silently and the replay was accepted
+        doubled = tmp_path / "doubled.cert"
+        doubled.write_text("EXPECT 9 9\n" + data_path("d1.cert").read_text())
+        code, out, err = run(capsys, "check-filling", "9_46.front", str(doubled), "--machine")
+        assert (code, out) == (2, "")
+        assert err == "input error: line 5: a second EXPECT line; the first is line 1\n"
+
     def test_check_filling_bare_move_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bare.cert"
         bad.write_text("MOVE\n")

@@ -581,7 +581,7 @@ class TestMovesCheckTheirWindow:
 
     def test_net_strand_change_is_checked(self, monkeypatch):
         # a table entry that loses a right cusp no longer ends at 0 strands
-        monkeypatch.setitem(front_module.MOVE_TABLE, "r2a", ((("R", +1),), (("X", +2),)))
+        monkeypatch.setitem(front_module._REWRITES, "r2a+", ((("R", +1),), (("X", +2),)))
         with pytest.raises(RuntimeError, match="changes the strand count by 0"):
             stepped(apply_move, TREFOIL, Move("r2a+", 5, 1))
 

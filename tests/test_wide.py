@@ -6,10 +6,12 @@ every run sees the same files.  They are small but wide: many generators,
 many relators, and many distinct exponents.  The other inputs are wide in
 one way each: 2,000 generators, a relator with a run of 30,000 letters,
 a relator whose runs of one generator have both signs, searched in S10000,
-a 4-braid closure whose skein recursion keys thousands of diagrams, and a
-connected sum of 200 fronts.  Each case names the exit code it must end
-in, 0, 2 or 3, and a fragment of its stdout or stderr; no case may end in
-a traceback, an exhausted address space or the timeout.
+a 4-braid closure whose skein recursion keys thousands of diagrams, a
+connected sum of 200 fronts, and a front of 100,000 events, both as
+``render_front`` writes it and with a comment on every line and CRLF
+line ends.  Each case names the exit code it must end in, 0, 2 or 3, and
+a fragment of its stdout or stderr; no case may end in a traceback, an
+exhausted address space or the timeout.
 """
 
 import os
@@ -19,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from diskfill import cli
+from diskfill import cli, data_path
+from diskfill.front import FrontWord, parse_front, render_front
 from diskfill.kauffman import render_pd
 
 from helpers import braid_pd, wide_presentation
@@ -133,3 +136,28 @@ def test_connect_of_200_fronts_replays(tmp_path):
     assert "result: ACCEPT\npinches: 399\ndeaths: 400\neuler: 1\n" in result.stdout
     result = run_child(["tb", str(front)])
     assert result.returncode == 0 and result.stdout == "components: 1\ntb_1: -1\nrot_1: 0\n"
+
+
+def front_of_100000_events():
+    """The connected sum of 7,142 copies of the bundled 9_46 front (99,990
+    events), with five zigzags on its top strand: tb -1 - 5 = -6, rot -5."""
+    events = parse_front(data_path("9_46.front").read_text()).events
+    total = list(events)
+    for _ in range(7141):
+        total[-1:] = events[1:]  # splice at the closing right cusp
+    total[1:1] = [("L", 1), ("R", 2)] * 5
+    return FrontWord(tuple(total))
+
+
+@pytest.mark.parametrize("form", ["canonical", "commented_crlf"])
+def test_tb_of_a_front_of_100000_events(tmp_path, form):
+    front = front_of_100000_events()
+    assert len(front) == 100_000
+    text = render_front(front, header="100,000 events")
+    if form == "commented_crlf":
+        text = "".join(f"{line}  # line {i}\r\n" for i, line in enumerate(text.splitlines(), 1))
+    path = tmp_path / "wide.front"
+    path.write_bytes(text.encode())
+    result = run_child(["tb", str(path)])
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout == "components: 1\ntb_1: -6\nrot_1: -5\n"
