@@ -548,7 +548,7 @@ def parse_certificate(text):
             continue
         head, n = parts[0], len(parts)
         try:
-            if head == "MOVE" and n == 4:
+            if head == "MOVE" and n == 4 and parts[1] != "slide":
                 if parts[1] not in MOVE_KINDS:
                     raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
                 append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))

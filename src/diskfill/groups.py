@@ -93,13 +93,17 @@ def parse_word(text, gens):
         m = _LETTER.match(tok)
         if not m:
             raise InputError(f"bad word token {tok!r}")
-        name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
+        name, power = m.group(1), m.group(2) or "1"
         if name not in gens:
             raise InputError(f"unknown generator {name!r}")
-        if abs(exp) > MAX_EXPONENT:
+        # int() reads the digits past the leading zeros only when they are
+        # no longer than MAX_EXPONENT's: past the interpreter's digit limit
+        # it raises a ValueError of its own
+        digits = power.lstrip("-").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise InputError(f"exponent in {tok!r} outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
         k = gens.index(name) + 1
-        letters.extend([k if exp > 0 else -k] * abs(exp))
+        letters.extend([-k if power[0] == "-" else k] * int(digits))
     return free_reduce(letters)
 
 
@@ -408,18 +412,13 @@ def parse_witness(text, gens, n):
 
 
 def _perm_power(p, k):
-    """p^k for any integer k.  p^1 is p and p^-1 one inversion; p^2 and
-    p^3 take one composition pass (one and two lookups per symbol), and
-    p^-2 and p^-3 one inversion of those.  Any other k walks each cycle of
-    p once and shifts it by k mod the cycle's length, so a large |k| costs
-    no more than a small one."""
+    """p^k for any integer k.  p^1 is p and p^-1 one inversion.  Any other
+    k walks each cycle of p once and shifts it by k mod the cycle's length,
+    so a large |k| costs no more than a small one."""
     if k == 1:
         return p
     if k == -1:
         return perm_inv(p)
-    if k in (2, -2, 3, -3):
-        q = tuple([p[x] for x in p]) if k in (2, -2) else tuple([p[p[x]] for x in p])
-        return q if k > 0 else perm_inv(q)
     out = [None] * len(p)
     for i in range(len(p)):
         if out[i] is None:

@@ -20,14 +20,21 @@ for every under-strand start, the simplify that rebuilt the diagram
 after every kink or bigon, the union-find smoothing it used, the
 homomorphism count by brute force over every assignment, the cycle walk
 that once took every power of a permutation, the front and certificate
-parsers that loop over content lines, and wide generated presentations.
+parsers that loop over content lines, wide generated presentations, and
+the one runner of ``diskfill`` commands in a child process.
 """
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+import diskfill
 from diskfill import content_lines
 from diskfill.errors import InputError
 from diskfill.front import (
@@ -1021,8 +1028,8 @@ def line_loop_front(text):
 
 def line_loop_certificate(text):
     """``front.parse_certificate`` as it was before its one pass over
-    ``splitlines``, with the one later change: a second EXPECT line is
-    refused."""
+    ``splitlines``, with the two later changes: a second EXPECT line and a
+    slide with a fourth token are refused."""
     steps = []
     declared = expect_line = None
     for lineno, line in content_lines(text):
@@ -1037,7 +1044,7 @@ def line_loop_certificate(text):
                 declared, expect_line = surface, lineno
             elif parts[0] == "MOVE" and len(parts) == 3 and parts[1] == "slide":
                 steps.append(Move("slide", int(parts[2]), 0))
-            elif parts[0] == "MOVE" and len(parts) == 4:
+            elif parts[0] == "MOVE" and len(parts) == 4 and parts[1] != "slide":
                 if parts[1] not in MOVE_KINDS:
                     raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
                 steps.append(Move(parts[1], int(parts[2]), int(parts[3])))
@@ -1062,3 +1069,43 @@ def wide_presentation(k, gens):
     relators = ["rel: " + " ".join(f"{r.choice(gens)}^{r.randint(-30, 30) or 1}" for _ in range(k))
                 for _ in range(k)]
     return "\n".join(["gens: " + " ".join(gens), *relators]) + "\n"
+
+
+# -- diskfill commands in a child process -------------------------------------------
+
+SCRIPT = Path(sys.executable).with_name("diskfill")  # where pip install puts it
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_child(argv, env=None, timeout=10, cwd=None):
+    """``diskfill *argv --machine`` in a child process limited to 1 GiB of
+    address space, through ``python -m diskfill.cli`` on the package these
+    tests import and, when it is there, through ``SCRIPT``.  The script
+    gets no PYTHONPATH, so its entry point and bare-name data lookup run
+    as installed.  No run may end in a traceback, the two must agree on
+    the exit code, stdout and stderr, and the first one's result is
+    returned."""
+    src = str(Path(diskfill.__file__).resolve().parents[1])
+    launchers = [([sys.executable, "-m", "diskfill.cli"],
+                  {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})]
+    if SCRIPT.is_file():
+        launchers.append(([str(SCRIPT)], {}))
+    # explicit raises: pytest does not rewrite this module's asserts, so
+    # python -O would strip them
+    results = []
+    for launcher, added in launchers:
+        result = subprocess.run([*launcher, *argv, "--machine"], capture_output=True, text=True,
+                                env={**os.environ, **(env or {}), **added}, timeout=timeout,
+                                cwd=cwd, preexec_fn=limit_address_space)
+        if "Traceback" in result.stderr:
+            raise AssertionError(result.stderr[-2000:])
+        results.append(result)
+    first = results[0]
+    for result in results[1:]:
+        if (result.returncode, result.stdout, result.stderr) != (
+                first.returncode, first.stdout, first.stderr):
+            raise AssertionError(f"{result.args[0]} and {first.args[:3]} disagree on {argv}")
+    return first

@@ -1,7 +1,4 @@
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,7 +9,7 @@ from diskfill.groups import MAX_SYMBOLS, parse_presentation
 from diskfill.kauffman import parse_pd, render_pd, trace_diagram
 from diskfill.laurent import BiLaurent, IntLaurent
 
-from helpers import a_mirror, braid_pd, brute_homs, pretzel_lambda, pretzel_pd
+from helpers import a_mirror, braid_pd, brute_homs, pretzel_lambda, pretzel_pd, run_child
 
 
 def run(capsys, *argv):
@@ -184,6 +181,14 @@ class TestFrontCommands:
         code, _, err = run(capsys, "check-filling", "9_46.front", str(bad))
         assert code == 2
         assert "unrecognized step 'MOVE'" in err
+
+    def test_check_filling_slide_with_a_position_is_refused(self, capsys, tmp_path):
+        # a slide has no position, so the certificate could not be written back
+        bad = tmp_path / "slide.cert"
+        bad.write_text("MOVE slide 3 4\n")
+        code, out, err = run(capsys, "check-filling", "9_46.front", str(bad))
+        assert code == 2 and not out
+        assert "line 1: unrecognized step 'MOVE slide 3 4'" in err
 
     def test_front_position_below_one(self, capsys, tmp_path):
         bad = tmp_path / "zero.front"
@@ -447,17 +452,7 @@ class TestSnfCommand:
             "rel: x2^2 x3 x4^-2 x5^4\n"
             "rel: x2^-5 x4^6 x5^9\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-
-        def diskfill(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "diskfill.cli", *argv, "--machine"],
-                capture_output=True, text=True, env=env, timeout=60,
-            )
-
-        snf = diskfill("snf", str(pres))
+        snf = run_child(["snf", str(pres)], timeout=60)
         assert snf.returncode == 0
         d = [v for k, v in sorted(machine_dict(snf.stdout).items()) if k.startswith("d_row_")]
         assert d == [
@@ -465,7 +460,7 @@ class TestSnfCommand:
             "[0, 0, 0, 1, 0]", "[0, 0, 0, 0, 2]", "[0, 0, 0, 0, 0]",
         ]
         for argv in (["alexander", str(pres)], ["compare", str(pres), "w22.pres"]):
-            result = diskfill(*argv)
+            result = run_child(argv, timeout=60)
             assert result.returncode == 2
             assert "free rank is 0" in result.stderr and not result.stdout
 

@@ -89,6 +89,10 @@ class TestWords:
         assert parse_word("x2^-1000", gens) == (-2,) * 1000
         with pytest.raises(InputError, match=r"exponent in 'x1\^1001' outside -1000..1000"):
             parse_word("x1^1001", gens)
+        # 5,000 digits are past the interpreter's limit on what int() reads
+        with pytest.raises(InputError, match=r"exponent in 'x1\^1{5000}' outside -1000..1000"):
+            parse_word("x1^" + "1" * 5000, gens)
+        assert parse_word("x1^-" + "0" * 5000 + "2", gens) == (-1, -1)
         with pytest.raises(InputError, match="outside"):
             parse_word("x2 x1^-1000000", gens)
 

@@ -450,6 +450,18 @@ class TestRecursion:
         for d in small:
             assert regular_isotopy_polynomial(d) == naive_lambda(d, memo), render_pd(d)
 
+    def test_descending_leaf_of_nonzero_writhe(self):
+        # switching every target leaves a descending diagram that simplify
+        # reduces to 7 crossings of writhe 1, not 0, so the leaf's factor
+        # a^-writhe decides the value
+        d = braid_pd(3, [1, 2, -1, -2, 2, -2, 1, -2, -1])
+        while (target := trace_diagram(d).target) is not None:
+            d = switch_crossing(d, target)
+        reduced = simplify(d)[0]
+        tr = trace_diagram(reduced)
+        assert (reduced.n, tr.writhe, tr.components) == (7, 1, 2)
+        assert regular_isotopy_polynomial(d) == naive_lambda(d)
+
     def test_946_key_count(self, monkeypatch):
         keys = []
         monkeypatch.setattr(kauffman, "canonical_key", lambda d: keys.append(d) or canonical_key(d))

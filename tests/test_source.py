@@ -155,8 +155,8 @@ def unreferenced_exports(sources):
 
 
 # Public names with no caller in the package.  perfbench's tracer wraps
-# connected_sum, and the CI console-script step imports render_pd to
-# write a PD file.
+# connected_sum, and the command-line tests write their PD inputs with
+# render_pd.
 ENTRY_POINTS = [
     ("front", "connected_sum"),
     ("kauffman", "render_pd"),

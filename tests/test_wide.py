@@ -1,38 +1,34 @@
-"""Wide generated inputs, each run through commands in a child process
-that limits its own address space to 1 GiB, under a 10 s timeout.
+"""The command-line case table: each row runs one ``diskfill`` command
+through ``helpers.run_child``, in a child process that limits its own
+address space to 1 GiB, under a 10 s timeout or the row's tighter one,
+through ``python -m diskfill.cli`` and through the installed ``diskfill``
+script when there is one.  Each row names the exit code it must end in,
+0, 2 or 3, and a fragment of its stdout or stderr; a fragment that
+starts and ends with a newline is a whole line.  No row may end in a
+traceback, an exhausted address space or the timeout.
 
-``helpers.wide_presentation`` seeds each file by its relator count k, so
-every run sees the same files.  They are small but wide: many generators,
-many relators, and many distinct exponents.  The other inputs are wide in
-one way each: 2,000 generators, a relator with a run of 30,000 letters,
-a relator whose runs of one generator have both signs, searched in S10000,
-a 4-braid closure whose skein recursion keys thousands of diagrams, a
+Some rows read bundled data by bare name: the sharp tb bound of 9_46,
+its d1 filling, and hom counts of W22 and BS(1,2).  Most read wide
+generated inputs.  ``helpers.wide_presentation`` seeds each file by its
+relator count k, so every run sees the same files.  They are small but
+wide: many generators, many relators, and many distinct exponents.  The
+other inputs are wide in one way each: 2,000 generators, relators of
+30,000 letters in one run and in runs of 1,000, of 1,001 runs and of
+30,001 runs, an exponent of thousands of digits, relators whose runs of one generator
+have both signs, searched in S6 and S10000, a 27-crossing pretzel, a
+4-braid closure whose skein recursion keys thousands of diagrams, a
 connected sum of 200 fronts, and a front of 100,000 events, both as
 ``render_front`` writes it and with a comment on every line and CRLF
-line ends.  Each case names the exit code it must end in, 0, 2 or 3, and
-a fragment of its stdout or stderr; no case may end in a traceback, an
-exhausted address space or the timeout.
+line ends.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from diskfill import cli, data_path
+from diskfill import data_path
 from diskfill.front import FrontWord, parse_front, render_front
 from diskfill.kauffman import render_pd
 
-from helpers import braid_pd, wide_presentation
-
-CHILD = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-    "from diskfill.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
+from helpers import braid_pd, pretzel_pd, run_child, wide_presentation
 
 
 def wide(k, rank):
@@ -40,13 +36,29 @@ def wide(k, rank):
     return f"wide{k}_{rank}.pres", lambda: wide_presentation(k, [f"x{i}" for i in range(rank)])
 
 
+def relator(name, gens, text):
+    """A presentation file of one relator."""
+    return name, lambda: f"gens: {gens}\nrel: {text}\n"
+
+
 GENS_2000 = ("gens2000.pres",
              lambda: "gens: " + " ".join(f"g{i}" for i in range(2000)) + "\nrel: g0\n")
 T47 = ("t47.pd", lambda: render_pd(braid_pd(4, [1, 2, 3] * 7)))
-Y30000 = ("y30000.pres", lambda: "gens: x y\nrel: x" + " y^1000" * 30 + "\n")
-MIXED = ("mixed.pres", lambda: "gens: x y\nrel: y x y^-2 x^-1\n")
+P27 = ("p27.pd", lambda: render_pd(pretzel_pd([9, 9, -9])))
+Y30000 = relator("y30000.pres", "x y", "x" + " y^1000" * 30)
+Y2000 = relator("y2000.pres", "x y", "x y^1000 y^1000")
+MIXED = relator("mixed.pres", "x y", "y x y^-2 x^-1")
+CUBES = relator("cubes.pres", "a b", "a^2 b^-3")
+RUNS_1001 = relator("runs1001.pres", "x y z", " ".join(["x y"] * 500 + ["z"]))
+ALTERNATING = relator("alternating.pres", "x y z", " ".join(["x z"] * 15000 + ["y"]))
+EXPONENT_5000 = relator("exp5000.pres", "x y", "x^" + "1" * 5000)
+EXPONENT_1000 = relator("exp1000.pres", "x y", "x^" + "1" * 1000)
+SIXTHS = "x^1000 y^-1000 z^1000 x^-1000 y^1000 z^-1000"
+LETTERS_30000 = ("letters30000.pres", lambda: (
+    f"gens: x y z\nrel: {' '.join([SIXTHS] * 5)}\nrel: x y x^-1 z^-1\nrel: y x y^-1 z^-1\n"))
 
-# (command, input files, extra arguments, environment, exit code, stream, fragment)
+# (command, inputs, extra arguments, environment, exit code, stream, fragment[, timeout]);
+# an input is a file name passed as written, or a (name, text) file written first
 CASES = {
     # u of the Smith normal form gets an entry of 4,510 digits
     "snf_k48": ("snf", [wide(48, 48)], [], {}, 3, "stderr",
@@ -64,6 +76,16 @@ CASES = {
                                "a polynomial spans"),
     "compare_k48": ("compare", [wide(48, 48)] * 2, [], {}, 2, "stderr",
                     "H1 free rank is 0, need 1"),
+    # a relator of 30,000 letters, each run of 1,000 walked once
+    "alexander_30000_letters": ("alexander", [LETTERS_30000], [], {}, 0, "stdout",
+                                "\npolynomial: -2*t + 1\n", 5),
+    # an exponent is refused before int() meets the interpreter's digit
+    # limit: 4,300 digits by default, here 640
+    "alexander_exponent_of_5000_digits": ("alexander", [EXPONENT_5000], [], {}, 2, "stderr",
+                                          "outside -1000..1000"),
+    "homs_exponent_of_1000_digits_digit_limit_640": (
+        "homs", [EXPONENT_1000], ["2"], {"PYTHONINTMAXSTRDIGITS": "640"}, 2, "stderr",
+        "outside -1000..1000"),
     # about 60 runs per relator, each folded at a call's cost
     "homs_k60_s2": ("homs", [wide(60, 60)], ["2"], {}, 3, "stderr",
                     "hom search into S2 stopped at"),
@@ -72,37 +94,54 @@ CASES = {
                           "the deepest generator reached was g1999 (2000 of 2000)"),
     # y's runs have both signs, so each image of y is inverted once and
     # symbols are followed through that inverse, never searched for
+    "homs_mixed_signs_s6": ("homs", [MIXED], ["6"], {}, 0, "stdout", "\ncount: 2880\n"),
     "homs_mixed_signs_s10000": ("homs", [MIXED], ["10000"], {}, 3, "stderr",
                                 "hom search into S10000 stopped at 20030066 steps"),
+    # b has only negative runs, so a node reads the relator inverted
+    "homs_cubes_s5": ("homs", [CUBES], ["5"], {}, 0, "stdout", "\ncount: 600\n"),
+    "homs_cubes_s6": ("homs", [CUBES], ["6"], {}, 0, "stdout", "\ncount: 6480\n"),
     # one run of 30,000 letters, whose power walks the cycles of y once
     "homs_y30000_s5": ("homs", [Y30000], ["5"], {}, 0, "stdout", "count: 120\n"),
+    # y^1000 y^1000 is one run of 2,000, a power by the cycle walk
+    "homs_y2000_s5": ("homs", [Y2000], ["5"], {}, 0, "stdout", "\ncount: 120\n"),
+    # a relator of 1,001 runs, and one alternating 15,000 times, spend the
+    # budget and stop at it
+    "homs_1001_runs_s5": ("homs", [RUNS_1001], ["5"], {}, 3, "stderr",
+                          "past its limit of 20000000"),
+    "homs_alternating_s5": ("homs", [ALTERNATING], ["5"], {}, 3, "stderr",
+                            "past its limit of 20000000"),
+    "homs_w22_s5": ("homs", ["w22.pres"], ["5"], {}, 0, "stdout", "\ncount: 1680\n"),
+    "homs_bs12_s6": ("homs", ["bs12.pres"], ["6"], {}, 0, "stdout", "\ncount: 2880\n"),
     # T(4,7) as a closed 4-braid keys more diagrams than the budget allows
     "kauffman_t47": ("kauffman", [T47], [], {}, 3, "stderr", "keyed 5001 diagrams, more than 5000"),
+    # 27 crossings: the bound has no crossing cap, kauffman the one it is given
+    "tb_bound_p27": ("tb-bound", [P27], [], {}, 0, "stdout", "\nbound: "),
+    "kauffman_p27_budget_26": ("kauffman", [P27], ["--budget-crossings", "26"], {}, 3, "stderr",
+                               "27 crossings exceeds the budget of 26"),
+    "tb_bound_9_46": ("tb-bound", ["9_46.pd"], [], {}, 0, "stdout", "\nbound: -1\n"),
+    "check_filling_9_46_d1": ("check-filling", ["9_46.front", "d1.cert"], [], {}, 0, "stdout",
+                              "\nresult: ACCEPT\n"),
+    # a name with a directory part is never looked up among the bundled
+    # files, where ../cli.py would be the package's own source
+    "tb_path_with_a_directory": ("tb", ["../cli.py"], [], {}, 2, "stderr",
+                                 "no such file: ../cli.py"),
 }
 
 PREFIX = {2: "input error: ", 3: "budget exceeded: "}
 
 
-def run_child(argv, env_extra=None):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, **(env_extra or {}),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", CHILD, *argv, "--machine"],
-                            capture_output=True, text=True, env=env, timeout=10)
-    assert "Traceback" not in result.stderr, result.stderr[-2000:]
-    return result
-
-
 def run_case(tmp_path, case):
-    command, inputs, extra, env_extra, code, stream, fragment = CASES[case]
+    command, inputs, extra, env, code, stream, fragment, *timeout = CASES[case]
     paths = []
-    for name, text in inputs:
-        path = tmp_path / name
-        path.write_text(text())
-        paths.append(str(path))
-    result = run_child([command, *paths, *extra], env_extra)
+    for item in inputs:
+        if not isinstance(item, str):
+            name, text = item
+            (tmp_path / name).write_text(text())
+            item = str(tmp_path / name)
+        paths.append(item)
+    result = run_child([command, *paths, *extra], env, *timeout, cwd=tmp_path)
     assert result.returncode == code, result.stderr[-2000:]
-    assert fragment in getattr(result, stream)
+    assert fragment in "\n" + getattr(result, stream)
     if code:
         assert not result.stdout and result.stderr.startswith(PREFIX[code])
 
@@ -126,12 +165,25 @@ def test_snf_prints_the_same_rows_under_a_low_digit_limit(tmp_path):
     assert low.returncode == default.returncode == 0 and low.stdout == default.stdout
 
 
-def test_connect_of_200_fronts_replays(tmp_path):
+def connect_and_check(tmp_path, copies):
+    """Connect ``copies`` bundled 9_46 fronts, filled by d1 and d2 in turn,
+    check the pair written, and return the front's path and the check."""
     front, cert = tmp_path / "sum.front", tmp_path / "sum.cert"
-    result = run_child(["connect", *["9_46.front"] * 200, "--certs", *["d1.cert", "d2.cert"] * 100,
+    result = run_child(["connect", *["9_46.front"] * copies,
+                        "--certs", *(["d1.cert", "d2.cert"] * copies)[:copies],
                         "--out-front", str(front), "--out-cert", str(cert)])
-    assert result.returncode == 0 and "result: ACCEPT\n" in result.stdout
-    result = run_child(["check-filling", str(front), str(cert)])
+    assert result.returncode == 0 and "\neuler: 1\nresult: ACCEPT\n" in result.stdout
+    return front, run_child(["check-filling", str(front), str(cert)])
+
+
+def test_connect_of_two_fronts_replays(tmp_path):
+    _, result = connect_and_check(tmp_path, 2)
+    assert result.returncode == 0
+    assert "result: ACCEPT\npinches: 3\ndeaths: 4\neuler: 1\n" in result.stdout
+
+
+def test_connect_of_200_fronts_replays(tmp_path):
+    front, result = connect_and_check(tmp_path, 200)
     assert result.returncode == 0
     assert "result: ACCEPT\npinches: 399\ndeaths: 400\neuler: 1\n" in result.stdout
     result = run_child(["tb", str(front)])
