@@ -9,14 +9,19 @@ diagrams with their filling moves and certificate checker, and
 diagram together with the Thurston-Bennequin upper bound it implies.
 ``cli`` wires everything to the command line; bundled data files live in
 ``diskfill/data``.  Every input file format shares one comment rule:
-``#`` starts a comment, and a line blank without it is skipped.
+``#`` starts a comment, and a line blank without it is skipped.  They
+share one integer rule too, ``read_int``, and an error quotes input
+through ``shown``.
 
 Every value is immutable: records that only hold fields are named
 tuples, and the few that check their input or cache derived data
 subclass ``Frozen``.
 """
 
+import re
 from pathlib import Path
+
+from .errors import InputError
 
 __version__ = "0.1.0"
 
@@ -71,6 +76,39 @@ def content_lines(text):
     """
     return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
             if (line := raw.split("#", 1)[0].strip())]
+
+
+MAX_DIGITS = 640  # the least limit an interpreter may set on what int() reads
+_LEADING_ZEROS = re.compile(r"^(?:0_?)+(?=\d)")  # as int() reads them: 0_0_7 is 7
+
+
+def read_int(token, what, lo=None, hi=None):
+    """``int(token)``, in ``lo..hi`` when bounds are given, or an InputError:
+    ``bad {what}``, ``{what} outside lo..hi``, or ``{what} has more than 640
+    digits`` past its sign and leading zeros (outside lo..hi when bounded).
+    A longer token loses those zeros first, so that the interpreter's own
+    digit limit never decides."""
+    if len(token) > MAX_DIGITS:
+        body = token.strip()
+        sign = body[:1] if body[:1] in ("+", "-") else ""
+        digits = _LEADING_ZEROS.sub("", body[len(sign):])
+        if len(digits) - digits.count("_") > MAX_DIGITS and digits.replace("_", "").isdecimal():
+            raise InputError(f"{what} outside {lo}..{hi}" if lo is not None
+                             else f"{what} has more than {MAX_DIGITS} digits")
+        token = sign + digits
+    try:
+        value = int(token)
+    except ValueError:
+        raise InputError(f"bad {what}") from None
+    if lo is not None and not lo <= value <= hi:
+        raise InputError(f"{what} outside {lo}..{hi}")
+    return value
+
+
+def shown(text):
+    """How an error quotes input: ``repr``, cut after 60 characters and
+    followed by the length of a longer text."""
+    return repr(text) if len(text) <= 60 else f"{repr(text)[:60]}... ({len(text)} characters)"
 
 
 def comment_header(header):

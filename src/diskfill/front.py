@@ -69,7 +69,7 @@ import re
 import sys
 from collections import namedtuple
 
-from . import Frozen, comment_header, content_lines
+from . import MAX_DIGITS, Frozen, comment_header, content_lines, read_int, shown
 from .errors import CertificateError, InputError
 
 __all__ = [
@@ -127,12 +127,12 @@ class FrontWord(Frozen):
 
 # What ``render_front`` writes: its ``#`` header lines, with none of the
 # line breaks of ``str.splitlines`` inside, then one ``K n`` line per
-# event, n of at most 640 digits (the least limit an interpreter may set
-# on ``int``).  The repeats are possessive where Python (3.11+) has them,
+# event, n of at most MAX_DIGITS digits, which ``int`` reads under any
+# digit limit.  The repeats are possessive where Python (3.11+) has them,
 # so the match keeps no state per line.
 _RENDERED = re.compile(
-    r"((?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*+)(?:[LRX] [0-9]{1,640}\n)*+"
-    .replace("*+", "*+" if sys.version_info >= (3, 11) else "*")
+    r"((?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*\n)*+)(?:[LRX] [0-9]{1,MAX}\n)*+"
+    .replace("MAX", str(MAX_DIGITS)).replace("*+", "*+" if sys.version_info >= (3, 11) else "*")
 )
 
 
@@ -143,15 +143,14 @@ def parse_front(text):
         # the word is checked when its profile is first read
         return FrontWord(tuple(zip(tokens[::2], map(int, tokens[1::2]))))
     events = []
-    for lineno, line in content_lines(text):
-        parts = line.split()
-        if len(parts) != 2 or parts[0] not in _EVENT_KINDS:
-            raise InputError(f"line {lineno}: expected 'L k', 'R k' or 'X k', got {line!r}")
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
-        events.append((parts[0], k))
+    try:
+        for lineno, line in content_lines(text):
+            parts = line.split()
+            if len(parts) != 2 or parts[0] not in _EVENT_KINDS:
+                raise InputError(f"expected 'L k', 'R k' or 'X k', got {shown(line)}")
+            events.append((parts[0], read_int(parts[1], f"position {shown(parts[1])}")))
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from None
     return FrontWord(tuple(events))
 
 
@@ -542,33 +541,38 @@ def parse_certificate(text):
     append = steps.append
     new = tuple.__new__  # a record without the Python frame of its __new__
     declared = expect_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not parts:
-            continue
-        head, n = parts[0], len(parts)
-        try:
-            if head == "MOVE" and n == 4 and parts[1] != "slide":
-                if parts[1] not in MOVE_KINDS:
-                    raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
-                append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))
-            elif head == "MOVE" and n == 3 and parts[1] == "slide":
-                append(new(Move, ("slide", int(parts[2]), 0)))
-            elif head == "PINCH" and n == 3:
-                append(new(Pinch, (int(parts[1]), int(parts[2]))))
-            elif head == "DEATH" and n == 2:
-                append(new(Death, (int(parts[1]),)))
-            elif head == "EXPECT" and n == 3:
-                surface = (int(parts[1]), int(parts[2]))
-                if expect_line is not None:
-                    raise InputError(
-                        f"line {lineno}: a second EXPECT line; the first is line {expect_line}"
-                    )
-                declared, expect_line = surface, lineno
-            else:
-                raise InputError(f"line {lineno}: unrecognized step {_content(raw)!r}")
-        except ValueError:
-            raise InputError(f"line {lineno}: bad integer in {_content(raw)!r}") from None
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not parts:
+                continue
+            head, n = parts[0], len(parts)
+            try:
+                if head == "MOVE" and n == 4 and parts[1] != "slide":
+                    if parts[1] not in MOVE_KINDS:
+                        raise InputError(f"unknown move kind {shown(parts[1])}")
+                    append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))
+                elif head == "MOVE" and n == 3 and parts[1] == "slide":
+                    append(new(Move, ("slide", int(parts[2]), 0)))
+                elif head == "PINCH" and n == 3:
+                    append(new(Pinch, (int(parts[1]), int(parts[2]))))
+                elif head == "DEATH" and n == 2:
+                    append(new(Death, (int(parts[1]),)))
+                elif head == "EXPECT" and n == 3:
+                    surface = (int(parts[1]), int(parts[2]))
+                    if expect_line is not None:
+                        raise InputError(f"a second EXPECT line; the first is line {expect_line}")
+                    declared, expect_line = surface, lineno
+                else:
+                    raise InputError(f"unrecognized step {shown(_content(raw))}")
+            except ValueError:
+                # int() refused a token: read_int says which and why
+                what = f"integer in {shown(_content(raw))}"
+                for token in parts[2:] if head == "MOVE" else parts[1:]:
+                    read_int(token, what)
+                raise InputError(f"bad {what}") from None
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from None
     return FillingCertificate(tuple(steps), declared)
 
 

@@ -30,7 +30,7 @@ import math
 import re
 from collections import namedtuple
 
-from . import Frozen, content_lines
+from . import Frozen, content_lines, read_int, shown
 from .errors import BudgetError, InputError
 
 __all__ = [
@@ -92,18 +92,14 @@ def parse_word(text, gens):
     for tok in text.split():
         m = _LETTER.match(tok)
         if not m:
-            raise InputError(f"bad word token {tok!r}")
-        name, power = m.group(1), m.group(2) or "1"
+            raise InputError(f"bad word token {shown(tok)}")
+        name, power = m.groups()
         if name not in gens:
-            raise InputError(f"unknown generator {name!r}")
-        # int() reads the digits past the leading zeros only when they are
-        # no longer than MAX_EXPONENT's: past the interpreter's digit limit
-        # it raises a ValueError of its own
-        digits = power.lstrip("-").lstrip("0") or "0"
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise InputError(f"exponent in {tok!r} outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
+            raise InputError(f"unknown generator {shown(name)}")
+        e = 1 if power is None else read_int(power, f"exponent in {shown(tok)}",
+                                             -MAX_EXPONENT, MAX_EXPONENT)
         k = gens.index(name) + 1
-        letters.extend([-k if power[0] == "-" else k] * int(digits))
+        letters.extend([k if e > 0 else -k] * abs(e))
     return free_reduce(letters)
 
 
@@ -147,23 +143,26 @@ def parse_presentation(text):
     gens = None
     relators = []
     maps = []
-    for lineno, line in content_lines(text):
-        if line.startswith("gens:"):
-            if gens is not None:
-                raise InputError(f"line {lineno}: second gens: line")
-            gens = tuple(line[len("gens:"):].split())
-            if not gens:
-                raise InputError(f"line {lineno}: empty generator list")
-        elif line.startswith("rel:"):
-            if gens is None:
-                raise InputError(f"line {lineno}: rel: before gens:")
-            relators.append(parse_word(line[len("rel:"):], gens))
-        elif line.startswith("map:"):
-            if gens is None:
-                raise InputError(f"line {lineno}: map: before gens:")
-            maps.append(parse_weights(line[len("map:"):], gens))
-        else:
-            raise InputError(f"line {lineno}: unrecognized line {line!r}")
+    try:
+        for lineno, line in content_lines(text):
+            if line.startswith("gens:"):
+                if gens is not None:
+                    raise InputError("second gens: line")
+                gens = tuple(line[len("gens:"):].split())
+                if not gens:
+                    raise InputError("empty generator list")
+            elif line.startswith("rel:"):
+                if gens is None:
+                    raise InputError("rel: before gens:")
+                relators.append(parse_word(line[len("rel:"):], gens))
+            elif line.startswith("map:"):
+                if gens is None:
+                    raise InputError("map: before gens:")
+                maps.append(parse_weights(line[len("map:"):], gens))
+            else:
+                raise InputError(f"unrecognized line {shown(line)}")
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from None
     if gens is None:
         raise InputError("missing gens: line")
     return PresentationFile(Presentation(gens, tuple(relators)), tuple(maps))
@@ -177,20 +176,14 @@ def parse_weights(text, gens):
     weights = {}
     for tok in text.replace(",", " ").split():
         if "=" not in tok:
-            raise InputError(f"bad map entry {tok!r}")
+            raise InputError(f"bad map entry {shown(tok)}")
         name, value = tok.split("=", 1)
         if name not in gens:
-            raise InputError(f"unknown generator {name!r} in map")
+            raise InputError(f"unknown generator {shown(name)} in map")
         if name in weights:
-            raise InputError(f"generator {name!r} mapped twice")
-        try:
-            weights[name] = int(value)
-        except ValueError:
-            raise InputError(f"bad weight {value!r} for {name!r}") from None
-        if abs(weights[name]) > MAX_EXPONENT:
-            raise InputError(
-                f"weight {value!r} for {name!r} outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
-            )
+            raise InputError(f"generator {shown(name)} mapped twice")
+        weights[name] = read_int(value, f"weight {shown(value)} for {shown(name)}",
+                                 -MAX_EXPONENT, MAX_EXPONENT)
     missing = [g for g in gens if g not in weights]
     if missing:
         raise InputError(f"map missing generators: {' '.join(missing)}")
@@ -359,18 +352,14 @@ def perm_from_cycles(text, n):
     The cycles must be disjoint, so the result is a permutation.
     """
     if not re.fullmatch(r"(\s*\([^()]*\))*\s*", text):
-        raise InputError(f"expected cycles like (1 2 3)(4 5), got {text!r}")
+        raise InputError(f"expected cycles like (1 2 3)(4 5), got {shown(text)}")
     perm = list(range(n))
     used = set()
+    what = f"cycle symbol in {shown(text)}"
     for cycle in re.findall(r"\(([^()]*)\)", text):
-        try:
-            symbols = [int(s) for s in cycle.replace(",", " ").split()]
-        except ValueError:
-            raise InputError(f"bad cycle symbol in {text!r}") from None
-        if any(not 1 <= s <= n for s in symbols):
-            raise InputError(f"cycle symbol outside 1..{n} in {text!r}")
+        symbols = [read_int(s, what, 1, n) for s in cycle.replace(",", " ").split()]
         if len(set(symbols)) != len(symbols) or not used.isdisjoint(symbols):
-            raise InputError(f"repeated symbol in cycles {text!r}")
+            raise InputError(f"repeated symbol in cycles {shown(text)}")
         used.update(symbols)
         for i, s in enumerate(symbols):
             perm[s - 1] = symbols[(i + 1) % len(symbols)] - 1
@@ -398,13 +387,16 @@ def parse_witness(text, gens, n):
     """Parse a witness file: one ``gen (cycles)`` line per generator, in
     any order, into a tuple of permutations of n symbols in ``gens`` order."""
     images = {}
-    for lineno, line in content_lines(text):
-        name, *cycles = line.split(None, 1)
-        if name not in gens:
-            raise InputError(f"witness line {lineno}: unknown generator {name!r}")
-        if name in images:
-            raise InputError(f"witness line {lineno}: generator {name!r} listed twice")
-        images[name] = perm_from_cycles("".join(cycles), n)
+    try:
+        for lineno, line in content_lines(text):
+            name, *cycles = line.split(None, 1)
+            if name not in gens:
+                raise InputError(f"unknown generator {shown(name)}")
+            if name in images:
+                raise InputError(f"generator {shown(name)} listed twice")
+            images[name] = perm_from_cycles("".join(cycles), n)
+    except InputError as exc:
+        raise InputError(f"witness line {lineno}: {exc}") from None
     missing = [g for g in gens if g not in images]
     if missing:
         raise InputError(f"witness missing generators: {' '.join(missing)}")

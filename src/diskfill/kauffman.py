@@ -64,7 +64,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from . import Frozen, comment_header, content_lines
+from . import Frozen, comment_header, content_lines, read_int, shown
 from .errors import BudgetError, InputError
 from .laurent import BiLaurent, min_deg_a
 
@@ -151,11 +151,11 @@ def parse_pd(text):
     for lineno, line in content_lines(text):
         m = _PD_LINE.match(line)
         if not m:
-            raise InputError(f"line {lineno}: expected X(a,b,c,d) or O(e), got {line!r}")
+            raise InputError(f"line {lineno}: expected X(a,b,c,d) or O(e), got {shown(line)}")
         try:
-            labels = [int(s) for s in m.group(2).replace(",", " ").split()]
-        except ValueError:
-            raise InputError(f"line {lineno}: bad edge label in {line!r}") from None
+            labels = [read_int(s, "edge label") for s in m.group(2).replace(",", " ").split()]
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc} in {shown(line)}") from None
         if m.group(1) == "X":
             if len(labels) != 4:
                 raise InputError(f"line {lineno}: crossing needs 4 edges, got {len(labels)}")

@@ -27,6 +27,7 @@ import operator
 import re
 from math import gcd as _int_gcd
 
+from . import read_int, shown
 from .errors import BudgetError, InputError
 
 __all__ = [
@@ -253,6 +254,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<var>[A-Za-z])(?:\^(?
 def _parse_terms(text, variables):
     """Parse a polynomial string into (key, coefficient) items."""
     text = text.strip()
+    quoted = shown(text)
     pos, n = 0, len(text)
     items = []
     sign, coeff, exps, in_term = 1, None, None, False
@@ -268,40 +270,40 @@ def _parse_terms(text, variables):
     while pos < n:
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            raise InputError(f"cannot parse polynomial near {text[pos:pos + 12]!r}")
+            raise InputError(f"cannot parse polynomial near {shown(text[pos:pos + 12])}")
         pos = m.end()
         operator = m.group("sign") or m.group("mul")
         if operator and dangling:
-            raise InputError(f"a sign or '*' with no factor after it in {text!r}")
+            raise InputError(f"a sign or '*' with no factor after it in {quoted}")
         dangling = bool(operator)
         if operator == "*" and not in_term:
-            raise InputError(f"a '*' with no factor before it in {text!r}")
+            raise InputError(f"a '*' with no factor before it in {quoted}")
         if m.group("sign"):
             if in_term:
                 flush()
             sign = -sign if m.group("sign") == "-" else sign
         elif m.group("int"):
             if in_term and coeff is not None:
-                raise InputError(f"two bare integers in one term of {text!r}")
+                raise InputError(f"two bare integers in one term of {quoted}")
             if exps is None:
                 exps = [0] * len(variables)
-            coeff = int(m.group("int"))
+            coeff = read_int(m.group("int"), f"coefficient in {quoted}")
             in_term = True
         elif m.group("var"):
             var = m.group("var")
             if var not in variables:
-                raise InputError(f"unknown variable {var!r} in {text!r}")
+                raise InputError(f"unknown variable {shown(var)} in {quoted}")
             if exps is None:
                 exps = [0] * len(variables)
-            exp = int(m.group("exp")) if m.group("exp") is not None else 1
+            exp = read_int(m.group("exp") or "1", f"exponent in {quoted}")
             exps[variables.index(var)] += exp
             in_term = True
         # '*' tokens just separate factors
     if dangling:
-        raise InputError(f"a sign or '*' with no factor after it in {text!r}")
+        raise InputError(f"a sign or '*' with no factor after it in {quoted}")
     flush()
     if not items and text.strip() not in ("", "0"):
-        raise InputError(f"cannot parse polynomial {text!r}")
+        raise InputError(f"cannot parse polynomial {quoted}")
     return items
 
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import diskfill
-from diskfill import content_lines
+from diskfill import content_lines, read_int, shown
 from diskfill.errors import InputError
 from diskfill.front import (
     MOVE_KINDS,
@@ -1012,24 +1012,26 @@ def traced_pinch(front, index, k):
 
 def line_loop_front(text):
     """``front.parse_front`` as it was before it read rendered fronts in
-    bulk: one ``content_lines`` entry per event."""
+    bulk, with its integers since read by ``read_int``: one
+    ``content_lines`` entry per event."""
     events = []
     for lineno, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2 or parts[0] not in ("L", "R", "X"):
-            raise InputError(f"line {lineno}: expected 'L k', 'R k' or 'X k', got {line!r}")
+            raise InputError(f"line {lineno}: expected 'L k', 'R k' or 'X k', got {shown(line)}")
         try:
-            k = int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: bad position {parts[1]!r}") from None
+            k = read_int(parts[1], f"position {shown(parts[1])}")
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
         events.append((parts[0], k))
     return FrontWord(tuple(events))
 
 
 def line_loop_certificate(text):
     """``front.parse_certificate`` as it was before its one pass over
-    ``splitlines``, with the two later changes: a second EXPECT line and a
-    slide with a fourth token are refused."""
+    ``splitlines``, with the three later changes: a second EXPECT line and
+    a slide with a fourth token are refused, and an integer ``int`` refuses
+    is named as ``read_int`` names it."""
     steps = []
     declared = expect_line = None
     for lineno, line in content_lines(text):
@@ -1046,16 +1048,23 @@ def line_loop_certificate(text):
                 steps.append(Move("slide", int(parts[2]), 0))
             elif parts[0] == "MOVE" and len(parts) == 4 and parts[1] != "slide":
                 if parts[1] not in MOVE_KINDS:
-                    raise InputError(f"line {lineno}: unknown move kind {parts[1]!r}")
+                    raise InputError(f"line {lineno}: unknown move kind {shown(parts[1])}")
                 steps.append(Move(parts[1], int(parts[2]), int(parts[3])))
             elif parts[0] == "PINCH" and len(parts) == 3:
                 steps.append(Pinch(int(parts[1]), int(parts[2])))
             elif parts[0] == "DEATH" and len(parts) == 2:
                 steps.append(Death(int(parts[1])))
             else:
-                raise InputError(f"line {lineno}: unrecognized step {line!r}")
+                raise InputError(f"line {lineno}: unrecognized step {shown(line)}")
         except ValueError:
-            raise InputError(f"line {lineno}: bad integer in {line!r}") from None
+            # the first token int() refuses as read_int does, or else a
+            # bad integer
+            for token in parts[2:] if parts[0] == "MOVE" else parts[1:]:
+                try:
+                    read_int(token, f"integer in {shown(line)}")
+                except InputError as exc:
+                    raise InputError(f"line {lineno}: {exc}") from None
+            raise InputError(f"line {lineno}: bad integer in {shown(line)}") from None
     return FillingCertificate(tuple(steps), declared)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from diskfill import data_path
 from diskfill.cli import main
-from diskfill.errors import InputError
 from diskfill.front import (
     check_certificate,
     classical_invariants,
@@ -22,7 +21,6 @@ from diskfill.front import (
     orient,
     parse_certificate,
     parse_front,
-    validate,
 )
 from diskfill.fox import fox_row
 from diskfill.groups import (

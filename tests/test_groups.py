@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -33,7 +32,6 @@ from helpers import (
     brute_homs,
     conjugate_relator,
     invert_relator,
-    permute_relators,
     random_word,
     stabilize,
     walk_power,
@@ -89,9 +87,12 @@ class TestWords:
         assert parse_word("x2^-1000", gens) == (-2,) * 1000
         with pytest.raises(InputError, match=r"exponent in 'x1\^1001' outside -1000..1000"):
             parse_word("x1^1001", gens)
-        # 5,000 digits are past the interpreter's limit on what int() reads
-        with pytest.raises(InputError, match=r"exponent in 'x1\^1{5000}' outside -1000..1000"):
+        # 5,000 digits are past the interpreter's limit on what int() reads;
+        # the message quotes the token's first 60 characters of repr
+        with pytest.raises(InputError) as caught:
             parse_word("x1^" + "1" * 5000, gens)
+        assert str(caught.value) == (
+            "exponent in 'x1^" + "1" * 56 + "... (5003 characters) outside -1000..1000")
         assert parse_word("x1^-" + "0" * 5000 + "2", gens) == (-1, -1)
         with pytest.raises(InputError, match="outside"):
             parse_word("x2 x1^-1000000", gens)
@@ -116,6 +117,20 @@ class TestPresentations:
         with pytest.raises(InputError, match="outside -1000..1000"):
             parse_weights("x=-1001 y=0", ("x", "y"))
         assert parse_weights("x=-1000 y=1000", ("x", "y")) == (-1000, 1000)
+
+    @pytest.mark.parametrize("line, message", [
+        ("rel: x!", "bad word token 'x!'"),
+        ("rel: x y", "unknown generator 'y'"),
+        ("rel: x^1001", "exponent in 'x^1001' outside -1000..1000"),
+        ("map: x=1.5", "bad weight '1.5' for 'x'"),
+        ("map: x=1 x=2", "generator 'x' mapped twice"),
+        ("nap: x=1", "unrecognized line 'nap: x=1'"),
+    ])
+    def test_an_error_in_a_line_names_the_line(self, line, message):
+        # including those raised by parse_word and parse_weights
+        with pytest.raises(InputError) as caught:
+            parse_presentation(f"# a comment\ngens: x\n\n{line}\n")
+        assert str(caught.value) == f"line 4: {message}"
 
     def test_exponent_matrix(self):
         assert exponent_matrix(w22().presentation) == [[1, 1, 0], [0, 1, 1]]
@@ -371,6 +386,20 @@ class TestFiniteQuotients:
                                                      perm_from_cycles("(2 3)", 3))
         with pytest.raises(InputError, match="witness missing generators: y"):
             parse_witness("x ()\n", ("x", "y"), 3)
+
+    @pytest.mark.parametrize("line, message", [
+        ("y (a b)", "bad cycle symbol in '(a b)'"),
+        ("y (1 4)", "cycle symbol in '(1 4)' outside 1..3"),
+        ("y (1 2)(2 3)", "repeated symbol in cycles '(1 2)(2 3)'"),
+        ("y 1 2", "expected cycles like (1 2 3)(4 5), got '1 2'"),
+        ("x (1 2)", "generator 'x' listed twice"),
+        ("z ()", "unknown generator 'z'"),
+    ])
+    def test_an_error_in_a_witness_line_names_the_line(self, line, message):
+        # including those raised by perm_from_cycles
+        with pytest.raises(InputError) as caught:
+            parse_witness(f"x (1 2 3)\n# a comment\n{line}\n", ("x", "y"), 3)
+        assert str(caught.value) == f"witness line 3: {message}"
 
     def test_counts(self):
         x_squared = Presentation(("x",), ((1, 1),))

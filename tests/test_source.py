@@ -8,6 +8,7 @@ from pathlib import Path
 import diskfill
 
 SOURCES = sorted(Path(diskfill.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -192,9 +193,10 @@ def unused_imports(source):
 
 
 def test_every_import_is_used():
-    # no linter runs on the package, so a leftover import shows here
-    found = [(path.name, name) for path in SOURCES for name in unused_imports(path.read_text())]
-    assert not found, found
+    # no linter runs on the package or its tests, so a leftover import shows here
+    found = [(path.name, name) for path in SOURCES + TESTS
+             for name in unused_imports(path.read_text())]
+    assert TESTS and not found, found
 
 
 def test_unused_import_detection():
@@ -204,6 +206,101 @@ def test_unused_import_detection():
         '__all__ = ["w"]\nprint(a.b.c, y)\n'
     )
     assert unused_imports(source) == ["os", "Fraction", "z"]
+
+
+def _in_functions(source):
+    """The lines of ``source``, and (name of the innermost enclosing
+    function or None, node) for every node of it."""
+    lines = source.splitlines()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            yield function, child
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if is_function else function)
+
+    return lines, visit(ast.parse(source), None)
+
+
+def int_uses(source):
+    """(function, source line) for each read of the name ``int`` in
+    ``source``: a call, or ``int`` passed as a value."""
+    lines, nodes = _in_functions(source)
+    return [(function, lines[node.lineno - 1].strip()) for function, node in nodes
+            if isinstance(node, ast.Name) and node.id == "int"]
+
+
+# Every read of ``int`` in the package.  Integers in input text go through
+# read_int, which holds the rule for them; besides it, only the two bulk
+# accept paths for rendered files read them with ``int`` (a rendered
+# front's positions, checked to be at most 640 digits by its pattern, and
+# the certificate accept loop, whose refusals read_int names).  The rest
+# take numbers that are already numbers, test a type, or read command-line
+# arguments.
+INT_USES = [
+    ("__init__.py", "read_int", "value = int(token)"),
+    ("cli.py", "_build_parser", 'p.add_argument("--budget-crossings", type=int, metavar="N")'),
+    ("cli.py", "_build_parser", 'p.add_argument("--budget-crossings", type=int, metavar="N")'),
+    ("cli.py", "_build_parser", 'p.add_argument("symbols", type=int)'),
+    ("cli.py", "cmd_snf", "digits = int((top.bit_length() - 1) * math.log10(2)) + 1"
+                          "  # the count, or one short"),
+    ("front.py", "parse_certificate", "append(new(Death, (int(parts[1]),)))"),
+    ("front.py", "parse_certificate", "append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))"),
+    ("front.py", "parse_certificate", "append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))"),
+    ("front.py", "parse_certificate", 'append(new(Move, ("slide", int(parts[2]), 0)))'),
+    ("front.py", "parse_certificate", "append(new(Pinch, (int(parts[1]), int(parts[2]))))"),
+    ("front.py", "parse_certificate", "append(new(Pinch, (int(parts[1]), int(parts[2]))))"),
+    ("front.py", "parse_certificate", "surface = (int(parts[1]), int(parts[2]))"),
+    ("front.py", "parse_certificate", "surface = (int(parts[1]), int(parts[2]))"),
+    ("front.py", "parse_front", "return FrontWord(tuple(zip(tokens[::2], map(int, tokens[1::2]))))"),
+    ("groups.py", "smith_normal_form", "d = [list(map(int, row)) for row in matrix]"),
+    ("laurent.py", "_coerce", "if isinstance(other, int):"),
+]
+
+
+def test_input_integers_are_read_by_read_int():
+    found = [(path.name, *use) for path in SOURCES for use in int_uses(path.read_text())]
+    assert sorted(found) == sorted(INT_USES)
+
+
+def test_int_use_detection():
+    source = ("x = int('3')\ndef f(t):\n    return map(int, t)\n"
+              "class C:\n    def g(self, int=int): pass\n    y = str(1)\n")
+    assert int_uses(source) == [(None, "x = int('3')"), ("f", "return map(int, t)"),
+                                ("g", "def g(self, int=int): pass")]
+
+
+def repr_quotes(source):
+    """(function, source line) for each ``!r`` in the message of an
+    ``InputError(...)`` call in ``source``."""
+    lines, nodes = _in_functions(source)
+    return [(function, lines[node.lineno - 1].strip()) for function, node in nodes
+            if isinstance(node, ast.Call) and _called_name(node.func) == "InputError"
+            for arg in node.args for value in ast.walk(arg)
+            if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")]
+
+
+# An error quotes input text through ``shown``, which cuts it short; these
+# ``!r`` quotes show values a caller of the API built, not text read from
+# a file.
+REPR_QUOTES = [
+    ("front.py", "_misplaced", 'return InputError(f"event {i}: unknown kind {kind!r}")'),
+    ("front.py", "apply_move", 'raise InputError(f"unknown move kind {kind!r}")'),
+    ("front.py", "check_certificate", 'raise InputError(f"unknown step type {step!r}")'),
+    ("kauffman.py", "__init__",
+     'raise InputError(f"edge labels must occur exactly twice, {e!r} occurs more often")'),
+]
+
+
+def test_input_is_quoted_by_shown():
+    found = [(path.name, *quote) for path in SOURCES for quote in repr_quotes(path.read_text())]
+    assert sorted(found) == sorted(REPR_QUOTES)
+
+
+def test_repr_quote_detection():
+    source = ('def f(t):\n    raise InputError(f"bad {t!r} in {shown(t)}")\n'
+              'x = ValueError(f"{t!r}")\ny = InputError("plain")\n')
+    assert repr_quotes(source) == [("f", 'raise InputError(f"bad {t!r} in {shown(t)}")')]
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():

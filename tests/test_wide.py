@@ -19,7 +19,8 @@ have both signs, searched in S6 and S10000, a 27-crossing pretzel, a
 4-braid closure whose skein recursion keys thousands of diagrams, a
 connected sum of 200 fronts, and a front of 100,000 events, both as
 ``render_front`` writes it and with a comment on every line and CRLF
-line ends.
+line ends.  Last, one token of 5,000 characters in each input format,
+and one of 700 digits in three, must be refused in one short line.
 """
 
 import pytest
@@ -57,8 +58,61 @@ SIXTHS = "x^1000 y^-1000 z^1000 x^-1000 y^1000 z^-1000"
 LETTERS_30000 = ("letters30000.pres", lambda: (
     f"gens: x y z\nrel: {' '.join([SIXTHS] * 5)}\nrel: x y x^-1 z^-1\nrel: y x y^-1 z^-1\n"))
 
+# one token of 5,000 characters in each input format: every refusal names
+# the line it is on, names a number as outside its range or longer than
+# 640 digits, and quotes 60 characters of the token's repr
+ONES = "1" * 5000
+SEVENS = "7" * 700
+
+
+def cut(text):
+    return f"{repr(text)[:60]}... ({len(text)} characters)"
+
+
+TWO_GENS = relator("xy.pres", "x y", "x y x^-1 y^-1")
+LABEL_PD = f"X({ONES},1,1,2)\nX(2,3,3,4)"
+LONG_TOKENS = {
+    "alexander_map_line_weight": (
+        "alexander", [("map.pres", lambda: f"gens: x\nmap: x={ONES}\n")], [],
+        f"line 2: weight {cut(ONES)} for 'x' outside -1000..1000"),
+    "alexander_option_map_weight": (
+        "alexander", [TWO_GENS], ["--map", f"x={ONES} y=1"],
+        f"weight {cut(ONES)} for 'x' outside -1000..1000"),
+    "alexander_exponent": (
+        "alexander", [relator("exp.pres", "x", f"x^{ONES}")], [],
+        f"line 2: exponent in {cut('x^' + ONES)} outside -1000..1000"),
+    "alexander_word_token_of_letters": (
+        "alexander", [relator("word.pres", "x", "y" * 5000)], [],
+        f"line 2: unknown generator {cut('y' * 5000)}"),
+    "homs_witness_cycle_symbol": (
+        "homs", [TWO_GENS, "--witness", ("long.wit", lambda: f"x (1 {ONES})\ny ()\n")], ["3"],
+        f"witness line 1: cycle symbol in {cut(f'(1 {ONES})')} outside 1..3"),
+    "kauffman_pd_edge_label": (
+        "kauffman", [("label.pd", lambda: LABEL_PD + "\n")], [],
+        f"line 1: edge label has more than 640 digits in {cut(LABEL_PD.splitlines()[0])}"),
+    "tb_front_position": (
+        "tb", [("long.front", lambda: f"L 1\nX {ONES}\nR 1\n")], [],
+        f"line 2: position {cut(ONES)} has more than 640 digits"),
+    "check_filling_certificate_integer": (
+        "check-filling", ["9_46.front", ("long.cert", lambda: f"DEATH 1\nPINCH 1 {ONES}\n")], [],
+        f"line 2: integer in {cut(f'PINCH 1 {ONES}')} has more than 640 digits"),
+}
+# 700 digits, run under the default digit limit and under the least one
+# an interpreter may set: the limit decides nothing
+DIGITS_700 = {
+    "kauffman_pd_edge_labels": (
+        "kauffman", [("labels700.pd", lambda: f"X({SEVENS},{SEVENS},2,2)\n")], [],
+        f"line 1: edge label has more than 640 digits in {cut(f'X({SEVENS},{SEVENS},2,2)')}"),
+    "alexander_map_weight": (
+        "alexander", [TWO_GENS], ["--map", f"x={SEVENS} y=1"],
+        f"weight {cut(SEVENS)} for 'x' outside -1000..1000"),
+    "tb_front_position": (
+        "tb", [("pos700.front", lambda: f"L 1\nX {SEVENS}\nR 1\n")], [],
+        f"line 2: position {cut(SEVENS)} has more than 640 digits"),
+}
+
 # (command, inputs, extra arguments, environment, exit code, stream, fragment[, timeout]);
-# an input is a file name passed as written, or a (name, text) file written first
+# an input is a file name or option passed as written, or a (name, text) file written first
 CASES = {
     # u of the Smith normal form gets an entry of 4,510 digits
     "snf_k48": ("snf", [wide(48, 48)], [], {}, 3, "stderr",
@@ -125,6 +179,13 @@ CASES = {
     # files, where ../cli.py would be the package's own source
     "tb_path_with_a_directory": ("tb", ["../cli.py"], [], {}, 2, "stderr",
                                  "no such file: ../cli.py"),
+    **{f"{name}_of_5000_characters": (command, inputs, extra, {}, 2, "stderr",
+                                      f"\ninput error: {message}\n")
+       for name, (command, inputs, extra, message) in LONG_TOKENS.items()},
+    **{f"{name}_of_700_digits{suffix}": (command, inputs, extra, env, 2, "stderr",
+                                         f"\ninput error: {message}\n")
+       for name, (command, inputs, extra, message) in DIGITS_700.items()
+       for suffix, env in [("", {}), ("_digit_limit_640", {"PYTHONINTMAXSTRDIGITS": "640"})]},
 }
 
 PREFIX = {2: "input error: ", 3: "budget exceeded: "}
@@ -143,7 +204,9 @@ def run_case(tmp_path, case):
     assert result.returncode == code, result.stderr[-2000:]
     assert fragment in "\n" + getattr(result, stream)
     if code:
+        # a refusal is one line, whose quotes of input are cut short
         assert not result.stdout and result.stderr.startswith(PREFIX[code])
+        assert result.stderr.count("\n") == 1 and len(result.stderr) <= 201, result.stderr
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if CASES[c][4] == 3])
