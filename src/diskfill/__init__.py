@@ -10,8 +10,8 @@ diagram together with the Thurston-Bennequin upper bound it implies.
 ``cli`` wires everything to the command line; bundled data files live in
 ``diskfill/data``.  Every input file format shares one comment rule:
 ``#`` starts a comment, and a line blank without it is skipped.  They
-share one integer rule too, ``read_int``, and an error quotes input
-through ``shown``.
+share one integer rule too, ``read_int``, which also reads the integers
+of the command line, and an error quotes input through ``shown``.
 
 Every value is immutable: records that only hold fields are named
 tuples, and the few that check their input or cache derived data
@@ -84,24 +84,24 @@ _LEADING_ZEROS = re.compile(r"^(?:0_?)+(?=\d)")  # as int() reads them: 0_0_7 is
 
 def read_int(token, what, lo=None, hi=None):
     """``int(token)``, in ``lo..hi`` when bounds are given, or an InputError:
-    ``bad {what}``, ``{what} outside lo..hi``, or ``{what} has more than 640
-    digits`` past its sign and leading zeros (outside lo..hi when bounded).
-    A longer token loses those zeros first, so that the interpreter's own
-    digit limit never decides."""
+    ``bad {what}``, ``{what} outside lo..hi`` (``below lo`` if no hi), or
+    ``{what} has more than 640 digits`` past its sign and leading zeros
+    (outside lo..hi when bounded).  A longer token loses those zeros first,
+    so that the interpreter's own digit limit never decides."""
     if len(token) > MAX_DIGITS:
         body = token.strip()
         sign = body[:1] if body[:1] in ("+", "-") else ""
         digits = _LEADING_ZEROS.sub("", body[len(sign):])
         if len(digits) - digits.count("_") > MAX_DIGITS and digits.replace("_", "").isdecimal():
-            raise InputError(f"{what} outside {lo}..{hi}" if lo is not None
+            raise InputError(f"{what} outside {lo}..{hi}" if hi is not None
                              else f"{what} has more than {MAX_DIGITS} digits")
         token = sign + digits
     try:
         value = int(token)
     except ValueError:
         raise InputError(f"bad {what}") from None
-    if lo is not None and not lo <= value <= hi:
-        raise InputError(f"{what} outside {lo}..{hi}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise InputError(f"{what} outside {lo}..{hi}" if hi is not None else f"{what} below {lo}")
     return value
 
 

@@ -3,8 +3,9 @@
 One command per invocation; exit codes are 0 (success), 1 (usage),
 2 (input validation), 3 (budget exceeded), 4 (certificate or
 verification failure).  ``--machine`` switches every command to stable
-line-oriented ``key: value`` output whose polynomial values round-trip
-through the parsers in this package.
+line-oriented ``key: value`` output; perfbench and the tests read its
+polynomial values back with readers of their own.  Integers on the
+command line are read by ``read_int``, as in the input files.
 
 Input paths are used as given when the file exists; otherwise a bare
 file name is looked up among the bundled data files, so ``diskfill
@@ -16,10 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from pathlib import Path
 
-from . import data_path
+from . import data_path, read_int, shown
 from .errors import BudgetError, CertificateError, DiskfillError, InputError
 from .front import (
     check_certificate,
@@ -189,8 +191,6 @@ def cmd_connect(args):
 def _bounded_pd(args):
     """The PD file's diagram, refused above the optional ``--budget-crossings``."""
     bound = args.budget_crossings
-    if bound is not None and bound < 0:
-        raise InputError(f"--budget-crossings must be at least 0, got {bound}")
     diagram = parse_pd(_read(args.pd))
     if bound is not None and diagram.n > bound:
         raise BudgetError(
@@ -215,8 +215,6 @@ def cmd_tb_bound(args):
 
 def cmd_homs(args):
     pres = parse_presentation(_read(args.presentation)).presentation
-    if not 1 <= args.symbols <= MAX_SYMBOLS:
-        raise InputError(f"symbol count {args.symbols} outside 1..{MAX_SYMBOLS}")
     if args.witness:
         images = parse_witness(_read(args.witness), pres.gens, args.symbols)
         ok = check_finite_hom(pres, images)
@@ -243,30 +241,29 @@ def cmd_snf(args):
         return 0
     d, u, v = smith_normal_form(matrix)
     # every row is rendered before any is printed, so a refusal leaves stdout
-    # empty; sizes come from bit lengths and str() runs with the interpreter's
-    # digit limit lifted, so that limit decides neither the refusal nor a row
+    # empty; sizes come from bit lengths, and main lifts the digit limit on
+    # str(), so that limit decides neither the refusal nor a row
     lines = []
-    if limit := getattr(sys, "get_int_max_str_digits", lambda: 0)():  # 0: none to lift
-        sys.set_int_max_str_digits(0)
-    try:
-        for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
-            top = max(abs(x) for row in rows for x in row)
-            digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
-            digits += top >= 10**digits
-            if digits > MAX_PRINTED_DIGITS:
-                raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
-                                  f"{MAX_PRINTED_DIGITS} that snf prints")
-            lines += [(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
-                      for i, row in enumerate(rows, start=1)]
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
+        top = max(abs(x) for row in rows for x in row)
+        digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
+        digits += top >= 10**digits
+        if digits > MAX_PRINTED_DIGITS:
+            raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
+                              f"{MAX_PRINTED_DIGITS} that snf prints")
+        lines += [(f"{name}_row_{i}", "[" + ", ".join(str(x) for x in row) + "]")
+                  for i, row in enumerate(rows, start=1)]
     for key, value in lines:
         _field(args, key, value)
     return 0
 
 
 # -- wiring ---------------------------------------------------------------------
+
+def _integer(what, lo, hi=None):
+    """An argparse ``type`` whose InputError reaches ``main`` as a file's does."""
+    return lambda token: read_int(token, f"{what} {shown(token)}", lo, hi)
+
 
 @functools.cache  # argparse parsers keep no state between parse_args calls
 def _build_parser():
@@ -306,15 +303,15 @@ def _build_parser():
 
     p = add("kauffman", cmd_kauffman, help="Kauffman polynomial of a PD diagram")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, metavar="N")
+    p.add_argument("--budget-crossings", type=_integer("--budget-crossings", 0), metavar="N")
 
     p = add("tb-bound", cmd_tb_bound, help="Kauffman upper bound for tb")
     p.add_argument("pd")
-    p.add_argument("--budget-crossings", type=int, metavar="N")
+    p.add_argument("--budget-crossings", type=_integer("--budget-crossings", 0), metavar="N")
 
     p = add("homs", cmd_homs, help="count homomorphisms into a symmetric group")
     p.add_argument("presentation")
-    p.add_argument("symbols", type=int)
+    p.add_argument("symbols", type=_integer("symbol count", 1, MAX_SYMBOLS))
     p.add_argument("--witness", help="file with one 'gen (cycles)' line per generator")
 
     p = add("snf", cmd_snf, help="Smith normal form of the exponent matrix")
@@ -323,26 +320,35 @@ def _build_parser():
     return parser
 
 
+# how main reports a failure: (exception types, stderr label, exit code)
+_FAILURES = [
+    (UsageError, "usage error", EXIT_USAGE),
+    (CertificateError, "verification failure", EXIT_VERIFY),
+    (BudgetError, "budget exceeded", EXIT_BUDGET),
+    ((InputError, OSError), "input error", EXIT_INPUT),
+    (DiskfillError, "error", EXIT_INPUT),
+]
+_LONG_NUMBER = re.compile(r"[0-9]{61,}")  # an error prints it as its digit count
+
+
 def main(argv=None):
+    # read_int bounds every input integer, and snf the entries it prints, so
+    # str() runs without the interpreter's digit limit, which then decides
+    # nothing: an error may name one more than a 640-digit input
     parser = _build_parser()
+    if limit := getattr(sys, "get_int_max_str_digits", lambda: 0)():  # 0: none to lift
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CertificateError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InputError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DiskfillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (UsageError, DiskfillError, OSError) as exc:
+        label, code = next((label, code) for kinds, label, code in _FAILURES if isinstance(exc, kinds))
+        text = _LONG_NUMBER.sub(lambda m: f"<{len(m[0])} digits>", str(exc))
+        print(f"{label}: {text}", file=sys.stderr)
+        return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -547,19 +547,23 @@ def parse_certificate(text):
             if not parts:
                 continue
             head, n = parts[0], len(parts)
+            # int() reads every token of a line of at most 640 characters
+            # under any digit limit; a longer line's go through read_int
+            number = int if len(raw) <= MAX_DIGITS else functools.partial(
+                read_int, what=f"integer in {shown(_content(raw))}")
             try:
                 if head == "MOVE" and n == 4 and parts[1] != "slide":
                     if parts[1] not in MOVE_KINDS:
                         raise InputError(f"unknown move kind {shown(parts[1])}")
-                    append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))
+                    append(new(Move, (parts[1], number(parts[2]), number(parts[3]))))
                 elif head == "MOVE" and n == 3 and parts[1] == "slide":
-                    append(new(Move, ("slide", int(parts[2]), 0)))
+                    append(new(Move, ("slide", number(parts[2]), 0)))
                 elif head == "PINCH" and n == 3:
-                    append(new(Pinch, (int(parts[1]), int(parts[2]))))
+                    append(new(Pinch, (number(parts[1]), number(parts[2]))))
                 elif head == "DEATH" and n == 2:
-                    append(new(Death, (int(parts[1]),)))
+                    append(new(Death, (number(parts[1]),)))
                 elif head == "EXPECT" and n == 3:
-                    surface = (int(parts[1]), int(parts[2]))
+                    surface = (number(parts[1]), number(parts[2]))
                     if expect_line is not None:
                         raise InputError(f"a second EXPECT line; the first is line {expect_line}")
                     declared, expect_line = surface, lineno

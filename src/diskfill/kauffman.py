@@ -124,12 +124,13 @@ class LinkDiagram(Frozen):
             for slot, e in enumerate(c):
                 other = first.setdefault(e, (ci, slot))
                 if other in far:
-                    raise InputError(f"edge labels must occur exactly twice, {e!r} occurs more often")
+                    raise InputError(f"edge labels must occur exactly twice, {e} occurs more often")
                 if other != (ci, slot):
                     far[ci, slot], far[other] = other, (ci, slot)
         once = [e for e, dart in first.items() if dart not in far]
         if once:
-            raise InputError(f"edge labels must occur exactly twice, {once} occur once")
+            listed = [str(e) for e in once[:3]] + [f"... ({len(once)} labels)"] * (len(once) > 3)
+            raise InputError(f"edge labels must occur exactly twice, [{', '.join(listed)}] occur once")
         if loops < 0:
             raise InputError("negative loop count")
         if not crossings and not loops:
@@ -477,15 +478,13 @@ def canonical_key(diagram):
     return ("tokens", tuple(piece_codes), diagram.loops)
 
 
-def regular_isotopy_polynomial(diagram, _memo=None):
+def regular_isotopy_polynomial(diagram):
     """The regular-isotopy skein polynomial lam (memoized evaluation);
-    ``BudgetError`` once it keys more than ``MAX_KEYS`` diagrams, counting
-    none a shared ``_memo`` already holds.  The recursion nests about once
-    per crossing, so a diagram too deep for the interpreter's recursion
-    limit also raises ``BudgetError``."""
-    memo = {} if _memo is None else _memo
+    ``BudgetError`` once it keys more than ``MAX_KEYS`` diagrams.  The
+    recursion nests about once per crossing, so a diagram too deep for the
+    interpreter's recursion limit also raises ``BudgetError``."""
     try:
-        return _lam(diagram, memo, [])
+        return _lam(diagram, {}, [])
     except RecursionError:
         raise BudgetError(
             f"the skein recursion on {diagram.n} crossings nested deeper than "

@@ -15,20 +15,19 @@ Coefficients are Python ints: arithmetic is exact and arbitrary
 precision, so overflow cannot occur.  Values are immutable and hashable;
 operations return fresh values and are safe to share across threads.
 
-The text format used by the CLI and golden files writes terms in
+``str`` writes the text format of the CLI and golden files: terms in
 descending exponent order with ``^`` for exponents and ``*`` between
-factors, e.g. ``4*t^2 - 4*t + 1`` and ``a + a^-2*z``.  ``parse`` accepts
-the same grammar with arbitrary whitespace and optional ``*``.
+factors, e.g. ``4*t^2 - 4*t + 1`` and ``a + a^-2*z``.  The package reads
+no polynomial text; perfbench and the tests read ``--machine`` output
+with readers of their own.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from math import gcd as _int_gcd
 
-from . import read_int, shown
-from .errors import BudgetError, InputError
+from .errors import BudgetError
 
 __all__ = [
     "IntLaurent",
@@ -164,10 +163,6 @@ class _Laurent:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
-    @classmethod
-    def parse(cls, text):
-        return cls(_parse_terms(text, cls._VARIABLES))
-
 
 class IntLaurent(_Laurent):
     """An integer Laurent polynomial in the variable t, keyed by int exponents."""
@@ -222,7 +217,7 @@ class BiLaurent(_Laurent):
         return min(ez for (_, ez) in self._terms)
 
 
-# -- rendering and parsing ------------------------------------------------
+# -- rendering ------------------------------------------------------------
 #
 # A one-variable key is the bare exponent; a key in several variables is the
 # tuple of their exponents, in the order of ``variables``.
@@ -246,65 +241,6 @@ def _render(items, variables):
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<var>[A-Za-z])(?:\^(?P<exp>-?\d+))?|(?P<mul>\*))")
-
-
-def _parse_terms(text, variables):
-    """Parse a polynomial string into (key, coefficient) items."""
-    text = text.strip()
-    quoted = shown(text)
-    pos, n = 0, len(text)
-    items = []
-    sign, coeff, exps, in_term = 1, None, None, False
-    dangling = False  # a sign or '*' waits for the factor after it
-
-    def flush():
-        nonlocal sign, coeff, exps, in_term
-        if in_term:
-            key = tuple(exps) if len(variables) > 1 else exps[0]
-            items.append((key, sign * (1 if coeff is None else coeff)))
-        sign, coeff, exps, in_term = 1, None, None, False
-
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise InputError(f"cannot parse polynomial near {shown(text[pos:pos + 12])}")
-        pos = m.end()
-        operator = m.group("sign") or m.group("mul")
-        if operator and dangling:
-            raise InputError(f"a sign or '*' with no factor after it in {quoted}")
-        dangling = bool(operator)
-        if operator == "*" and not in_term:
-            raise InputError(f"a '*' with no factor before it in {quoted}")
-        if m.group("sign"):
-            if in_term:
-                flush()
-            sign = -sign if m.group("sign") == "-" else sign
-        elif m.group("int"):
-            if in_term and coeff is not None:
-                raise InputError(f"two bare integers in one term of {quoted}")
-            if exps is None:
-                exps = [0] * len(variables)
-            coeff = read_int(m.group("int"), f"coefficient in {quoted}")
-            in_term = True
-        elif m.group("var"):
-            var = m.group("var")
-            if var not in variables:
-                raise InputError(f"unknown variable {shown(var)} in {quoted}")
-            if exps is None:
-                exps = [0] * len(variables)
-            exp = read_int(m.group("exp") or "1", f"exponent in {quoted}")
-            exps[variables.index(var)] += exp
-            in_term = True
-        # '*' tokens just separate factors
-    if dangling:
-        raise InputError(f"a sign or '*' with no factor after it in {quoted}")
-    flush()
-    if not items and text.strip() not in ("", "0"):
-        raise InputError(f"cannot parse polynomial {quoted}")
-    return items
 
 
 # -- unit normalization and equivalence -----------------------------------

@@ -8,7 +8,8 @@ algebra, Tietze transformations, a plain skein evaluator with no
 simplification that caches only on the exact PD code within one call,
 the group-ring Fox calculus that abelianizes to the rows of an Alexander
 matrix, the gcd of every (n-1)-minor of an Alexander matrix, exact Laurent
-division over Q and evaluation at a rational point, the mirror of a PD
+division over Q and evaluation at a rational point, a reader of the
+polynomials ``str`` prints, the mirror of a PD
 diagram and the a -> a^-1 rule it induces on Kauffman polynomials, the
 parity union-find that once oriented fronts,
 the front steps run on a copy of a word instead of in place,
@@ -27,6 +28,7 @@ the one runner of ``diskfill`` commands in a child process.
 import itertools
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -272,6 +274,35 @@ def evaluate(p, x):
     """An IntLaurent at a nonzero rational point, exactly."""
     x = Fraction(x)
     return sum((c * x ** e for e, c in p.terms.items()), Fraction(0))
+
+
+_FACTOR = re.compile(r"([a-z])(?:\^(-?[0-9]+))?")
+
+
+def read_poly(kind, text):
+    """The IntLaurent or BiLaurent whose ``str`` is ``text``: terms joined
+    by `` + `` and `` - ``, a leading ``-`` on a negative first term, and
+    in a term an optional coefficient, then variables, joined by ``*``,
+    ``^`` before each power other than 1.  Written apart from the package's
+    renderer, so that a round trip through it checks the renderer."""
+    variables = ("t",) if kind is IntLaurent else ("a", "z")
+    words = text.split(" ")
+    if len(words) % 2 == 0 or set(words[1::2]) - {"+", "-"}:
+        raise ValueError(f"not a rendered polynomial: {text!r}")
+    terms = []
+    for i, (op, body) in enumerate(zip(["+", *words[1::2]], words[::2])):
+        coeff = -1 if op == "-" or (i == 0 and body.startswith("-")) else 1
+        factors = body.removeprefix("-" if i == 0 else "").split("*")
+        if re.fullmatch("[0-9]+", factors[0]):
+            coeff *= int(factors.pop(0))
+        exps = dict.fromkeys(variables, 0)
+        for factor in factors:
+            m = _FACTOR.fullmatch(factor)
+            if m is None or m[1] not in exps:
+                raise ValueError(f"bad factor {factor!r} in {text!r}")
+            exps[m[1]] += int(m[2] or 1)
+        terms.append((exps["t"] if kind is IntLaurent else (exps["a"], exps["z"]), coeff))
+    return kind(terms)
 
 
 # -- pretzel and torus diagrams ---------------------------------------------------

@@ -62,6 +62,7 @@ from helpers import (
     random_laurent,
     random_move,
     random_word,
+    read_poly,
     ring_add,
     ring_mul,
     stabilize,
@@ -134,7 +135,7 @@ def test_c3_fox_table():
         (r3, 3, beta, "2 - t"),
     ]
     for word, gen, weights, expected in table:
-        assert fox_row(word, weights)[gen - 1] == IntLaurent.parse(expected)
+        assert fox_row(word, weights)[gen - 1] == read_poly(IntLaurent, expected)
     for word, weights in ((r1, alpha), (r2, alpha), (r1, beta), (r3, beta)):
         total = IntLaurent()
         for entry, w in zip(fox_row(word, weights), weights):
@@ -343,14 +344,10 @@ def test_c9_property_suites():
             word = random_word(rng, p.rank, 3)
             p, w = stabilize(p, word, name="s"), stabilized_weights(p, w, word)
         assert unit_equivalent(alexander_polynomial(alexander_matrix(p, w)), golden)
-    # skein relation at recursion nodes (shared memo keeps this quick)
+    # skein relation at recursion nodes
     z = BiLaurent.z(1)
     base = parse_pd(read("9_46.pd"))
-    memo = {}
-
-    def lam(d):
-        return regular_isotopy_polynomial(d, _memo=memo)
-
+    lam = regular_isotopy_polynomial
     for _ in range(100):
         d = base
         while d.n > 7:

@@ -9,7 +9,7 @@ from diskfill.groups import MAX_SYMBOLS, parse_presentation
 from diskfill.kauffman import parse_pd, render_pd, trace_diagram
 from diskfill.laurent import BiLaurent, IntLaurent
 
-from helpers import a_mirror, braid_pd, brute_homs, pretzel_lambda, pretzel_pd, run_child
+from helpers import a_mirror, braid_pd, brute_homs, pretzel_lambda, pretzel_pd, read_poly, run_child
 
 
 def run(capsys, *argv):
@@ -44,8 +44,8 @@ class TestAlexanderCommands:
         _, out_map, _ = run(capsys, "alexander", "w22.pres", "--map", "x1=1,x2=-1,x3=1", "--machine")
         from diskfill.laurent import unit_equivalent
 
-        a = IntLaurent.parse(machine_dict(out_auto)["polynomial"])
-        b = IntLaurent.parse(machine_dict(out_map)["polynomial"])
+        a = read_poly(IntLaurent, machine_dict(out_auto)["polynomial"])
+        b = read_poly(IntLaurent, machine_dict(out_map)["polynomial"])
         assert unit_equivalent(a, b, allow_inversion=True)
 
     def test_alexander_builds_one_matrix(self, capsys, monkeypatch):
@@ -267,8 +267,8 @@ class TestKauffmanCommands:
     def test_kauffman_mirror_pair(self, capsys):
         _, out_r, _ = run(capsys, "kauffman", "trefoil_rh.pd", "--machine")
         _, out_l, _ = run(capsys, "kauffman", "trefoil_lh.pd", "--machine")
-        fr = BiLaurent.parse(machine_dict(out_r)["polynomial"])
-        fl = BiLaurent.parse(machine_dict(out_l)["polynomial"])
+        fr = read_poly(BiLaurent, machine_dict(out_r)["polynomial"])
+        fl = read_poly(BiLaurent, machine_dict(out_l)["polynomial"])
         assert fr == a_mirror(fl)
 
     def test_budget_exit_code(self, capsys):
@@ -297,7 +297,7 @@ class TestKauffmanCommands:
     def test_negative_budget_rejected(self, capsys, command, budget):
         code, out, err = run(capsys, command, "unknot.pd", "--budget-crossings", budget, "--machine")
         assert code == 2 and not out
-        assert f"--budget-crossings must be at least 0, got {budget}" in err
+        assert f"--budget-crossings {budget!r} below 0" in err
 
     def test_zero_budget_allows_crossingless_diagrams(self, capsys):
         code, out, _ = run(capsys, "tb-bound", "unknot.pd", "--budget-crossings", "0", "--machine")
@@ -323,7 +323,7 @@ class TestKauffmanCommands:
         code, out, _ = run(capsys, "kauffman", str(path), "--machine")
         assert code == 0
         expected = BiLaurent.a(trace_diagram(d).writhe) * pretzel_lambda(twists)
-        assert BiLaurent.parse(machine_dict(out)["polynomial"]) == expected
+        assert read_poly(BiLaurent, machine_dict(out)["polynomial"]) == expected
 
     def test_key_limit_exit_code(self, capsys, tmp_path, monkeypatch):
         # this closed braid of T(4,7) keys 7,665 diagrams; with the limit
@@ -349,6 +349,15 @@ class TestKauffmanCommands:
             code, out, err = run(capsys, command, str(path), "--machine")
             assert code == 2 and not out
             assert message in err
+
+    @pytest.mark.parametrize("label, printed", [("-" + "9" * 60, "-" + "9" * 60),
+                                                ("-" + "9" * 61, "-<61 digits>")])
+    def test_an_error_prints_a_number_past_60_digits_as_its_digit_count(
+            self, capsys, tmp_path, label, printed):
+        path = tmp_path / "loops.pd"
+        path.write_text(f"O({label})\nO({label})\n")
+        code, out, err = run(capsys, "kauffman", str(path))
+        assert (code, out, err) == (2, "", f"input error: line 2: loop label {printed} repeats line 1\n")
 
     def test_usage_exit_code(self, capsys):
         code, _, _ = run(capsys, "definitely-not-a-command")
@@ -427,7 +436,7 @@ class TestHomsCommand:
         for extra in (["--witness", str(witness)], []):
             code, out, err = run(capsys, "homs", "bs12.pres", symbols, *extra)
             assert code == 2
-            assert f"symbol count {symbols} outside 1..{MAX_SYMBOLS}" in err and not out
+            assert f"symbol count {symbols!r} outside 1..{MAX_SYMBOLS}" in err and not out
 
 
 class TestSnfCommand:

@@ -21,6 +21,7 @@ from helpers import (
     pretzel_pd,
     random_laurent,
     random_word,
+    read_poly,
     ring_add,
     ring_mul,
     stabilize,
@@ -31,7 +32,7 @@ from test_groups import BS12, W12_TEXT, W22_TEXT
 
 
 def L(s):
-    return IntLaurent.parse(s)
+    return read_poly(IntLaurent, s)
 
 
 R1 = free_reduce((1, 2, -1, -2, 1, 2))

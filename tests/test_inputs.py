@@ -86,6 +86,14 @@ def test_bounds(value, lo, width):
             read_int(token, "n", lo, hi)
 
 
+def test_lower_bound_only():
+    assert read_int("0", "n", 0) == 0 and read_int("9" * 640, "n", 0) == int("9" * 640)
+    with pytest.raises(InputError, match="^n below 0$"):
+        read_int("-1", "n", 0)
+    with pytest.raises(InputError, match="^n has more than 640 digits$"):
+        read_int("9" * 641, "n", 0)
+
+
 def test_past_640_digits():
     assert MAX_DIGITS == 640
     assert read_int("9" * 640, "n") == int("9" * 640)

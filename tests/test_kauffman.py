@@ -182,15 +182,15 @@ class TestRegularIsotopy:
             regular_isotopy_polynomial(braid_pd(4, [1, 2, 3] * 5))
 
     def test_budget_counts_this_evaluation_only(self, monkeypatch):
-        # a memo shared across calls may hold more entries than MAX_KEYS;
-        # only the diagrams the call itself keys count, up to the limit
+        # a memo may hold more entries than MAX_KEYS; only the diagrams
+        # the evaluation itself keys count, up to the limit
         d = pretzel_pd([4, -3, 4])
         alone = {}
-        lam = regular_isotopy_polynomial(d, _memo=alone)
+        lam = kauffman._lam(d, alone, [])
         shared = {}
-        regular_isotopy_polynomial(pretzel_pd([3, -5, 5]), _memo=shared)
+        kauffman._lam(pretzel_pd([3, -5, 5]), shared, [])
         monkeypatch.setattr(kauffman, "MAX_KEYS", len(alone))
-        assert regular_isotopy_polynomial(d, _memo=shared) == lam
+        assert kauffman._lam(d, shared, []) == lam == regular_isotopy_polynomial(d)
         assert len(shared) > kauffman.MAX_KEYS
         monkeypatch.setattr(kauffman, "MAX_KEYS", len(alone) - 1)
         with pytest.raises(BudgetError, match=f"keyed {len(alone)} diagrams"):
@@ -478,7 +478,7 @@ class TestRecursion:
         d = braid_pd(strands, word)
         for diagram, expected in ((d, keys), (mirror(d), mirror_keys)):
             memo = {}
-            regular_isotopy_polynomial(diagram, memo)
+            kauffman._lam(diagram, memo, [])
             assert len(memo) == expected
 
     def test_one_trace_per_memo_miss(self, monkeypatch):

@@ -53,6 +53,7 @@ from helpers import (  # noqa: E402
     move_outcome,
     parity_orient,
     pretzel_pd,
+    read_poly,
     rewrite_then_validate,
     stepped,
     token_key,
@@ -76,12 +77,12 @@ class TestLaurent:
     @PROPERTY
     @given(int_laurents)
     def test_int_laurent_text_roundtrip(self, p):
-        assert IntLaurent.parse(str(p)) == p
+        assert read_poly(IntLaurent, str(p)) == p
 
     @PROPERTY
     @given(bi_laurents)
     def test_bi_laurent_text_roundtrip(self, f):
-        assert BiLaurent.parse(str(f)) == f
+        assert read_poly(BiLaurent, str(f)) == f
 
     @PROPERTY
     @given(same_type_triples)

@@ -140,9 +140,10 @@ def _bound(node):
 
 
 def unreferenced_exports(sources):
-    """(module, name) for each name in a module's ``__all__`` that no code
-    in ``sources`` (module name -> source text) refers to outside its own
-    definition."""
+    """(module, name) for each name in a module's ``__all__``, and
+    (module, "Class.method") for each public method of a module-level
+    class, that no code in ``sources`` (module name -> source text) refers
+    to outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = [name for tree in trees.values() for name in _names(tree)]
     found = []
@@ -152,13 +153,19 @@ def unreferenced_exports(sources):
             own = _names(definitions[name]).count(name) if name in definitions else 0
             if used.count(name) == own:
                 found.append((module, name))
+        found += [(module, f"{cls.name}.{node.name}")
+                  for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not node.name.startswith("_")
+                  and used.count(node.name) == _names(node).count(node.name)]
     return found
 
 
 # Public names with no caller in the package.  perfbench's tracer wraps
-# connected_sum, and the command-line tests write their PD inputs with
-# render_pd.
+# connected_sum, the command-line tests write their PD inputs with
+# render_pd, and argparse calls _Parser.error.
 ENTRY_POINTS = [
+    ("cli", "_Parser.error"),
     ("front", "connected_sum"),
     ("kauffman", "render_pd"),
 ]
@@ -176,8 +183,13 @@ def test_unreferenced_export_detection():
              "def used(): pass\ndef dead(): pass\nLIMIT = 1\n"
              "def recursive(n): return recursive(n - 1)\n",
         "b": '__all__ = ["Kept"]\nfrom a import used\nclass Kept: pass\nx = used() + LIMIT\n',
+        "c": "class _C:\n    def called(self): return self.called\n    def _private(self): pass\n"
+             "    @classmethod\n    def parse(cls, text): return cls()\n"
+             "    @property\n    def size(self): return 0\n"
+             "y = _C().size\n",
     }
-    assert unreferenced_exports(sources) == [("a", "dead"), ("a", "recursive"), ("b", "Kept")]
+    assert unreferenced_exports(sources) == [("a", "dead"), ("a", "recursive"), ("b", "Kept"),
+                                             ("c", "_C.called"), ("c", "_C.parse")]
 
 
 def unused_imports(source):
@@ -230,28 +242,19 @@ def int_uses(source):
             if isinstance(node, ast.Name) and node.id == "int"]
 
 
-# Every read of ``int`` in the package.  Integers in input text go through
-# read_int, which holds the rule for them; besides it, only the two bulk
-# accept paths for rendered files read them with ``int`` (a rendered
-# front's positions, checked to be at most 640 digits by its pattern, and
-# the certificate accept loop, whose refusals read_int names).  The rest
-# take numbers that are already numbers, test a type, or read command-line
-# arguments.
+# Every read of ``int`` in the package.  Integers in input text and on the
+# command line go through read_int, which holds the rule for them; besides
+# it, only the two bulk accept paths for rendered files read them with
+# ``int`` (a rendered front's positions, checked to be at most 640 digits
+# by its pattern, and the certificate accept loop, on lines of at most 640
+# characters).  The rest take numbers that are already numbers or test a
+# type.
 INT_USES = [
     ("__init__.py", "read_int", "value = int(token)"),
-    ("cli.py", "_build_parser", 'p.add_argument("--budget-crossings", type=int, metavar="N")'),
-    ("cli.py", "_build_parser", 'p.add_argument("--budget-crossings", type=int, metavar="N")'),
-    ("cli.py", "_build_parser", 'p.add_argument("symbols", type=int)'),
     ("cli.py", "cmd_snf", "digits = int((top.bit_length() - 1) * math.log10(2)) + 1"
                           "  # the count, or one short"),
-    ("front.py", "parse_certificate", "append(new(Death, (int(parts[1]),)))"),
-    ("front.py", "parse_certificate", "append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))"),
-    ("front.py", "parse_certificate", "append(new(Move, (parts[1], int(parts[2]), int(parts[3]))))"),
-    ("front.py", "parse_certificate", 'append(new(Move, ("slide", int(parts[2]), 0)))'),
-    ("front.py", "parse_certificate", "append(new(Pinch, (int(parts[1]), int(parts[2]))))"),
-    ("front.py", "parse_certificate", "append(new(Pinch, (int(parts[1]), int(parts[2]))))"),
-    ("front.py", "parse_certificate", "surface = (int(parts[1]), int(parts[2]))"),
-    ("front.py", "parse_certificate", "surface = (int(parts[1]), int(parts[2]))"),
+    ("front.py", "parse_certificate",
+     "number = int if len(raw) <= MAX_DIGITS else functools.partial("),
     ("front.py", "parse_front", "return FrontWord(tuple(zip(tokens[::2], map(int, tokens[1::2]))))"),
     ("groups.py", "smith_normal_form", "d = [list(map(int, row)) for row in matrix]"),
     ("laurent.py", "_coerce", "if isinstance(other, int):"),
@@ -287,8 +290,6 @@ REPR_QUOTES = [
     ("front.py", "_misplaced", 'return InputError(f"event {i}: unknown kind {kind!r}")'),
     ("front.py", "apply_move", 'raise InputError(f"unknown move kind {kind!r}")'),
     ("front.py", "check_certificate", 'raise InputError(f"unknown step type {step!r}")'),
-    ("kauffman.py", "__init__",
-     'raise InputError(f"edge labels must occur exactly twice, {e!r} occurs more often")'),
 ]
 
 

@@ -3,7 +3,7 @@ through ``helpers.run_child``, in a child process that limits its own
 address space to 1 GiB, under a 10 s timeout or the row's tighter one,
 through ``python -m diskfill.cli`` and through the installed ``diskfill``
 script when there is one.  Each row names the exit code it must end in,
-0, 2 or 3, and a fragment of its stdout or stderr; a fragment that
+0, 2, 3 or 4, and a fragment of its stdout or stderr; a fragment that
 starts and ends with a newline is a whole line.  No row may end in a
 traceback, an exhausted address space or the timeout.
 
@@ -20,13 +20,15 @@ have both signs, searched in S6 and S10000, a 27-crossing pretzel, a
 connected sum of 200 fronts, and a front of 100,000 events, both as
 ``render_front`` writes it and with a comment on every line and CRLF
 line ends.  Last, one token of 5,000 characters in each input format,
-and one of 700 digits in three, must be refused in one short line.
+and one of 700 digits in three, must be refused in one short line, and
+so must every input number of 640 digits or more that an error names.
 """
 
 import pytest
 
 from diskfill import data_path
 from diskfill.front import FrontWord, parse_front, render_front
+from diskfill.groups import MAX_SYMBOLS
 from diskfill.kauffman import render_pd
 
 from helpers import braid_pd, pretzel_pd, run_child, wide_presentation
@@ -111,6 +113,48 @@ DIGITS_700 = {
         f"line 2: position {cut(SEVENS)} has more than 640 digits"),
 }
 
+# numbers an error names, refused in one short line in which each of more
+# than 60 digits is its digit count: (command, inputs, extra arguments,
+# exit code, the line, whether the interpreter's digit limit decided the
+# outcome before, so that the row runs under the least limit too)
+NINES = "9" * 640  # one more is 641 digits, past the least limit's str()
+NUMBERS = {
+    "check_filling_death_of_700_digits": (
+        "check-filling", ["9_46.front", ("death.cert", lambda: f"DEATH {'1' * 700}\n")], [], 2,
+        f"input error: line 1: integer in {cut('DEATH ' + '1' * 700)} has more than 640 digits",
+        True),
+    "homs_symbol_count_of_700_digits": (
+        "homs", ["w22.pres", SEVENS], [], 2,
+        f"input error: symbol count {cut(SEVENS)} outside 1..{MAX_SYMBOLS}", True),
+    "tb_front_crossing_at_640_digits": (
+        "tb", [("crossing.front", lambda: f"L 1\nX {NINES}\nR 1\n")], [], 2,
+        "input error: event 1: crossing needs strands <640 digits>,<641 digits> but only 2 exist",
+        True),
+    "check_filling_move_index_of_640_digits": (
+        "check-filling", ["9_46.front", ("move.cert", lambda: f"MOVE r1a+ {NINES} 1\n")], [], 4,
+        "verification failure: step 0 (Move(kind='r1a+', index=<640 digits>, pos=1)): move index "
+        "<640 digits> out of range: expected a 0-event window inside 0..16, found "
+        "<640 digits>..<640 digits>", False),
+    "check_filling_pinch_column_of_640_digits": (
+        "check-filling", ["9_46.front", ("pinch.cert", lambda: f"PINCH {NINES} 1\n")], [], 4,
+        "verification failure: step 0 (Pinch(index=<640 digits>, pos=1)): pinch column "
+        "<640 digits> out of range 0..16", False),
+    "kauffman_pd_label_of_640_digits_three_times": (
+        "kauffman", [("thrice.pd", lambda: f"X({NINES},{NINES},{NINES},1)\n")], [], 2,
+        "input error: edge labels must occur exactly twice, <640 digits> occurs more often", False),
+    "kauffman_pd_loop_label_of_640_digits_twice": (
+        "kauffman", [("loops.pd", lambda: f"O({NINES})\nO({NINES})\n")], [], 2,
+        "input error: line 2: loop label <640 digits> repeats line 1", False),
+    "kauffman_pd_of_2000_crossings_whose_labels_occur_once": (
+        "kauffman", [("once.pd", lambda: "".join(f"X({4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4})\n"
+                                                 for i in range(2000)))], [], 2,
+        "input error: edge labels must occur exactly twice, [1, 2, 3, ... (8000 labels)] occur once",
+        False),
+}
+
+# the default digit limit, and the least one an interpreter may set
+LIMITS = [("", {}), ("_digit_limit_640", {"PYTHONINTMAXSTRDIGITS": "640"})]
+
 # (command, inputs, extra arguments, environment, exit code, stream, fragment[, timeout]);
 # an input is a file name or option passed as written, or a (name, text) file written first
 CASES = {
@@ -185,10 +229,13 @@ CASES = {
     **{f"{name}_of_700_digits{suffix}": (command, inputs, extra, env, 2, "stderr",
                                          f"\ninput error: {message}\n")
        for name, (command, inputs, extra, message) in DIGITS_700.items()
-       for suffix, env in [("", {}), ("_digit_limit_640", {"PYTHONINTMAXSTRDIGITS": "640"})]},
+       for suffix, env in LIMITS},
+    **{f"{name}{suffix}": (command, inputs, extra, env, code, "stderr", f"\n{line}\n")
+       for name, (command, inputs, extra, code, line, both) in NUMBERS.items()
+       for suffix, env in LIMITS[:1 + both]},
 }
 
-PREFIX = {2: "input error: ", 3: "budget exceeded: "}
+PREFIX = {2: "input error: ", 3: "budget exceeded: ", 4: "verification failure: "}
 
 
 def run_case(tmp_path, case):
