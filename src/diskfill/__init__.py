@@ -11,13 +11,15 @@ diagram together with the Thurston-Bennequin upper bound it implies.
 ``diskfill/data``.  Every input file format shares one comment rule:
 ``#`` starts a comment, and a line blank without it is skipped.  They
 share one integer rule too, ``read_int``, which also reads the integers
-of the command line, and an error quotes input through ``shown``.
+of the command line, and an error quotes input through ``shown`` and a
+number that may be long through ``shown_int``.
 
-Every value is immutable: records that only hold fields are named
-tuples, and the few that check their input or cache derived data
-subclass ``Frozen``.
+Every record is a named tuple.  What one derives from its fields (a
+``LinkDiagram``'s dart map, a ``cached_property``) lives in its instance
+dict, outside equality, hash and repr.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -35,36 +37,6 @@ def data_path(name):
     if path.name != name or not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path
-
-
-class Frozen:
-    """An instance compares, hashes and prints by the attributes
-    ``_fields`` names, which its ``__init__`` puts in its ``__dict__``;
-    assigning or deleting any attribute raises AttributeError.  A
-    ``functools.cached_property`` still caches: it writes to ``__dict__``."""
-
-    _fields = ()
-
-    def _key(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({inner})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def content_lines(text):
@@ -109,6 +81,20 @@ def shown(text):
     """How an error quotes input: ``repr``, cut after 60 characters and
     followed by the length of a longer text."""
     return repr(text) if len(text) <= 60 else f"{repr(text)[:60]}... ({len(text)} characters)"
+
+
+def digit_count(n):
+    """The decimal digits of ``abs(n)``, counted without ``str``."""
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
+    return digits + (n >= 10**digits)
+
+
+def shown_int(n):
+    """``str(n)`` up to 60 digits, else ``<N digits>`` as ``cli.main`` prints
+    a longer number, which the interpreter's digit limit cannot refuse."""
+    digits = digit_count(n)
+    return str(n) if digits <= 60 else f"{'-' * (n < 0)}<{digits} digits>"
 
 
 def comment_header(header):

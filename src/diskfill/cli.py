@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from pathlib import Path
 
-from . import data_path, read_int, shown
+from . import data_path, digit_count, read_int, shown
 from .errors import BudgetError, CertificateError, DiskfillError, InputError
 from .front import (
     check_certificate,
@@ -245,9 +244,7 @@ def cmd_snf(args):
     # str(), so that limit decides neither the refusal nor a row
     lines = []
     for name, rows in (("matrix", matrix), ("d", d), ("u", u), ("v", v)):
-        top = max(abs(x) for row in rows for x in row)
-        digits = int((top.bit_length() - 1) * math.log10(2)) + 1  # the count, or one short
-        digits += top >= 10**digits
+        digits = digit_count(max(abs(x) for row in rows for x in row))
         if digits > MAX_PRINTED_DIGITS:
             raise BudgetError(f"an entry of {name} has {digits} decimal digits, past the "
                               f"{MAX_PRINTED_DIGITS} that snf prints")

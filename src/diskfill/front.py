@@ -69,7 +69,7 @@ import re
 import sys
 from collections import namedtuple
 
-from . import MAX_DIGITS, Frozen, comment_header, content_lines, read_int, shown
+from . import MAX_DIGITS, comment_header, content_lines, read_int, shown, shown_int
 from .errors import CertificateError, InputError
 
 __all__ = [
@@ -100,13 +100,8 @@ __all__ = [
 _EVENT_KINDS = ("L", "R", "X")
 
 
-class FrontWord(Frozen):
+class FrontWord(namedtuple("FrontWord", "events")):
     """An immutable event word; ``events`` is a tuple of (kind, position)."""
-
-    _fields = ("events",)
-
-    def __init__(self, events):
-        self.__dict__["events"] = events
 
     @functools.cached_property
     def _profile(self):
@@ -115,14 +110,8 @@ class FrontWord(Frozen):
         first use."""
         counts = _counts(self.events)
         if counts[-1]:
-            raise InputError(f"event {len(self)}: final strand count {counts[-1]}, expected 0")
+            raise InputError(f"event {len(self.events)}: final strand count {counts[-1]}, expected 0")
         return counts
-
-    def __len__(self):
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
 
 # What ``render_front`` writes: its ``#`` header lines, with none of the
@@ -199,11 +188,12 @@ def _counts(events, count=0, first=0):
 def _misplaced(i, kind, p, count):
     """The error for event ``i`` when it does not fit on ``count`` strands."""
     if kind == "L":
-        return InputError(f"event {i}: left cusp at {p} outside 1..{count + 1}")
+        return InputError(f"event {i}: left cusp at {shown_int(p)} outside 1..{count + 1}")
     if kind in ("R", "X"):
         what = "right cusp" if kind == "R" else "crossing"
         why = "positions start at 1" if p < 1 else f"only {count} exist"
-        return InputError(f"event {i}: {what} needs strands {p},{p + 1} but {why}")
+        return InputError(f"event {i}: {what} needs strands "
+                          f"{shown_int(p)},{shown_int(p + 1)} but {why}")
     return InputError(f"event {i}: unknown kind {kind!r}")
 
 
@@ -366,8 +356,8 @@ def _window(events, index, width):
     """The ``width`` events from ``index``; raises unless all of them exist."""
     if not 0 <= index <= len(events) - width:
         raise InputError(
-            f"move index {index} out of range: expected a {width}-event window "
-            f"inside 0..{len(events)}, found {index}..{index + width}"
+            f"move index {shown_int(index)} out of range: expected a {width}-event window "
+            f"inside 0..{len(events)}, found {shown_int(index)}..{shown_int(index + width)}"
         )
     return events[index:index + width]
 
@@ -410,9 +400,8 @@ def apply_move(events, counts, move):
         got = _window(events, index, width)
         expected = [(k, p + off) for k, off in lhs]
         if got != expected:
-            raise InputError(
-                f"pattern mismatch at index {index}: expected {expected}, found {got}"
-            )
+            expected = ", ".join(f"({k!r}, {shown_int(p)})" for k, p in expected)
+            raise InputError(f"pattern mismatch at index {index}: expected [{expected}], found {got}")
         new = [(k, p + off) for k, off in rhs]
     elif kind == "slide":
         width, new = 2, _slide(events, index)
@@ -426,9 +415,8 @@ def apply_move(events, counts, move):
         elif got == rhs:
             width, new = 3, lhs
         else:
-            raise InputError(
-                f"pattern mismatch at index {index}: expected a braid triple at {p}, found {list(got)}"
-            )
+            raise InputError(f"pattern mismatch at index {index}: expected a braid triple "
+                             f"at {shown_int(p)}, found {list(got)}")
     else:
         raise InputError(f"unknown move kind {kind!r}")
     inner = _counts(new, counts[index], index)
@@ -459,12 +447,11 @@ def pinch(events, counts, index, k):
     one component and run anti-parallel.
     """
     if not 0 <= index <= len(events):
-        raise InputError(f"pinch column {index} out of range 0..{len(events)}")
+        raise InputError(f"pinch column {shown_int(index)} out of range 0..{len(events)}")
     count = counts[index]
     if k < 1 or k + 1 > count:
-        raise InputError(
-            f"pinch needs strands {k},{k + 1} at column {index}, only {count} present"
-        )
+        raise InputError(f"pinch needs strands {shown_int(k)},{shown_int(k + 1)} "
+                         f"at column {index}, only {count} present")
     if count > 2:
         start = index
         while counts[start]:
@@ -498,7 +485,7 @@ def death(events, counts, component_index):
         _, component_of, event_strands = _trace(events)[0]
         ncomp = max(component_of) + 1 if component_of else 0
         if not 1 <= component_index <= ncomp:
-            raise InputError(f"component {component_index} out of range 1..{ncomp}")
+            raise InputError(f"component {shown_int(component_index)} out of range 1..{ncomp}")
         target = component_index - 1
         indices = [
             i
@@ -524,12 +511,9 @@ Pinch = namedtuple("Pinch", "index pos")
 Death = namedtuple("Death", "component")
 
 
+# a move sequence witnessing a decomposable Lagrangian filling;
 # declared_surface: (pinches, deaths) or None
-class FillingCertificate(namedtuple("FillingCertificate", "steps declared_surface",
-                                    defaults=(None,))):
-    """A move sequence witnessing a decomposable Lagrangian filling."""
-
-    __slots__ = ()
+FillingCertificate = namedtuple("FillingCertificate", "steps declared_surface", defaults=(None,))
 
 
 # genus: None when the Euler characteristic is even

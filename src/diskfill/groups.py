@@ -30,7 +30,7 @@ import math
 import re
 from collections import namedtuple
 
-from . import Frozen, content_lines, read_int, shown
+from . import content_lines, read_int, shown
 from .errors import BudgetError, InputError
 
 __all__ = [
@@ -105,12 +105,10 @@ def parse_word(text, gens):
 
 # -- presentations -----------------------------------------------------------
 
-class Presentation(Frozen):
+class Presentation(namedtuple("Presentation", "gens relators")):
     """A finite group presentation with named generators."""
 
-    _fields = ("gens", "relators")
-
-    def __init__(self, gens, relators):
+    def __new__(cls, gens, relators):
         if len(set(gens)) != len(gens):
             raise InputError("generator names must be distinct")
         relators = tuple(free_reduce(r) for r in relators)
@@ -119,7 +117,7 @@ class Presentation(Frozen):
             for x in r:
                 if not 1 <= abs(x) <= n:
                     raise InputError(f"letter {x} outside generator range 1..{n}")
-        self.__dict__.update(gens=tuple(gens), relators=relators)
+        return tuple.__new__(cls, (tuple(gens), relators))
 
     @property
     def rank(self):
@@ -132,10 +130,8 @@ class Presentation(Frozen):
         return tuple(_word_runs(r) for r in self.relators)
 
 
-class PresentationFile(namedtuple("PresentationFile", "presentation maps")):
-    """A parsed presentation file: the presentation plus any weight maps."""
-
-    __slots__ = ()
+# a parsed presentation file: the presentation plus any weight maps
+PresentationFile = namedtuple("PresentationFile", "presentation maps")
 
 
 def parse_presentation(text):

@@ -64,7 +64,7 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from . import Frozen, comment_header, content_lines, read_int, shown
+from . import comment_header, content_lines, read_int, shown
 from .errors import BudgetError, InputError
 from .laurent import BiLaurent, min_deg_a
 
@@ -102,7 +102,7 @@ def delta_power(k):
     return DELTA_NUMERATOR ** k * BiLaurent.z(-k)
 
 
-class LinkDiagram(Frozen):
+class LinkDiagram(namedtuple("LinkDiagram", "crossings loops")):
     """An unoriented link diagram: PD crossings plus crossingless loops.
 
     ``crossings`` holds 4-tuples of edge labels, under strand at slots 0
@@ -110,9 +110,7 @@ class LinkDiagram(Frozen):
     other end of its edge; it is derived, so equality ignores it.
     """
 
-    _fields = ("crossings", "loops")
-
-    def __init__(self, crossings, loops=0):
+    def __new__(cls, crossings, loops=0):
         # tuples here and in the surgeries come from lists: CPython builds a
         # generator's tuple by resizing, so each one freed grows the per-size
         # tuple free list, by about 2 MB over a thousand evaluations
@@ -135,7 +133,9 @@ class LinkDiagram(Frozen):
             raise InputError("negative loop count")
         if not crossings and not loops:
             raise InputError("empty diagram (no crossings, no loops)")
-        self.__dict__.update(crossings=crossings, loops=loops, far=far)
+        self = tuple.__new__(cls, (crossings, loops))
+        self.far = far
+        return self
 
     @property
     def n(self):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -237,7 +238,7 @@ class TestPinchAndDeath:
 
     def test_pinch_at_either_end_of_the_word(self):
         # no strands run before the first event or after the last one
-        for index in (0, len(TREFOIL)):
+        for index in (0, len(TREFOIL.events)):
             with pytest.raises(InputError, match=f"column {index}, only 0 present"):
                 stepped(pinch, TREFOIL, index, 1)
         with pytest.raises(InputError, match="pinch column 8 out of range 0..7"):
@@ -248,7 +249,7 @@ class TestPinchAndDeath:
         assert traces_made(monkeypatch, stepped, pinch, TREFOIL, 1, 1) == 0
         # four strands: only the trefoil's block is traced, not the unknots
         split = FrontWord(UNKNOT.events + TREFOIL.events + UNKNOT.events)
-        assert traces_made(monkeypatch, stepped, pinch, split, 4, 1) == len(TREFOIL)
+        assert traces_made(monkeypatch, stepped, pinch, split, 4, 1) == len(TREFOIL.events)
         with pytest.raises(InputError, match="parallel"):
             stepped(pinch, split, 4, 2)
 
@@ -268,10 +269,10 @@ class TestPinchAndDeath:
     def test_death_of_component_one_needs_no_trace(self, monkeypatch):
         two = FrontWord(UNKNOT.events * 2)
         assert traces_made(monkeypatch, stepped, death, two, 1) == 0
-        assert traces_made(monkeypatch, stepped, death, two, 2) == len(two)
+        assert traces_made(monkeypatch, stepped, death, two, 2) == len(two.events)
         # here component 1 is the trefoil, so the word does not start L 1, R 1
         trefoil_first = FrontWord(TREFOIL.events + UNKNOT.events)
-        assert traces_made(monkeypatch, stepped, death, trefoil_first, 2) == len(trefoil_first)
+        assert traces_made(monkeypatch, stepped, death, trefoil_first, 2) == len(trefoil_first.events)
 
 
 class TestCertificates:
@@ -404,7 +405,7 @@ class TestOneTracePerWord:
 
     def check(self, monkeypatch, front, cert, necks=0):
         outside, pinches = replay_traces(monkeypatch, front, cert)
-        assert outside == [len(front)]
+        assert outside == [len(front.events)]
         assert len(pinches) == sum(isinstance(step, Pinch) for step in cert.steps)
         for count, _, traced in pinches[:necks]:
             assert count == 2 and traced == 0
@@ -433,7 +434,7 @@ class TestOneTracePerWord:
         assert all(step.pos == 1 for step in cert.steps[:n - 1])
         pinches = self.check(monkeypatch, total, cert, necks=n - 1)
         # each summand's own pinch sees only its summand's block
-        assert [block for _, block, _ in pinches[n - 1:]] == [len(f946)] * n
+        assert [block for _, block, _ in pinches[n - 1:]] == [len(f946.events)] * n
 
     def test_composed_l8_certificate(self, monkeypatch):
         self.check_composed(monkeypatch, 8)
@@ -570,7 +571,7 @@ class TestMovesCheckTheirWindow:
             top = max(front._profile) + 2
             for _ in range(12):
                 kind = rng.choice(front_module.MOVE_KINDS)
-                move = Move(kind, rng.randint(-1, len(front) + 1), rng.randint(-1, top))
+                move = Move(kind, rng.randint(-1, len(front.events) + 1), rng.randint(-1, top))
                 got = move_outcome(stepped, apply_move, front, move)
                 assert got == move_outcome(rewrite_then_validate, front, move), move
                 text = got[1] if isinstance(got[0], type) else "accepted"
@@ -584,6 +585,45 @@ class TestMovesCheckTheirWindow:
         monkeypatch.setitem(front_module._REWRITES, "r2a+", ((("R", +1),), (("X", +2),)))
         with pytest.raises(RuntimeError, match="changes the strand count by 0"):
             stepped(apply_move, TREFOIL, Move("r2a+", 5, 1))
+
+
+NINES = 10**640 - 1  # 640 digits; one more is past the least digit limit
+
+
+class TestErrorsUnderTheLeastDigitLimit:
+    """An error that names one more than a 640-digit number is an
+    InputError under the least limit an interpreter may set on str(), and
+    reads as it does with no limit: ``<N digits>`` past 60 digits."""
+
+    CALLS = [
+        (lambda: validate(parse_front(f"L 1\nX {'9' * 640}\nR 1\n")),
+         "event 1: crossing needs strands <640 digits>,<641 digits> but only 2 exist"),
+        (lambda: stepped(pinch, UNKNOT, 1, NINES),
+         "pinch needs strands <640 digits>,<641 digits> at column 1, only 2 present"),
+        (lambda: stepped(apply_move, UNKNOT, Move("r2a+", NINES, 1)),
+         "move index <640 digits> out of range: expected a 1-event window inside 0..2, "
+         "found <640 digits>..<641 digits>"),
+        (lambda: stepped(apply_move, UNKNOT, Move("slide", NINES, 0)),
+         "move index <640 digits> out of range: expected a 2-event window inside 0..2, "
+         "found <640 digits>..<641 digits>"),
+        (lambda: stepped(apply_move, UNKNOT, Move("r2b+", 0, NINES)),
+         "pattern mismatch at index 0: expected [('R', <641 digits>)], found [('L', 1)]"),
+    ]
+
+    @pytest.mark.parametrize("limit", [640, 0])
+    def test_each_is_an_input_error(self, limit):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)  # Python 3.11+
+        before = get_limit() if get_limit else None
+        try:
+            if get_limit:
+                sys.set_int_max_str_digits(limit)
+            for call, message in self.CALLS:
+                with pytest.raises(InputError) as caught:
+                    call()
+                assert str(caught.value) == message
+        finally:
+            if get_limit:
+                sys.set_int_max_str_digits(before)
 
 
 class TestConnectedSum:
@@ -607,13 +647,13 @@ class TestConnectedSum:
 
     def test_traces_each_input_once(self, monkeypatch):
         f946 = parse_front(data_path("9_46.front").read_text())
-        assert traces_made(monkeypatch, connected_sum, f946, f946) == 2 * len(f946)
+        assert traces_made(monkeypatch, connected_sum, f946, f946) == 2 * len(f946.events)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_connect_traces_each_input_once(self, monkeypatch, n):
         f946 = parse_front(data_path("9_46.front").read_text())
         d1 = parse_certificate(data_path("d1.cert").read_text())
-        assert traces_made(monkeypatch, connect, [f946] * n, [d1] * n) == n * len(f946)
+        assert traces_made(monkeypatch, connect, [f946] * n, [d1] * n) == n * len(f946.events)
 
     def test_multi_component_rejected(self):
         two = FrontWord((("L", 1), ("R", 1), ("L", 1), ("R", 1)))

@@ -350,9 +350,9 @@ class TestSimplify:
 
     def test_one_diagram_build_per_call(self, keyed, monkeypatch):
         builds = []
-        real = LinkDiagram.__init__
-        monkeypatch.setattr(LinkDiagram, "__init__",
-                            lambda d, *args: builds.append(d) or real(d, *args))
+        real = LinkDiagram.__new__
+        monkeypatch.setattr(LinkDiagram, "__new__",
+                            lambda cls, *args: builds.append(real(cls, *args)) or builds[-1])
         reduced = 0
         for d in keyed:
             builds.clear()

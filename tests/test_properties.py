@@ -144,9 +144,9 @@ def moves_on_fronts(draw):
     patterns match and the window check decides."""
     front = draw(fronts())
     kind = draw(st.sampled_from(MOVE_KINDS))
-    index = draw(st.integers(-2, len(front) + 2))
+    index = draw(st.integers(-2, len(front.events) + 2))
     top = max(front._profile)
-    if 0 <= index < len(front) and draw(st.booleans()):
+    if 0 <= index < len(front.events) and draw(st.booleans()):
         pos = front.events[index][1] + draw(st.integers(-2, 1))
     else:
         pos = draw(st.integers(-1, top + 2))

@@ -251,8 +251,8 @@ def int_uses(source):
 # type.
 INT_USES = [
     ("__init__.py", "read_int", "value = int(token)"),
-    ("cli.py", "cmd_snf", "digits = int((top.bit_length() - 1) * math.log10(2)) + 1"
-                          "  # the count, or one short"),
+    ("__init__.py", "digit_count", "digits = int((n.bit_length() - 1) * math.log10(2)) + 1"
+                                   "  # the count, or one short"),
     ("front.py", "parse_certificate",
      "number = int if len(raw) <= MAX_DIGITS else functools.partial("),
     ("front.py", "parse_front", "return FrontWord(tuple(zip(tokens[::2], map(int, tokens[1::2]))))"),

@@ -314,7 +314,7 @@ def front_of_100000_events():
 @pytest.mark.parametrize("form", ["canonical", "commented_crlf"])
 def test_tb_of_a_front_of_100000_events(tmp_path, form):
     front = front_of_100000_events()
-    assert len(front) == 100_000
+    assert len(front.events) == 100_000
     text = render_front(front, header="100,000 events")
     if form == "commented_crlf":
         text = "".join(f"{line}  # line {i}\r\n" for i, line in enumerate(text.splitlines(), 1))
